@@ -81,7 +81,6 @@ from .model import (
     Scenario,
     TypeDistribution,
     ValidationReport,
-    evaluate_primitive,
     load_scenario,
     scenario_from_dict,
     validate_assumptions,
@@ -97,13 +96,11 @@ from .simulate import (
     SyntheticPanel,
     add_interactions,
     add_type_bins,
-    contests_to_columns,
     fe_ols,
     gen_trajectory,
     mann_kendall,
     panel_cells,
     panel_regressions,
-    resolve_threads,
     run_contest,
     run_contests,
     synthetic_panel,
@@ -117,8 +114,8 @@ __all__ = [
     # model
     "AssumptionCheck", "CostForm", "MechanizationForm", "NoiseFamily",
     "PrizeVector", "ProductionForm", "Scenario", "TypeDistribution",
-    "ValidationReport", "evaluate_primitive", "load_scenario",
-    "scenario_from_dict", "validate_assumptions",
+    "ValidationReport", "load_scenario", "scenario_from_dict",
+    "validate_assumptions",
     # presets and golden checks
     "EXAMPLE_CONFIGS", "example_scenario", "GoldenCheck", "golden_suite",
     # cost minimisation
@@ -139,10 +136,9 @@ __all__ = [
     # simulation and panels
     "ContestOutcome", "MannKendall", "PanelCell", "PanelSpec",
     "RegressionResult", "SubmissionTrajectory", "SyntheticPanel",
-    "add_interactions", "add_type_bins", "contests_to_columns", "fe_ols",
-    "gen_trajectory", "mann_kendall", "panel_cells", "panel_regressions",
-    "resolve_threads", "run_contest", "run_contests", "synthetic_panel",
-    "type_bin_edges",
+    "add_interactions", "add_type_bins", "fe_ols", "gen_trajectory",
+    "mann_kendall", "panel_cells", "panel_regressions", "run_contest",
+    "run_contests", "synthetic_panel", "type_bin_edges",
     # errors
     "ContestLabError", "DomainError", "IntegrationError", "SolverError",
     "UnconvergedProfileError", "UnreachableFitnessError",

@@ -39,11 +39,8 @@ from .presets import EXAMPLE_CONFIGS, example_scenario
 from .simulate import (
     PanelCell,
     PanelSpec,
-    contests_to_columns,
     fe_ols,
     mann_kendall,
-    resolve_threads,
-    run_contests,
     synthetic_panel,
 )
 
@@ -89,14 +86,14 @@ def _write_json(path: Path, payload) -> None:
 class _Run:
     """Collects a command's outputs and writes the manifest at the end."""
 
-    def __init__(self, command: str, out_dir: str, params: dict, replay_argv: list[str]):
+    def __init__(self, command: str, args, params: dict, replay_argv: list[str]):
         self.command = command
-        self.out = Path(out_dir)
+        self.out = Path(args.out)
         self.out.mkdir(parents=True, exist_ok=True)
         self.params = params
         self.replay_argv = replay_argv
         self.outputs: list[str] = []
-        self.started = time.monotonic()
+        self.started = args.started
 
     def path(self, name: str) -> Path:
         self.outputs.append(name)
@@ -172,7 +169,7 @@ def _solve(args, scenario):
 def _cmd_validate(args) -> int:
     scenario, spath = _load_scenario_arg(args.scenario)
     report = validate_assumptions(scenario)
-    run = _Run("validate", args.out, {"scenario": spath},
+    run = _Run("validate", args, {"scenario": spath},
                ["validate", "--scenario", spath])
     _write_json(run.path("validation.json"), report.to_dict())
     run.finish()
@@ -192,7 +189,7 @@ def _cmd_cost(args) -> int:
     grid = allocate_grid(scenario, mus, np.full(mus.shape, args.theta))
     params = {"scenario": spath, "theta": args.theta,
               "mu_max": args.mu_max, "points": args.points}
-    run = _Run("cost", args.out, params,
+    run = _Run("cost", args, params,
                ["cost", "--scenario", spath, "--theta", repr(args.theta),
                 "--mu-max", repr(args.mu_max), "--points", str(args.points)])
     write_csv(run.path("cost.csv"), {
@@ -211,7 +208,7 @@ def _cmd_baseline(args) -> int:
     thetas = np.linspace(lo, hi, args.grid) if hi > lo else np.array([lo])
     grid = baseline_grid(scenario, thetas)
     params = {"scenario": spath, "grid": args.grid}
-    run = _Run("baseline", args.out, params,
+    run = _Run("baseline", args, params,
                ["baseline", "--scenario", spath, "--grid", str(args.grid)])
     write_csv(run.path("baseline.csv"), {
         "theta": grid.theta, "a": grid.a, "b": grid.b, "mu": grid.mu,
@@ -233,7 +230,7 @@ def _cmd_equilibrium(args) -> int:
     alloc = profile_allocations(profile)
     base = baseline_grid(scenario, profile.theta_grid)
     params = {"scenario": spath, **_solver_params(args)}
-    run = _Run("equilibrium", args.out, params,
+    run = _Run("equilibrium", args, params,
                ["equilibrium", "--scenario", spath, *_solver_argv(args)])
     write_csv(run.path("equilibrium.csv"), {
         "theta": profile.theta_grid, "mu_star": profile.mu_star,
@@ -264,7 +261,7 @@ def _cmd_hacking(args) -> int:
         return EXIT_NO_CONVERGENCE
     verdicts = hacking_verdicts(profile)
     params = {"scenario": spath, **_solver_params(args)}
-    run = _Run("hacking", args.out, params,
+    run = _Run("hacking", args, params,
                ["hacking", "--scenario", spath, *_solver_argv(args)])
     write_csv(run.path("hacking.csv"), {
         "theta": verdicts.theta, "hacks": verdicts.hacks.astype(int),
@@ -299,7 +296,7 @@ def _cmd_sweep(args) -> int:
               f"(residuals {residuals})", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     params = {"scenario": spath, "prizes": args.prizes, **_solver_params(args)}
-    run = _Run("sweep", args.out, params,
+    run = _Run("sweep", args, params,
                ["sweep", "--scenario", spath, "--prizes", args.prizes,
                 *_solver_argv(args)])
     rows = result.rows()
@@ -325,22 +322,20 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_simulate(args) -> int:
     scenario, spath = _load_scenario_arg(args.scenario)
-    threads = resolve_threads(args.threads)
-    profile = _solve(args, scenario)
-    if not profile.converged:
-        print(f"equilibrium did not converge: residual {profile.residual:.3e}",
-              file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    outcomes = run_contests(scenario, profile, args.contests, args.seed,
-                            threads=threads)
-    contest_cols = contests_to_columns(outcomes)
-
+    cells = None
+    if not args.panel_cells:
+        profile = _solve(args, scenario)
+        if not profile.converged:
+            print(f"equilibrium did not converge: residual {profile.residual:.3e}",
+                  file=sys.stderr)
+            return EXIT_NO_CONVERGENCE
+        cells = _single_cell(scenario, profile)
     panel = synthetic_panel(
         scenario,
         n_contests=args.contests,
         players=scenario.players,
         seed=args.seed,
-        cells=None if args.panel_cells else _single_cell(scenario, profile),
+        cells=cells,
         traj_length=args.traj_length,
         drift_scale=args.drift_scale,
         noise_scale=args.noise_scale,
@@ -351,19 +346,19 @@ def _cmd_simulate(args) -> int:
     params = {
         "scenario": spath, "seed": args.seed, "contests": args.contests,
         "traj_length": args.traj_length, "drift_scale": args.drift_scale,
-        "noise_scale": args.noise_scale, "threads": threads,
+        "noise_scale": args.noise_scale,
         "panel_cells": bool(args.panel_cells), **_solver_params(args),
     }
-    run = _Run("simulate", args.out, params, [
+    run = _Run("simulate", args, params, [
         "simulate", "--scenario", spath, "--seed", str(args.seed),
         "--contests", str(args.contests),
         "--traj-length", str(args.traj_length),
         "--drift-scale", repr(args.drift_scale),
         "--noise-scale", repr(args.noise_scale),
         *(["--panel-cells"] if args.panel_cells else []),
-        *_solver_argv(args), "--threads", str(threads),
+        *_solver_argv(args),
     ])
-    write_csv(run.path("contests.csv"), contest_cols)
+    panel.contests_to_csv(run.path("contests.csv"))
     panel.to_csv(run.path("panel.csv"))
     run.finish()
     print(f"simulated {args.contests} contests x {scenario.players} players "
@@ -386,7 +381,7 @@ def _cmd_mk(args) -> int:
     series = np.asarray(columns[args.column], dtype=float)
     result = mann_kendall(series)
     in_path = str(Path(args.input).resolve())
-    run = _Run("mk", args.out, {"input": in_path, "column": args.column},
+    run = _Run("mk", args, {"input": in_path, "column": args.column},
                ["mk", "--input", in_path, "--column", args.column])
     _write_json(run.path("mk.json"), {
         "column": args.column, "n": result.n, "S": result.s,
@@ -408,7 +403,7 @@ def _cmd_regress(args) -> int:
     params = {"input": in_path, "outcome": args.outcome,
               "dummies": args.dummies, "interactions": args.interactions,
               "group": args.group}
-    run = _Run("regress", args.out, params, [
+    run = _Run("regress", args, params, [
         "regress", "--input", in_path, "--outcome", args.outcome,
         "--dummies", args.dummies, "--interactions", args.interactions,
         "--group", args.group,
@@ -425,7 +420,7 @@ def _cmd_regress(args) -> int:
 def _cmd_examples(args) -> int:
     checks = golden_suite()
     failed = [c for c in checks if not c.passed]
-    run = _Run("examples", args.out, {}, ["examples"])
+    run = _Run("examples", args, {}, ["examples"])
     _write_json(run.path("examples.json"), [
         {"example": c.example, "check": c.name, "passed": c.passed,
          "detail": c.detail} for c in checks
@@ -509,8 +504,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="trend points per submission at full creative share")
     p.add_argument("--noise-scale", type=float, default=2.0,
                    help="score noise at full mechanistic share")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: CONTESTLAB_THREADS or cores)")
     p.add_argument("--panel-cells", action="store_true",
                    help="vary prize value and skew across built-in cells "
                         "instead of using the scenario's own prizes")
@@ -546,6 +539,7 @@ def dispatch(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:   # argparse already printed the message
         return int(exc.code or 0)
+    args.started = time.monotonic()
     try:
         return args.func(args)
     except UnconvergedProfileError as exc:

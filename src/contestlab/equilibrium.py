@@ -95,11 +95,6 @@ def opponent_mixture(profile: StrategyProfile, nodes: int = _THETA_NODES) -> Opp
                            profile.scenario.noise)
 
 
-def opponent_performance_cdf(profile: StrategyProfile, s) -> Array | float:
-    """CDF of one opponent's performance under the profile."""
-    return opponent_mixture(profile).cdf(s)
-
-
 def _rank_pmf(g: Array, players: int, ranks: Array) -> Array:
     """P(exactly rank k) weights: binomial in the opponents beaten."""
     # ranks are 1-based; k-1 opponents perform better
@@ -277,26 +272,16 @@ def best_response(theta: float, profile: StrategyProfile,
                   coarse: int = 200, xtol: float = 1e-6,
                   mu_max: float | None = None) -> float:
     """Payoff-maximising fitness target of one type against a profile."""
-    scenario = profile.scenario
-    scenario.check_theta(theta)
-    prizes = scenario.prizes if prizes is None else prizes
-    base = baseline_grid(scenario, np.array([theta]))
-    if mu_max is None:
-        mu_max = _mu_upper_bound(scenario, prizes, base)
-    table = GainTable(opponent_mixture(profile), scenario.noise,
-                      scenario.players, prizes, mu_max)
-    thetas = np.array([theta])
-    mu_grid = np.linspace(0.0, mu_max, coarse)
-    cost_matrix = allocate_grid(scenario, mu_grid[:, None], thetas[None, :]).cost
-    br, _ = _best_response_grid(scenario, table, thetas, mu_grid, cost_matrix, xtol)
-    return float(br[0])
+    profile.scenario.check_theta(theta)
+    return float(best_response_grid(profile, [theta], prizes, coarse=coarse,
+                                    xtol=xtol, mu_max=mu_max)[0])
 
 
 def best_response_grid(profile: StrategyProfile, thetas,
                        prizes: PrizeVector | None = None, *,
                        coarse: int = 200, xtol: float = 1e-6,
                        mu_max: float | None = None) -> Array:
-    """Vectorised :func:`best_response` sharing one gain table."""
+    """Best responses of many types against a profile, sharing one gain table."""
     scenario = profile.scenario
     thetas = np.asarray(thetas, dtype=float)
     prizes = scenario.prizes if prizes is None else prizes

@@ -463,32 +463,6 @@ class Scenario:
                         players, pv)
 
 
-def evaluate_primitive(form, x: float, theta: float | None = None,
-                       support: tuple[float, float] | None = None) -> tuple[float, float]:
-    """Evaluate a form and its derivative at ``x`` (and ``theta``).
-
-    Returns ``(value, derivative)``; the derivative is ``math.inf`` where
-    the form has an unbounded corner slope.  ``theta`` must be supplied
-    exactly for production forms, and is checked against ``support`` when
-    one is given.
-    """
-    if x < 0:
-        raise DomainError(f"effort must be non-negative, got {x!r}")
-    if isinstance(form, ProductionForm):
-        if theta is None:
-            raise DomainError("production form needs a type theta")
-        if support is not None and not support[0] <= theta <= support[1]:
-            raise DomainError(f"type {theta!r} outside support {support}")
-        return float(form.value(x, theta)), float(form.deriv_a(x, theta))
-    if theta is not None:
-        raise DomainError(f"{type(form).__name__} takes no theta")
-    if isinstance(form, MechanizationForm):
-        return float(form.value(x)), float(form.deriv(x))
-    if isinstance(form, CostForm):
-        return float(form.value(x)), float(form.deriv(x))
-    raise DomainError(f"not a known primitive: {type(form).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # configuration loading
 

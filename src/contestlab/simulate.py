@@ -6,16 +6,12 @@ the trajectory with the Mann-Kendall trend statistic, and fit
 fixed-effects regressions on the resulting panel.
 
 Randomness uses counter-based Philox streams keyed by ``(seed,
-stream_index)``: replications are independent, reproducible, and safe to
-farm out to workers because the merge order is the replication index,
-never the scheduling order.
+stream_index)``: replications are independent and reproducible, and
+contest j always draws from stream j.
 """
 
 from __future__ import annotations
 
-import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -43,7 +39,6 @@ __all__ = [
     "mann_kendall",
     "panel_cells",
     "panel_regressions",
-    "resolve_threads",
     "run_contest",
     "run_contests",
     "synthetic_panel",
@@ -85,23 +80,6 @@ def _stream(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[int(seed), int(stream)]))
 
 
-def resolve_threads(value: int | None = None) -> int:
-    """Worker count: explicit value, else CONTESTLAB_THREADS, else all cores."""
-    if value is None:
-        env = os.environ.get("CONTESTLAB_THREADS", "").strip()
-        if env:
-            try:
-                value = int(env)
-            except ValueError:
-                raise DomainError(f"CONTESTLAB_THREADS={env!r} is not an integer") from None
-        else:
-            value = os.cpu_count() or 1
-    value = int(value)
-    if value < 1:
-        raise DomainError("thread count must be >= 1")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # Mann-Kendall trend statistic
 
@@ -114,13 +92,6 @@ class MannKendall:
     var_s: float
     z: float
     n: int
-
-
-def _tie_correction(sorted_row: Array) -> float:
-    # sum of t(t-1)(2t+5) over tie groups of size t
-    _, counts = np.unique(sorted_row, return_counts=True)
-    ties = counts[counts > 1].astype(float)
-    return float(np.sum(ties * (ties - 1.0) * (2.0 * ties + 5.0)))
 
 
 def mann_kendall(series) -> MannKendall:
@@ -137,16 +108,8 @@ def mann_kendall(series) -> MannKendall:
         raise DomainError(f"Mann-Kendall needs at least 2 observations, got {n}")
     if not np.all(np.isfinite(x)):
         raise DomainError("Mann-Kendall series must be finite")
-    i, j = np.triu_indices(n, k=1)
-    s = int(np.sign(x[j] - x[i]).sum())
-    var_s = (n * (n - 1) * (2 * n + 5) - _tie_correction(np.sort(x))) / 18.0
-    if var_s <= 0.0 or s == 0:
-        z = 0.0
-    elif s > 0:
-        z = (s - 1) / math.sqrt(var_s)
-    else:
-        z = (s + 1) / math.sqrt(var_s)
-    return MannKendall(s=s, var_s=float(var_s), z=float(z), n=n)
+    s, var_s, z = _mk_batch(x[None, :])
+    return MannKendall(s=int(s[0]), var_s=float(var_s[0]), z=float(z[0]), n=n)
 
 
 def _mk_batch(scores: Array) -> tuple[Array, Array, Array]:
@@ -269,42 +232,13 @@ def run_contests(
     profile: StrategyProfile,
     count: int,
     seed: int,
-    threads: int | None = None,
     force: bool = False,
 ) -> list[ContestOutcome]:
-    """Replications 0..count-1; results are merged in replication order."""
+    """Replications 0..count-1, in replication order."""
     if count < 1:
         raise DomainError(f"contest count must be >= 1, got {count}")
     _require_profile(profile, force)
-
-    def one(replication: int) -> ContestOutcome:
-        return run_contest(scenario, profile, seed, replication, force=True)
-
-    workers = 1 if threads is None else resolve_threads(threads)
-    if workers <= 1:
-        return [one(r) for r in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, range(count)))
-
-
-def contests_to_columns(outcomes: Sequence[ContestOutcome]) -> dict[str, Array]:
-    """Stack per-player records of many contests into flat columns."""
-    if not outcomes:
-        raise DomainError("no contest outcomes to tabulate")
-    parts: dict[str, list[Array]] = {name: [] for name in CONTEST_COLUMNS}
-    for out in outcomes:
-        n = out.players
-        parts["contest_id"].append(np.full(n, out.replication, dtype=np.int64))
-        parts["player_id"].append(np.arange(n, dtype=np.int64))
-        parts["type"].append(out.theta)
-        parts["a"].append(out.a)
-        parts["b"].append(out.b)
-        parts["mu"].append(out.mu)
-        parts["score"].append(out.score)
-        parts["rank"].append(out.rank)
-        parts["prize"].append(out.prize)
-        parts["payoff"].append(out.payoff)
-    return {name: np.concatenate(chunks) for name, chunks in parts.items()}
+    return [run_contest(scenario, profile, seed, r, force=True) for r in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +506,14 @@ class PanelCell:
 
 @dataclass(frozen=True)
 class SyntheticPanel:
-    """Flat per-player panel over many simulated contests."""
+    """Flat per-player panel over many simulated contests.
+
+    ``columns`` holds every per-player record of each contest once: the
+    trajectory columns of ``PANEL_COLUMNS`` plus the contest outcome
+    columns (score, rank, prize, payoff) of ``CONTEST_COLUMNS``.
+    ``to_csv`` and ``contests_to_csv`` write the two tables, which
+    therefore describe the same contests row for row.
+    """
 
     columns: dict[str, Array]
     cells: tuple[PanelCell, ...]
@@ -586,6 +527,9 @@ class SyntheticPanel:
 
     def to_csv(self, path) -> None:
         write_csv(path, self.columns, order=PANEL_COLUMNS)
+
+    def contests_to_csv(self, path) -> None:
+        write_csv(path, self.columns, order=CONTEST_COLUMNS)
 
 
 def panel_cells(
@@ -700,6 +644,10 @@ def synthetic_panel(
         "a": np.empty(total),
         "b": np.empty(total),
         "mu": np.empty(total),
+        "score": np.empty(total),
+        "rank": np.empty(total, dtype=np.int64),
+        "prize": np.empty(total),
+        "payoff": np.empty(total),
         "score_final": np.empty(total),
         "mk_S": np.empty(total, dtype=np.int64),
         "mk_Z": np.empty(total),
@@ -729,6 +677,10 @@ def synthetic_panel(
         cols["a"][rows] = out.a
         cols["b"][rows] = out.b
         cols["mu"][rows] = out.mu
+        cols["score"][rows] = out.score
+        cols["rank"][rows] = out.rank
+        cols["prize"][rows] = out.prize
+        cols["payoff"][rows] = out.payoff
         cols["score_final"][rows] = scores[:, -1]
         cols["mk_S"][rows] = mk_s
         cols["mk_Z"][rows] = mk_z

@@ -88,6 +88,26 @@ class TestArtifactsAndReplay:
         assert set(panel) >= {"mk_Z", "prize_value", "prize_skew"}
         assert_replay_identical(out, tmp_path)
 
+    def test_simulate_panel_cells_tables_agree(self, tmp_path):
+        # the skewed cells pay three ranks, so the scenario needs 3 players
+        with open("scenarios/example1.json") as fh:
+            spec = json.load(fh)
+        spec["players"] = 3
+        scenario = tmp_path / "three.json"
+        scenario.write_text(json.dumps(spec))
+        out = tmp_path / "pc"
+        assert run_cli("simulate", "--scenario", scenario, "--seed", "3",
+                       "--contests", "6", "--traj-length", "5", "--grid", "21",
+                       "--tol", "1e-3", "--panel-cells", "--out", out) == EXIT_OK
+        contests = read_csv_columns(out / "contests.csv")
+        panel = read_csv_columns(out / "panel.csv")
+        assert contests["contest_id"].size == 6 * 3
+        for name in ("contest_id", "player_id", "type", "a", "b", "mu"):
+            np.testing.assert_array_equal(contests[name], panel[name], err_msg=name)
+        manifest = json.loads((out / MANIFEST_NAME).read_text())
+        assert "--threads" not in manifest["replay_argv"]
+        assert_replay_identical(out, tmp_path)
+
     def test_examples_checks_artifact(self, tmp_path):
         out = tmp_path / "e"
         assert run_cli("examples", "--out", out) == EXIT_OK
