@@ -20,11 +20,9 @@ effort between genuine improvement and score-chasing.  The core objects:
 
 from .baseline import (
     BaselineGrid,
-    BaselinePoint,
     BaselineThresholds,
     baseline_grid,
     baseline_thresholds,
-    solve_baseline,
 )
 from .costmin import (
     CASE_NAMES,
@@ -32,25 +30,17 @@ from .costmin import (
     INTERIOR,
     MECH_ONLY,
     AllocationGrid,
-    CostPoint,
-    EffortAllocation,
     allocate_grid,
-    cost_curve,
-    invert_production,
-    optimal_allocation,
 )
 from .equilibrium import (
     GainTable,
     OpponentMixture,
     StrategyProfile,
-    best_response,
     best_response_grid,
     contest_gain,
     opponent_mixture,
-    profile_allocations,
     rank_probabilities,
     solve_equilibrium,
-    zero_prize_profile,
 )
 from .errors import (
     ContestLabError,
@@ -58,14 +48,11 @@ from .errors import (
     IntegrationError,
     SolverError,
     UnconvergedProfileError,
-    UnreachableFitnessError,
 )
 from .golden import GoldenCheck, golden_suite
 from .hacking import (
     HackingProfile,
-    HackingVerdict,
     SweepResult,
-    classify_hacking,
     compare_prize_vectors,
     hacking_threshold,
     hacking_verdicts,
@@ -92,17 +79,14 @@ from .simulate import (
     PanelCell,
     PanelSpec,
     RegressionResult,
-    SubmissionTrajectory,
     SyntheticPanel,
     add_interactions,
     add_type_bins,
     fe_ols,
-    gen_trajectory,
     mann_kendall,
     panel_cells,
     panel_regressions,
     run_contest,
-    run_contests,
     synthetic_panel,
     type_bin_edges,
 )
@@ -120,26 +104,21 @@ __all__ = [
     "EXAMPLE_CONFIGS", "example_scenario", "GoldenCheck", "golden_suite",
     # cost minimisation
     "CASE_NAMES", "CREATE_ONLY", "INTERIOR", "MECH_ONLY", "AllocationGrid",
-    "CostPoint", "EffortAllocation", "allocate_grid", "cost_curve",
-    "invert_production", "optimal_allocation",
+    "allocate_grid",
     # baseline
-    "BaselineGrid", "BaselinePoint", "BaselineThresholds", "baseline_grid",
-    "baseline_thresholds", "solve_baseline",
+    "BaselineGrid", "BaselineThresholds", "baseline_grid", "baseline_thresholds",
     # equilibrium
-    "GainTable", "OpponentMixture", "StrategyProfile", "best_response",
-    "best_response_grid", "contest_gain", "opponent_mixture", "profile_allocations",
-    "rank_probabilities", "solve_equilibrium", "zero_prize_profile",
+    "GainTable", "OpponentMixture", "StrategyProfile", "best_response_grid",
+    "contest_gain", "opponent_mixture", "rank_probabilities", "solve_equilibrium",
     # hacking
-    "HackingProfile", "HackingVerdict", "SweepResult", "classify_hacking",
-    "compare_prize_vectors", "hacking_threshold", "hacking_verdicts",
-    "skewness_sweep",
+    "HackingProfile", "SweepResult", "compare_prize_vectors", "hacking_threshold",
+    "hacking_verdicts", "skewness_sweep",
     # simulation and panels
     "ContestOutcome", "MannKendall", "PanelCell", "PanelSpec",
-    "RegressionResult", "SubmissionTrajectory", "SyntheticPanel",
-    "add_interactions", "add_type_bins", "fe_ols", "gen_trajectory",
-    "mann_kendall", "panel_cells", "panel_regressions", "run_contest",
-    "run_contests", "synthetic_panel", "type_bin_edges",
+    "RegressionResult", "SyntheticPanel", "add_interactions", "add_type_bins",
+    "fe_ols", "mann_kendall", "panel_cells", "panel_regressions", "run_contest",
+    "synthetic_panel", "type_bin_edges",
     # errors
     "ContestLabError", "DomainError", "IntegrationError", "SolverError",
-    "UnconvergedProfileError", "UnreachableFitnessError",
+    "UnconvergedProfileError",
 ]

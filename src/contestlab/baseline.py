@@ -19,12 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rootfind import bisect_scalar, bisect_vec, expand_upper
+from .costmin import CASE_NAMES, CREATE_ONLY, INTERIOR, MECH_ONLY
 from .errors import SolverError
 from .model import Scenario
 
 Array = np.ndarray
-
-MECH_ONLY, INTERIOR, CREATE_ONLY = "mech-only", "interior", "create-only"
 
 
 @dataclass(frozen=True)
@@ -39,27 +38,14 @@ class BaselineThresholds:
     create_lower: float
 
     def region(self, theta: float) -> str:
-        if theta < self.mech_upper:
-            return MECH_ONLY
-        if theta > self.create_lower:
-            return CREATE_ONLY
-        return INTERIOR
+        return CASE_NAMES[int(_region_codes(self, theta))]
 
 
-@dataclass(frozen=True)
-class BaselinePoint:
-    """No-contest optimum of one type."""
-
-    theta: float
-    a: float
-    b: float
-    mu: float
-    region: str
-    payoff: float
-
-    @property
-    def effort(self) -> float:
-        return self.a + self.b
+def _region_codes(thr: BaselineThresholds, thetas) -> Array:
+    """Region codes (``costmin.CASE_NAMES``) of types, elementwise."""
+    thetas = np.asarray(thetas, dtype=float)
+    return np.where(thetas < thr.mech_upper, MECH_ONLY,
+                    np.where(thetas > thr.create_lower, CREATE_ONLY, INTERIOR))
 
 
 @dataclass(frozen=True)
@@ -200,21 +186,20 @@ def baseline_grid(scenario: Scenario, thetas) -> BaselineGrid:
     for t in (thetas.min(), thetas.max()) if thetas.size else ():
         scenario.check_theta(float(t))
     thr = baseline_thresholds(scenario)
-    regions = np.where(thetas < thr.mech_upper, MECH_ONLY,
-                       np.where(thetas > thr.create_lower, CREATE_ONLY, INTERIOR))
+    codes = _region_codes(thr, thetas)
 
     a = np.zeros_like(thetas)
     b = np.zeros_like(thetas)
 
-    mech = regions == MECH_ONLY
+    mech = codes == MECH_ONLY
     if np.any(mech):
         b[mech] = _mech_optimum(scenario)
 
-    create = regions == CREATE_ONLY
+    create = codes == CREATE_ONLY
     if np.any(create):
         a[create] = _creative_optimum(scenario, thetas[create])
 
-    interior = regions == INTERIOR
+    interior = codes == INTERIOR
     if np.any(interior):
         e_star, a_star = _joint_optimum(scenario, thetas[interior])
         a[interior] = a_star
@@ -222,12 +207,5 @@ def baseline_grid(scenario: Scenario, thetas) -> BaselineGrid:
 
     mu = scenario.nu.value(a, thetas) + scenario.xi.value(b)
     payoff = mu - scenario.cost.value(a + b)
-    return BaselineGrid(thetas, a, b, mu, payoff, tuple(regions.tolist()), thr)
-
-
-def solve_baseline(scenario: Scenario, theta: float) -> BaselinePoint:
-    """No-contest optimum of one type."""
-    scenario.check_theta(theta)
-    grid = baseline_grid(scenario, np.array([theta]))
-    return BaselinePoint(float(theta), float(grid.a[0]), float(grid.b[0]),
-                         float(grid.mu[0]), grid.region[0], float(grid.payoff[0]))
+    regions = tuple(CASE_NAMES[c] for c in codes.tolist())
+    return BaselineGrid(thetas, a, b, mu, payoff, regions, thr)

@@ -24,7 +24,7 @@ from . import __version__
 from ._tables import read_csv_columns, write_csv
 from .baseline import baseline_grid, baseline_thresholds
 from .costmin import allocate_grid
-from .equilibrium import profile_allocations, solve_equilibrium
+from .equilibrium import solve_equilibrium
 from .errors import (
     ContestLabError,
     DomainError,
@@ -227,7 +227,7 @@ def _cmd_baseline(args) -> int:
 def _cmd_equilibrium(args) -> int:
     scenario, spath = _load_scenario_arg(args.scenario)
     profile = _solve(args, scenario)
-    alloc = profile_allocations(profile)
+    alloc = allocate_grid(scenario, profile.mu_star, profile.theta_grid)
     base = baseline_grid(scenario, profile.theta_grid)
     params = {"scenario": spath, **_solver_params(args)}
     run = _Run("equilibrium", args, params,

@@ -30,38 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rootfind import bisect_vec, expand_upper
-from .errors import DomainError, UnreachableFitnessError
+from .errors import DomainError
 from .model import Scenario
 
 Array = np.ndarray
 
 MECH_ONLY, INTERIOR, CREATE_ONLY = 1, 2, 3
 CASE_NAMES = {MECH_ONLY: "mech-only", INTERIOR: "interior", CREATE_ONLY: "create-only"}
-
-
-@dataclass(frozen=True)
-class EffortAllocation:
-    """A feasible effort split and the regime that produced it."""
-
-    a: float
-    b: float
-    case: str
-
-
-@dataclass(frozen=True)
-class CostPoint:
-    """Value and sensitivities of the cost function at one (mu, theta)."""
-
-    mu: float
-    theta: float
-    allocation: EffortAllocation
-    cost: float
-    shadow_price: float      # d(total effort)/d(mu) along the optimal path
-    marginal_cost: float     # dC/dmu = c'(e) * shadow_price
-
-    @property
-    def effort(self) -> float:
-        return self.allocation.a + self.allocation.b
 
 
 @dataclass(frozen=True)
@@ -81,31 +56,17 @@ class AllocationGrid:
         return np.vectorize(CASE_NAMES.get)(self.case)
 
 
-def invert_production(scenario: Scenario, target: float, theta: float,
-                      strict: bool = False) -> tuple[float, float]:
-    """Efforts reaching ``target`` through one channel alone.
-
-    Returns ``(a_bar, b_bar)``: the creative effort solving
-    nu(a, theta) = target (``math.inf`` when the channel saturates below
-    the target; raised as :class:`UnreachableFitnessError` iff ``strict``)
-    and the mechanistic effort solving xi(b) = target.
-    """
-    if target < 0:
-        raise DomainError(f"fitness target must be non-negative, got {target!r}")
-    scenario.check_theta(theta)
-    a_bar = float(scenario.nu.invert(target, theta))
-    b_bar = float(scenario.xi.invert(target))
-    if strict and not np.isfinite(a_bar):
-        raise UnreachableFitnessError(
-            f"creation alone cannot reach {target!r} for type {theta!r} "
-            f"(supremum {float(scenario.nu.sup(theta)):.6g})")
-    return a_bar, b_bar
-
-
 def allocate_grid(scenario: Scenario, mu, theta) -> AllocationGrid:
-    """Solve the allocation problem elementwise on broadcast arrays."""
+    """Solve the allocation problem elementwise on broadcast arrays.
+
+    One (mu, theta) point is the one-element call
+    ``allocate_grid(s, [mu], [theta])``.  Raises :class:`DomainError` on
+    negative or non-finite targets.
+    """
     mu_in = np.asarray(mu, dtype=float)
     th_in = np.asarray(theta, dtype=float)
+    if not np.all(np.isfinite(mu_in)):
+        raise DomainError("fitness targets must be finite")
     if np.any(mu_in < 0):
         raise DomainError("fitness targets must be non-negative")
     mu_b, th_b = np.broadcast_arrays(mu_in, th_in)
@@ -170,42 +131,3 @@ def allocate_grid(scenario: Scenario, mu, theta) -> AllocationGrid:
         marginal_cost=(cost.deriv(effort) * lam).reshape(mu_b.shape),
     )
     return grid
-
-
-def optimal_allocation(scenario: Scenario, mu: float, theta: float) -> CostPoint:
-    """Least-cost allocation for one fitness target.
-
-    Raises :class:`UnreachableFitnessError` when both channels together
-    cannot reach ``mu`` and :class:`DomainError` on arguments outside the
-    model's domain.
-    """
-    if mu < 0 or not np.isfinite(mu):
-        raise DomainError(f"fitness target must be a finite non-negative, got {mu!r}")
-    scenario.check_theta(theta)
-    reach = float(scenario.nu.sup(theta))
-    if not np.isfinite(float(scenario.xi.invert(1.0))):  # pragma: no cover
-        raise UnreachableFitnessError("mechanistic channel cannot produce fitness")
-    if not np.isfinite(reach) and mu == np.inf:
-        raise UnreachableFitnessError(f"target {mu!r} is not reachable")
-    grid = allocate_grid(scenario, np.array([mu]), np.array([theta]))
-    alloc = EffortAllocation(float(grid.a[0]), float(grid.b[0]),
-                             CASE_NAMES[int(grid.case[0])])
-    return CostPoint(float(mu), float(theta), alloc, float(grid.cost[0]),
-                     float(grid.shadow_price[0]), float(grid.marginal_cost[0]))
-
-
-def cost_curve(scenario: Scenario, mu_grid, theta: float) -> list[CostPoint]:
-    """Vectorised :func:`optimal_allocation` along a grid of targets."""
-    mu_grid = np.asarray(mu_grid, dtype=float)
-    scenario.check_theta(theta)
-    if np.any(mu_grid < 0):
-        raise DomainError("fitness targets must be non-negative")
-    grid = allocate_grid(scenario, mu_grid, np.full_like(mu_grid, theta))
-    points = []
-    for i in range(mu_grid.size):
-        alloc = EffortAllocation(float(grid.a[i]), float(grid.b[i]),
-                                 CASE_NAMES[int(grid.case[i])])
-        points.append(CostPoint(float(grid.mu[i]), float(theta), alloc,
-                                float(grid.cost[i]), float(grid.shadow_price[i]),
-                                float(grid.marginal_cost[i])))
-    return points

@@ -267,21 +267,14 @@ def _best_response_grid(scenario: Scenario, table: GainTable, thetas: Array,
     return _golden_max(payoff, lo, hi, xtol, best_x.copy(), best_f.copy())
 
 
-def best_response(theta: float, profile: StrategyProfile,
-                  prizes: PrizeVector | None = None, *,
-                  coarse: int = 200, xtol: float = 1e-6,
-                  mu_max: float | None = None) -> float:
-    """Payoff-maximising fitness target of one type against a profile."""
-    profile.scenario.check_theta(theta)
-    return float(best_response_grid(profile, [theta], prizes, coarse=coarse,
-                                    xtol=xtol, mu_max=mu_max)[0])
-
-
 def best_response_grid(profile: StrategyProfile, thetas,
                        prizes: PrizeVector | None = None, *,
                        coarse: int = 200, xtol: float = 1e-6,
                        mu_max: float | None = None) -> Array:
-    """Best responses of many types against a profile, sharing one gain table."""
+    """Best responses of many types against a profile, sharing one gain table.
+
+    One type's best response is ``best_response_grid(profile, [theta])[0]``.
+    """
     scenario = profile.scenario
     thetas = np.asarray(thetas, dtype=float)
     prizes = scenario.prizes if prizes is None else prizes
@@ -357,14 +350,3 @@ def solve_equilibrium(scenario: Scenario, *, grid_size: int = 201,
             converged = True
             break
     return StrategyProfile(scenario, thetas, mu, converged, iterations, residual)
-
-
-def profile_allocations(profile: StrategyProfile):
-    """Efforts along the equilibrium schedule (for export and verdicts)."""
-    return allocate_grid(profile.scenario, profile.mu_star, profile.theta_grid)
-
-
-def zero_prize_profile(scenario: Scenario, *, grid_size: int = 201) -> StrategyProfile:
-    """The no-contest schedule packaged as a (trivially converged) profile."""
-    return solve_equilibrium(scenario.with_prizes(PrizeVector(())),
-                             grid_size=grid_size)

@@ -9,10 +9,6 @@ class DomainError(ContestLabError, ValueError):
     """An argument lies outside the domain a primitive is defined on."""
 
 
-class UnreachableFitnessError(ContestLabError, ValueError):
-    """A fitness target exceeds what the available efforts can produce."""
-
-
 class SolverError(ContestLabError, RuntimeError):
     """An iterative solver failed to converge or found no admissible root."""
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .baseline import baseline_grid, baseline_thresholds
 from .costmin import MECH_ONLY, allocate_grid
-from .equilibrium import profile_allocations, solve_equilibrium
+from .equilibrium import solve_equilibrium
 from .hacking import hacking_threshold
 from .presets import example_scenario
 
@@ -86,7 +86,7 @@ def _example2(results: list[GoldenCheck]) -> None:
            (thetas ** 2 + 1.0) / 2.0)
 
     profile = solve_equilibrium(scn)
-    alloc = profile_allocations(profile)
+    alloc = allocate_grid(scn, profile.mu_star, profile.theta_grid)
     keep = profile.theta_grid >= 0.5   # the ratio is 0/0 as types vanish
     ratio = alloc.a[keep] / alloc.b[keep]
     _check(results, "example2", "equilibrium a/b = th^2",

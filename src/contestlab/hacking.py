@@ -24,7 +24,7 @@ import numpy as np
 from ._rootfind import bisect_scalar
 from .baseline import BaselineGrid, BaselineThresholds, baseline_grid, baseline_thresholds
 from .costmin import allocate_grid
-from .equilibrium import StrategyProfile, profile_allocations, solve_equilibrium
+from .equilibrium import StrategyProfile, solve_equilibrium
 from .errors import DomainError, UnconvergedProfileError
 from .model import PrizeVector, Scenario
 
@@ -70,21 +70,6 @@ def compare_prize_vectors(r1: PrizeVector, r2: PrizeVector,
     if le:
         return "leq"
     return "incomparable"
-
-
-@dataclass(frozen=True)
-class HackingVerdict:
-    """Contest-vs-baseline effort comparison for one type."""
-
-    theta: float
-    hacks: bool
-    region: str
-    a_star: float
-    b_star: float
-    a_base: float
-    b_base: float
-    mu_star: float
-    mu_base: float
 
 
 @dataclass(frozen=True)
@@ -151,7 +136,7 @@ def hacking_verdicts(profile: StrategyProfile, *, force: bool = False,
     """Classify every grid type of an equilibrium profile."""
     _require_converged(profile, force)
     scenario = profile.scenario
-    alloc = profile_allocations(profile)
+    alloc = allocate_grid(scenario, profile.mu_star, profile.theta_grid)
     if base is None:
         base = baseline_grid(scenario, profile.theta_grid)
     theta_star = hacking_threshold(profile, force=force)
@@ -160,25 +145,6 @@ def hacking_verdicts(profile: StrategyProfile, *, force: bool = False,
     return HackingProfile(profile.theta_grid, hacks, tuple(bands.tolist()),
                           theta_star, base.thresholds, alloc.a, alloc.b,
                           base.a, base.b, profile.mu_star, base.mu)
-
-
-def classify_hacking(theta: float, profile: StrategyProfile, *,
-                     force: bool = False) -> HackingVerdict:
-    """Contest-vs-baseline verdict for one type."""
-    _require_converged(profile, force)
-    scenario = profile.scenario
-    scenario.check_theta(theta)
-    mu = float(profile.mu_at(theta))
-    alloc = allocate_grid(scenario, np.array([mu]), np.array([theta]))
-    base = baseline_grid(scenario, np.array([theta]))
-    theta_star = hacking_threshold(profile, force=force)
-    hacks = bool(alloc.a[0] <= base.a[0] + EFFORT_TOL
-                 and alloc.b[0] > base.b[0] + EFFORT_TOL)
-    region = str(_bands(np.array([theta]), theta_star, base.thresholds)[0])
-    return HackingVerdict(float(theta), hacks, region,
-                          float(alloc.a[0]), float(alloc.b[0]),
-                          float(base.a[0]), float(base.b[0]),
-                          mu, float(base.mu[0]))
 
 
 @dataclass(frozen=True)

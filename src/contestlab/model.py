@@ -482,7 +482,8 @@ def _check_keys(mapping: dict, allowed: set[str], where: str) -> None:
 def scenario_from_dict(config: dict[str, Any]) -> Scenario:
     """Build a :class:`Scenario` from a plain configuration mapping.
 
-    The accepted keys and defaults mirror ``schema/scenario.schema.json``.
+    The accepted keys and their defaults are the ones read below; the
+    README's "Scenario files" section describes the format.
     Raises :class:`DomainError` naming the offending field on any problem.
     """
     if not isinstance(config, dict):

@@ -30,17 +30,14 @@ __all__ = [
     "PanelCell",
     "PanelSpec",
     "RegressionResult",
-    "SubmissionTrajectory",
     "SyntheticPanel",
     "add_interactions",
     "add_type_bins",
     "fe_ols",
-    "gen_trajectory",
     "mann_kendall",
     "panel_cells",
     "panel_regressions",
     "run_contest",
-    "run_contests",
     "synthetic_panel",
     "type_bin_edges",
 ]
@@ -115,8 +112,11 @@ def mann_kendall(series) -> MannKendall:
 def _mk_batch(scores: Array) -> tuple[Array, Array, Array]:
     """Row-wise Mann-Kendall for a (rows, length) matrix of series."""
     rows, n = scores.shape
-    i, j = np.triu_indices(n, k=1)
-    s = np.sign(scores[:, j] - scores[:, i]).sum(axis=1)
+    # sum over column offsets k, so temporaries stay (rows, n)
+    s = np.zeros(rows)
+    for k in range(1, n):
+        diff = scores[:, k:] - scores[:, :-k]
+        s += np.sign(diff, out=diff).sum(axis=1)
 
     # per-row tie correction via run lengths of the sorted rows
     srt = np.sort(scores, axis=1)
@@ -227,32 +227,8 @@ def run_contest(
     )
 
 
-def run_contests(
-    scenario: Scenario,
-    profile: StrategyProfile,
-    count: int,
-    seed: int,
-    force: bool = False,
-) -> list[ContestOutcome]:
-    """Replications 0..count-1, in replication order."""
-    if count < 1:
-        raise DomainError(f"contest count must be >= 1, got {count}")
-    _require_profile(profile, force)
-    return [run_contest(scenario, profile, seed, r, force=True) for r in range(count)]
-
-
 # ---------------------------------------------------------------------------
 # Submission trajectories
-
-
-@dataclass(frozen=True)
-class SubmissionTrajectory:
-    """Time-ordered scores of one player with their trend statistics."""
-
-    player_id: int
-    scores: Array
-    mk_s: int
-    mk_z: float
 
 
 def _trajectory_matrix(
@@ -280,43 +256,6 @@ def _trajectory_matrix(
         + noise_scale * mech[:, None] * eps
     )
     return np.clip(raw, 0.0, 100.0)
-
-
-def gen_trajectory(
-    a: float,
-    b: float,
-    length: int,
-    drift_scale: float = 0.3,
-    noise_scale: float = 2.0,
-    seed: int = 0,
-    *,
-    base: float = 75.0,
-    stream: int = 0,
-    player_id: int = 0,
-) -> SubmissionTrajectory:
-    """Synthesize one submission trajectory from an effort mix.
-
-    The creative share a/(a+b) sets the drift weight and the mechanistic
-    share the noise weight; scores are clamped to [0, 100].  Deterministic
-    in (seed, stream).
-    """
-    if length < 2:
-        raise DomainError(f"trajectory length must be >= 2, got {length}")
-    if a < 0 or b < 0:
-        raise DomainError("efforts must be non-negative")
-    rng = _stream(seed, stream)
-    eps = rng.standard_normal((1, length))
-    scores = _trajectory_matrix(
-        np.asarray([a], dtype=float),
-        np.asarray([b], dtype=float),
-        length,
-        float(drift_scale),
-        float(noise_scale),
-        np.asarray([base], dtype=float),
-        eps,
-    )[0]
-    mk = mann_kendall(scores)
-    return SubmissionTrajectory(player_id=int(player_id), scores=scores, mk_s=mk.s, mk_z=mk.z)
 
 
 # ---------------------------------------------------------------------------
@@ -655,11 +594,13 @@ def synthetic_panel(
         "prize_skew": np.empty(total, dtype=np.int64),
     }
 
+    trajectories = np.empty((total, traj_length))
     for j in range(n_contests):
         cell = cells[j % len(cells)]
         out = run_contest(cell.scenario, cell.profile, seed, replication=j, force=True)
         eps = _stream(seed, n_contests + j).standard_normal((count, traj_length))
-        scores = _trajectory_matrix(
+        rows = slice(j * count, (j + 1) * count)
+        trajectories[rows] = _trajectory_matrix(
             out.a,
             out.b,
             traj_length,
@@ -668,9 +609,6 @@ def synthetic_panel(
             score_base + score_gain * out.score,
             eps,
         )
-        mk_s, _, mk_z = _mk_batch(scores)
-
-        rows = slice(j * count, (j + 1) * count)
         cols["contest_id"][rows] = j
         cols["player_id"][rows] = np.arange(count)
         cols["type"][rows] = out.theta
@@ -681,11 +619,11 @@ def synthetic_panel(
         cols["rank"][rows] = out.rank
         cols["prize"][rows] = out.prize
         cols["payoff"][rows] = out.payoff
-        cols["score_final"][rows] = scores[:, -1]
-        cols["mk_S"][rows] = mk_s
-        cols["mk_Z"][rows] = mk_z
         cols["prize_value"][rows] = cell.prize_value
         cols["prize_skew"][rows] = cell.prize_skew
+
+    cols["score_final"][:] = trajectories[:, -1]
+    cols["mk_S"][:], _, cols["mk_Z"][:] = _mk_batch(trajectories)
 
     return SyntheticPanel(
         columns=cols,

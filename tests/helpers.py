@@ -17,8 +17,8 @@ from contestlab import (
     ProductionForm,
     Scenario,
     TypeDistribution,
+    allocate_grid,
     hacking_verdicts,
-    optimal_allocation,
 )
 from contestlab.cli import MANIFEST_NAME, main as cli_main
 
@@ -86,7 +86,7 @@ def cost_property_violations(scn: Scenario, mu: float, theta: float,
     out: list[str] = []
 
     def C(m: float, t: float) -> float:
-        return optimal_allocation(scn, m, t).cost
+        return float(allocate_grid(scn, [m], [t]).cost[0])
 
     # C(0, theta) = 0
     c0 = C(0.0, theta)

@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -243,6 +244,8 @@ def test_criterion_7():
     clock.check()
 
 
+TREND_CSV = str(Path(__file__).resolve().parents[1] / "fixtures" / "trend.csv")
+
 REPLAY_COMMANDS = {
     "validate": ["validate", "--scenario", "example1"],
     "cost": ["cost", "--scenario", "example3", "--theta", "1.0",
@@ -254,7 +257,7 @@ REPLAY_COMMANDS = {
               "--grid", "41"],
     "simulate": ["simulate", "--scenario", "example1", "--seed", "7",
                  "--contests", "4", "--traj-length", "5", "--grid", "41"],
-    "mk": ["mk", "--input", "fixtures/trend.csv", "--column", "score"],
+    "mk": ["mk", "--input", TREND_CSV, "--column", "score"],
     "examples": ["examples"],
 }
 

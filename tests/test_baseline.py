@@ -11,7 +11,6 @@ from contestlab import (
     baseline_grid,
     baseline_thresholds,
     example_scenario,
-    solve_baseline,
 )
 
 GOLDEN_THRESHOLDS = {
@@ -49,31 +48,31 @@ class TestThresholds:
 class TestClosedFormPoints:
     def test_example1_two_sides(self):
         scn = example_scenario("example1")
-        low = solve_baseline(scn, 0.5)
-        assert (low.mu, low.a, low.b) == pytest.approx((1.0, 0.0, 1.0), abs=1e-9)
-        assert low.region == "mech-only"
-        high = solve_baseline(scn, 2.0)
-        assert (high.mu, high.a, high.b) == pytest.approx((4.0, 2.0, 0.0), abs=1e-9)
-        assert high.region == "create-only"
-        assert high.payoff == pytest.approx(4.0 - 0.5 * 4.0, abs=1e-9)
+        low = baseline_grid(scn, [0.5])
+        assert (low.mu[0], low.a[0], low.b[0]) == pytest.approx((1.0, 0.0, 1.0), abs=1e-9)
+        assert low.region == ("mech-only",)
+        high = baseline_grid(scn, [2.0])
+        assert (high.mu[0], high.a[0], high.b[0]) == pytest.approx((4.0, 2.0, 0.0), abs=1e-9)
+        assert high.region == ("create-only",)
+        assert high.payoff[0] == pytest.approx(4.0 - 0.5 * 4.0, abs=1e-9)
 
     def test_example2_interior_formulas(self):
         scn = example_scenario("example2")
         for theta in (0.5, 1.0, 2.5):
-            pt = solve_baseline(scn, theta)
-            assert pt.region == "interior"
-            assert pt.a == pytest.approx(theta**2 / 4.0, abs=1e-8)
-            assert pt.b == pytest.approx(0.25, abs=1e-8)
-            assert pt.mu == pytest.approx(0.5 * theta**2 + 0.5, abs=1e-8)
+            pt = baseline_grid(scn, [theta])
+            assert pt.region == ("interior",)
+            assert pt.a[0] == pytest.approx(theta**2 / 4.0, abs=1e-8)
+            assert pt.b[0] == pytest.approx(0.25, abs=1e-8)
+            assert pt.mu[0] == pytest.approx(0.5 * theta**2 + 0.5, abs=1e-8)
 
     def test_example3_mech_region_effort(self):
         # below the cutoff only the mechanistic channel runs: b solves
         # xi'(b) = c'(b), here 0.5 / sqrt(b) = b, so b = 0.5**(2/3)
         scn = example_scenario("example3")
-        pt = solve_baseline(scn, 0.2)
-        assert pt.region == "mech-only"
-        assert pt.a == 0.0
-        assert pt.b == pytest.approx(0.5 ** (2.0 / 3.0), abs=1e-8)
+        pt = baseline_grid(scn, [0.2])
+        assert pt.region == ("mech-only",)
+        assert pt.a[0] == 0.0
+        assert pt.b[0] == pytest.approx(0.5 ** (2.0 / 3.0), abs=1e-8)
 
 
 class TestGridInvariants:
@@ -122,15 +121,15 @@ class TestGridInvariants:
             payoff = (scn.nu.value(aa, theta) + scn.xi.value(bb)
                       - scn.cost.value(aa + bb))
             best = float(np.max(payoff))
-            pt = solve_baseline(scn, float(theta))
-            assert pt.payoff >= best - 1e-4, (name, theta)
+            pt = baseline_grid(scn, [float(theta)])
+            assert pt.payoff[0] >= best - 1e-4, (name, theta)
 
     def test_grid_agrees_with_scalar_solver(self, rng):
         scn = example_scenario("example4")
         thetas = np.sort(rng.uniform(0.0, 9.0, size=17))
         grid = baseline_grid(scn, thetas)
         for k, theta in enumerate(thetas):
-            pt = solve_baseline(scn, float(theta))
-            assert grid.a[k] == pytest.approx(pt.a, abs=1e-9)
-            assert grid.b[k] == pytest.approx(pt.b, abs=1e-9)
-            assert grid.payoff[k] == pytest.approx(pt.payoff, abs=1e-9)
+            pt = baseline_grid(scn, [float(theta)])
+            assert grid.a[k] == pytest.approx(pt.a[0], abs=1e-9)
+            assert grid.b[k] == pytest.approx(pt.b[0], abs=1e-9)
+            assert grid.payoff[k] == pytest.approx(pt.payoff[0], abs=1e-9)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,10 @@ from contestlab.cli import (
     MANIFEST_NAME,
     main,
 )
+
+
+REPO = Path(__file__).resolve().parents[1]
+TREND_CSV = REPO / "fixtures" / "trend.csv"
 
 
 def run_cli(*argv) -> int:
@@ -58,7 +63,7 @@ class TestArtifactsAndReplay:
 
     def test_mk_artifact(self, tmp_path):
         out = tmp_path / "m"
-        assert run_cli("mk", "--input", "fixtures/trend.csv",
+        assert run_cli("mk", "--input", TREND_CSV,
                        "--column", "score", "--out", out) == EXIT_OK
         result = json.loads((out / "mk.json").read_text())
         assert result["S"] == 6
@@ -90,7 +95,7 @@ class TestArtifactsAndReplay:
 
     def test_simulate_panel_cells_tables_agree(self, tmp_path):
         # the skewed cells pay three ranks, so the scenario needs 3 players
-        with open("scenarios/example1.json") as fh:
+        with open(REPO / "scenarios" / "example1.json") as fh:
             spec = json.load(fh)
         spec["players"] = 3
         scenario = tmp_path / "three.json"
@@ -141,7 +146,7 @@ class TestExitCodes:
                        "--out", tmp_path / "y") == EXIT_INPUT
 
     def test_missing_column_is_input_error(self, tmp_path):
-        assert run_cli("mk", "--input", "fixtures/trend.csv",
+        assert run_cli("mk", "--input", TREND_CSV,
                        "--column", "nope", "--out", tmp_path / "z") == EXIT_INPUT
 
     def test_unknown_command_is_usage_error(self, capsys):

@@ -13,33 +13,35 @@ from contestlab import (
     INTERIOR,
     MECH_ONLY,
     DomainError,
-    UnreachableFitnessError,
     allocate_grid,
-    cost_curve,
     example_scenario,
-    invert_production,
-    optimal_allocation,
 )
 
 
 class TestInvertProduction:
     def test_example_values(self):
         scn = example_scenario("example1")
-        a_bar, b_bar = invert_production(scn, 4.0, 2.0)
-        assert a_bar == pytest.approx(2.0)
-        assert b_bar == pytest.approx(4.0)
+        assert float(scn.nu.invert(4.0, 2.0)) == pytest.approx(2.0)
+        assert float(scn.xi.invert(4.0)) == pytest.approx(4.0)
 
     def test_saturating_channel_caps_out(self):
         scn = example_scenario("example4")
-        a_bar, b_bar = invert_production(scn, 5.0, 2.0)
-        assert math.isinf(a_bar)
-        assert b_bar == pytest.approx(5.0)
-        with pytest.raises(UnreachableFitnessError):
-            invert_production(scn, 5.0, 2.0, strict=True)
+        assert math.isinf(float(scn.nu.invert(5.0, 2.0)))
+        assert float(scn.xi.invert(5.0)) == pytest.approx(5.0)
 
     def test_negative_target_rejected(self):
+        scn = example_scenario("example1")
         with pytest.raises(DomainError):
-            invert_production(example_scenario("example1"), -0.1, 1.0)
+            scn.nu.invert(-0.1, 1.0)
+        with pytest.raises(DomainError):
+            scn.xi.invert(-0.1)
+        with pytest.raises(DomainError):
+            allocate_grid(scn, [-0.1], [1.0])
+
+    @pytest.mark.parametrize("target", [math.inf, math.nan])
+    def test_non_finite_target_rejected(self, target):
+        with pytest.raises(DomainError):
+            allocate_grid(example_scenario("example1"), [target], [1.0])
 
 
 class TestClosedFormAllocations:
@@ -47,44 +49,43 @@ class TestClosedFormAllocations:
         # linear production against linear mechanization: the better
         # marginal product takes the whole target
         scn = example_scenario("example1")
-        low = optimal_allocation(scn, 2.0, 0.5)
-        assert low.allocation.case == "mech-only"
-        assert low.allocation.b == pytest.approx(2.0, abs=1e-10)
-        assert low.cost == pytest.approx(0.5 * 2.0**2, abs=1e-9)
-        high = optimal_allocation(scn, 2.0, 2.0)
-        assert high.allocation.case == "create-only"
-        assert high.allocation.a == pytest.approx(1.0, abs=1e-10)
-        assert high.cost == pytest.approx(0.5 * 1.0**2, abs=1e-9)
+        low = allocate_grid(scn, [2.0], [0.5])
+        assert low.case[0] == MECH_ONLY
+        assert low.b[0] == pytest.approx(2.0, abs=1e-10)
+        assert low.cost[0] == pytest.approx(0.5 * 2.0**2, abs=1e-9)
+        high = allocate_grid(scn, [2.0], [2.0])
+        assert high.case[0] == CREATE_ONLY
+        assert high.a[0] == pytest.approx(1.0, abs=1e-10)
+        assert high.cost[0] == pytest.approx(0.5 * 1.0**2, abs=1e-9)
 
     def test_example2_interior_ratio(self):
         # power/power margins equalise at a/b = theta**2
         scn = example_scenario("example2")
         for theta in (0.5, 1.0, 2.0, 3.0):
-            pt = optimal_allocation(scn, 1.5, theta)
-            assert pt.allocation.case == "interior"
-            assert pt.allocation.a / pt.allocation.b == pytest.approx(
-                theta**2, rel=1e-6)
+            pt = allocate_grid(scn, [1.5], [theta])
+            assert pt.case[0] == INTERIOR
+            assert pt.a[0] / pt.b[0] == pytest.approx(theta**2, rel=1e-6)
 
     def test_example3_mech_floor(self):
         # interior mechanistic effort solves xi'(b) = theta exactly
         scn = example_scenario("example3")
-        pt = optimal_allocation(scn, 2.0, 1.0)
-        assert pt.allocation.case == "interior"
-        assert pt.allocation.b == pytest.approx(0.25, abs=1e-9)
+        pt = allocate_grid(scn, [2.0], [1.0])
+        assert pt.case[0] == INTERIOR
+        assert pt.b[0] == pytest.approx(0.25, abs=1e-9)
 
     def test_constraint_always_met(self):
         for name in ("example1", "example2", "example3", "example4"):
             scn = example_scenario(name)
             for mu, theta in ((0.3, 0.7), (1.4, 1.1), (2.6, 2.2)):
-                pt = optimal_allocation(scn, mu, theta)
-                reached = float(scn.nu.value(pt.allocation.a, theta)
-                                + scn.xi.value(pt.allocation.b))
+                pt = allocate_grid(scn, [mu], [theta])
+                reached = float(scn.nu.value(pt.a[0], theta)
+                                + scn.xi.value(pt.b[0]))
                 assert reached == pytest.approx(mu, abs=1e-8)
 
     def test_zero_target_costs_nothing(self):
-        pt = optimal_allocation(example_scenario("example4"), 0.0, 1.0)
-        assert pt.cost == 0.0
-        assert pt.effort == 0.0
+        pt = allocate_grid(example_scenario("example4"), [0.0], [1.0])
+        assert pt.cost[0] == 0.0
+        assert pt.a[0] + pt.b[0] == 0.0
 
 
 class TestAllocateGrid:
@@ -94,10 +95,10 @@ class TestAllocateGrid:
         theta = rng.uniform(0.3, 8.0, size=12)
         grid = allocate_grid(scn, mu, theta)
         for k in range(12):
-            pt = optimal_allocation(scn, float(mu[k]), float(theta[k]))
-            assert grid.a[k] == pytest.approx(pt.allocation.a, abs=1e-9)
-            assert grid.b[k] == pytest.approx(pt.allocation.b, abs=1e-9)
-            assert grid.cost[k] == pytest.approx(pt.cost, abs=1e-10)
+            pt = allocate_grid(scn, [float(mu[k])], [float(theta[k])])
+            assert grid.a[k] == pytest.approx(pt.a[0], abs=1e-9)
+            assert grid.b[k] == pytest.approx(pt.b[0], abs=1e-9)
+            assert grid.cost[k] == pytest.approx(pt.cost[0], abs=1e-10)
 
     def test_broadcasting(self):
         scn = example_scenario("example2")
@@ -142,12 +143,6 @@ class TestAllocateGrid:
             np.testing.assert_allclose(grid.marginal_cost, fd, rtol=1e-4,
                                        atol=1e-7, err_msg=name)
 
-    def test_cost_curve_wraps_grid(self):
-        scn = example_scenario("example3")
-        pts = cost_curve(scn, [0.5, 1.5], 1.0)
-        assert [p.mu for p in pts] == [0.5, 1.5]
-        assert pts[1].cost > pts[0].cost
-
 
 class TestPropertySuite:
     def test_forty_random_triples(self):
@@ -167,6 +162,6 @@ class TestPropertySuite:
         # saturating production with a type of zero leaves only the
         # mechanistic channel, which still reaches any target
         scn = example_scenario("example4")
-        pt = optimal_allocation(scn, 2.0, 0.0)
-        assert pt.allocation.case == "mech-only"
-        assert pt.allocation.b == pytest.approx(2.0, abs=1e-10)
+        pt = allocate_grid(scn, [2.0], [0.0])
+        assert pt.case[0] == MECH_ONLY
+        assert pt.b[0] == pytest.approx(2.0, abs=1e-10)

@@ -17,14 +17,12 @@ from contestlab import (
     StrategyProfile,
     TypeDistribution,
     baseline_grid,
-    best_response,
     best_response_grid,
     contest_gain,
     example_scenario,
     opponent_mixture,
     rank_probabilities,
     solve_equilibrium,
-    zero_prize_profile,
 )
 
 
@@ -160,12 +158,12 @@ class TestSolveEquilibrium:
     def test_scalar_best_response_agrees(self, equilibria):
         profile = equilibria("example1")
         for theta in (0.3, 1.2, 2.7):
-            br = best_response(theta, profile)
+            br = best_response_grid(profile, [theta])[0]
             assert br == pytest.approx(float(profile.mu_at(theta)), abs=1e-4)
 
     def test_zero_prizes_equal_baseline(self):
         scn = example_scenario("example1")
-        profile = zero_prize_profile(scn)
+        profile = solve_equilibrium(scn.with_prizes(()))
         base = baseline_grid(scn, profile.theta_grid)
         assert profile.converged
         np.testing.assert_allclose(profile.mu_star, base.mu, atol=1e-4)

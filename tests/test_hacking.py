@@ -17,7 +17,6 @@ from contestlab import (
     UnconvergedProfileError,
     allocate_grid,
     baseline_grid,
-    classify_hacking,
     compare_prize_vectors,
     example_scenario,
     hacking_threshold,
@@ -111,15 +110,6 @@ class TestHackingThreshold:
 
 
 class TestVerdicts:
-    def test_classify_matches_grid(self, equilibria):
-        profile = equilibria("example3", prizes=(2.0, 0.0))
-        verdicts = hacking_verdicts(profile)
-        for k in (0, 40, 100, 180):
-            one = classify_hacking(float(profile.theta_grid[k]), profile)
-            assert one.hacks == bool(verdicts.hacks[k])
-            assert one.region == verdicts.region[k]
-            assert one.a_star == pytest.approx(verdicts.a_star[k], abs=1e-9)
-
     def test_verdicts_match_raw_effort_comparison(self, equilibria):
         # the published flag must equal the inequality recomputed from
         # the raw allocation and baseline arrays

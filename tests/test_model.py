@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from contestlab import (
+    EXAMPLE_CONFIGS,
     CostForm,
     DomainError,
     MechanizationForm,
@@ -247,6 +249,12 @@ class TestScenario:
         path = tmp_path / "scn.json"
         path.write_text(json.dumps(example_scenario("example3").to_dict()))
         assert load_scenario(path).scenario_id == example_scenario("example3").scenario_id
+
+    @pytest.mark.parametrize("name", sorted(EXAMPLE_CONFIGS))
+    def test_shipped_scenario_file_matches_preset(self, name):
+        path = Path(__file__).resolve().parents[1] / "scenarios" / f"{name}.json"
+        assert json.loads(path.read_text()) == EXAMPLE_CONFIGS[name]
+        assert load_scenario(path) == example_scenario(name)
 
     def test_unknown_fields_rejected(self):
         cfg = example_scenario("example1").to_dict()
