@@ -34,7 +34,7 @@ def main() -> None:
     for i, j, rel in sweep.relations:
         print(f"  ({i}, {j}): {rel}")
 
-    print(f"\ndominance violations: {sweep.dominance_violations(tol=1e-4)}")
+    print(f"\ndominance violations: {sweep.dominance_violations()}")
     print(f"measure violations:   {sweep.measure_violations()}")
 
 

@@ -16,6 +16,8 @@ import numpy as np
 
 from .errors import IntegrationError
 
+_MAX_INTERVALS = 200_000
+
 
 def gauss_legendre(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the n-point Gauss-Legendre rule on [lo, hi]."""
@@ -29,8 +31,7 @@ def adaptive_simpson(
     lo: float,
     hi: float,
     *,
-    tol: float = 1e-9,
-    max_intervals: int = 200_000,
+    tol: float,
 ) -> np.ndarray:
     """Integrate a vector-valued ``func`` over [lo, hi] adaptively.
 
@@ -66,9 +67,9 @@ def adaptive_simpson(
     spent = 0
     while a.size:
         spent += a.size
-        if spent > max_intervals:
+        if spent > _MAX_INTERVALS:
             raise IntegrationError(
-                f"adaptive Simpson exceeded {max_intervals} intervals on "
+                f"adaptive Simpson exceeded {_MAX_INTERVALS} intervals on "
                 f"[{lo:.6g}, {hi:.6g}]"
             )
         mid = 0.5 * (a + b)

@@ -16,6 +16,9 @@ from .errors import SolverError
 
 Array = np.ndarray
 
+_MAX_BISECTIONS = 200
+_MAX_DOUBLINGS = 80
+
 
 def bisect_vec(
     func: Callable[[Array], Array],
@@ -23,7 +26,6 @@ def bisect_vec(
     hi: Array,
     *,
     tol: float = 1e-10,
-    max_iter: int = 200,
 ) -> Array:
     """Elementwise bisection for a sign change of ``func`` on ``[lo, hi]``.
 
@@ -34,7 +36,7 @@ def bisect_vec(
     """
     lo = np.array(lo, dtype=float, copy=True)
     hi = np.array(hi, dtype=float, copy=True)
-    for _ in range(max_iter):
+    for _ in range(_MAX_BISECTIONS):
         if np.all(hi - lo <= tol):
             break
         mid = 0.5 * (lo + hi)
@@ -48,11 +50,9 @@ def expand_upper(
     func: Callable[[Array], Array],
     start: Array,
     *,
-    factor: float = 2.0,
-    max_doublings: int = 80,
     what: str = "root bracket",
 ) -> Array:
-    """Grow ``start`` elementwise until ``func`` turns non-negative.
+    """Double ``start`` elementwise until ``func`` turns non-negative.
 
     Used to find a finite upper bracket when no analytic cap exists.  Raises
     :class:`SolverError` when some element never crosses, which signals a
@@ -61,32 +61,13 @@ def expand_upper(
     """
     hi = np.array(start, dtype=float, copy=True)
     pending = func(hi) < 0.0
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         if not np.any(pending):
             return hi
-        hi = np.where(pending, hi * factor, hi)
+        hi = np.where(pending, hi * 2.0, hi)
         pending = pending & (func(hi) < 0.0)
     raise SolverError(
         f"could not bracket {what}: no sign change after "
-        f"{max_doublings} doublings (max probe {float(np.max(hi)):.3g})"
+        f"{_MAX_DOUBLINGS} doublings (max probe {float(np.max(hi)):.3g})"
     )
 
-
-def bisect_scalar(
-    func: Callable[[float], float],
-    lo: float,
-    hi: float,
-    *,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-) -> float:
-    """Scalar bisection for a non-decreasing ``func`` with a sign change."""
-    for _ in range(max_iter):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if func(mid) >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rootfind import bisect_scalar, bisect_vec, expand_upper
+from ._rootfind import bisect_vec, expand_upper
 from .costmin import CASE_NAMES, CREATE_ONLY, INTERIOR, MECH_ONLY
 from .errors import SolverError
 from .model import Scenario
@@ -144,34 +144,33 @@ def baseline_thresholds(scenario: Scenario) -> BaselineThresholds:
     b_mech = _mech_optimum(scenario)
     mech_margin = float(xi.deriv(b_mech))
 
-    def low_gap(theta: float) -> float:
-        return float(nu.deriv_a(0.0, theta)) - mech_margin
+    def low_gap(theta):
+        return nu.deriv_a(0.0, theta) - mech_margin
 
     if low_gap(lo) >= 0:
         mech_upper = -np.inf
     elif low_gap(hi) < 0:
         mech_upper = np.inf
     else:
-        mech_upper = bisect_scalar(low_gap, lo, hi, tol=1e-11)
+        mech_upper = bisect_vec(low_gap, np.array([lo]), np.array([hi]), tol=1e-11)[0]
 
     xi0 = float(xi.deriv(0.0))
     if not np.isfinite(xi0):
         create_lower = np.inf
     else:
-        def high_gap(theta: float) -> float:
-            a_dag = float(_creative_optimum(scenario, np.array([theta]))[0])
-            margin = float(nu.deriv_a(a_dag, theta)) if a_dag > 0 else \
-                float(nu.deriv_a(0.0, theta))
-            if not np.isfinite(margin):
-                margin = float(cost.deriv(a_dag))
-            return margin - xi0
+        def high_gap(theta):
+            theta = np.atleast_1d(theta)
+            a_dag = _creative_optimum(scenario, theta)
+            margin = nu.deriv_a(a_dag, theta)
+            return np.where(np.isfinite(margin), margin, cost.deriv(a_dag)) - xi0
 
-        if high_gap(hi) <= 0:
+        if high_gap(hi)[0] <= 0:
             create_lower = np.inf
-        elif high_gap(lo) > 0:
+        elif high_gap(lo)[0] > 0:
             create_lower = -np.inf
         else:
-            create_lower = bisect_scalar(high_gap, lo, hi, tol=1e-11)
+            create_lower = bisect_vec(high_gap, np.array([lo]), np.array([hi]),
+                                      tol=1e-11)[0]
 
     if mech_upper > create_lower:  # pragma: no cover - guarded by concavity
         raise SolverError(

@@ -41,6 +41,7 @@ from .simulate import (
     PanelSpec,
     fe_ols,
     mann_kendall,
+    panel_cells,
     synthetic_panel,
 )
 
@@ -83,15 +84,35 @@ def _write_json(path: Path, payload) -> None:
         fh.write("\n")
 
 
+def _manifest_arguments(args) -> tuple[dict, list[str]]:
+    """The parameters and replay argv of a run, from its parser's options.
+
+    Every option but ``--out`` is recorded, in parser order; a flag only
+    when it is set.  Handlers first store the resolved scenario or input
+    path on ``args``, so a replay reads the same file.
+    """
+    params = {}
+    argv = [args.command]
+    for action in args.parser._actions:
+        if not action.option_strings or action.dest in ("help", "out"):
+            continue
+        value = getattr(args, action.dest)
+        params[action.dest] = value
+        if action.nargs == 0:   # a store_true flag
+            argv += [action.option_strings[0]] if value else []
+        else:
+            argv += [action.option_strings[0], str(value)]
+    return params, argv
+
+
 class _Run:
     """Collects a command's outputs and writes the manifest at the end."""
 
-    def __init__(self, command: str, args, params: dict, replay_argv: list[str]):
-        self.command = command
+    def __init__(self, args):
+        self.command = args.command
         self.out = Path(args.out)
         self.out.mkdir(parents=True, exist_ok=True)
-        self.params = params
-        self.replay_argv = replay_argv
+        self.params, self.replay_argv = _manifest_arguments(args)
         self.outputs: list[str] = []
         self.started = args.started
 
@@ -144,19 +165,6 @@ def _case_column(grid) -> np.ndarray:
     return np.asarray(grid.case_names(), dtype=object)
 
 
-def _solver_params(args) -> dict:
-    return {
-        "grid": args.grid,
-        "tol": args.tol,
-        "damping": args.damping,
-    }
-
-
-def _solver_argv(args) -> list[str]:
-    return ["--grid", str(args.grid), "--tol", repr(args.tol),
-            "--damping", repr(args.damping)]
-
-
 def _solve(args, scenario):
     return solve_equilibrium(scenario, grid_size=args.grid, tol=args.tol,
                              damping=args.damping)
@@ -167,10 +175,9 @@ def _solve(args, scenario):
 
 
 def _cmd_validate(args) -> int:
-    scenario, spath = _load_scenario_arg(args.scenario)
+    scenario, args.scenario = _load_scenario_arg(args.scenario)
     report = validate_assumptions(scenario)
-    run = _Run("validate", args, {"scenario": spath},
-               ["validate", "--scenario", spath])
+    run = _Run(args)
     _write_json(run.path("validation.json"), report.to_dict())
     run.finish()
     print(report.summary())
@@ -181,17 +188,13 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_cost(args) -> int:
-    scenario, spath = _load_scenario_arg(args.scenario)
+    scenario, args.scenario = _load_scenario_arg(args.scenario)
     scenario.check_theta(args.theta)
     if args.mu_max <= 0:
         raise DomainError(f"--mu-max must be positive, got {args.mu_max}")
     mus = np.linspace(0.0, args.mu_max, args.points)
     grid = allocate_grid(scenario, mus, np.full(mus.shape, args.theta))
-    params = {"scenario": spath, "theta": args.theta,
-              "mu_max": args.mu_max, "points": args.points}
-    run = _Run("cost", args, params,
-               ["cost", "--scenario", spath, "--theta", repr(args.theta),
-                "--mu-max", repr(args.mu_max), "--points", str(args.points)])
+    run = _Run(args)
     write_csv(run.path("cost.csv"), {
         "mu": grid.mu, "theta": grid.theta, "a": grid.a, "b": grid.b,
         "case": _case_column(grid), "cost": grid.cost,
@@ -203,13 +206,11 @@ def _cmd_cost(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    scenario, spath = _load_scenario_arg(args.scenario)
+    scenario, args.scenario = _load_scenario_arg(args.scenario)
     lo, hi = scenario.support
     thetas = np.linspace(lo, hi, args.grid) if hi > lo else np.array([lo])
     grid = baseline_grid(scenario, thetas)
-    params = {"scenario": spath, "grid": args.grid}
-    run = _Run("baseline", args, params,
-               ["baseline", "--scenario", spath, "--grid", str(args.grid)])
+    run = _Run(args)
     write_csv(run.path("baseline.csv"), {
         "theta": grid.theta, "a": grid.a, "b": grid.b, "mu": grid.mu,
         "region": np.asarray(grid.region, dtype=object), "payoff": grid.payoff,
@@ -225,13 +226,11 @@ def _cmd_baseline(args) -> int:
 
 
 def _cmd_equilibrium(args) -> int:
-    scenario, spath = _load_scenario_arg(args.scenario)
+    scenario, args.scenario = _load_scenario_arg(args.scenario)
     profile = _solve(args, scenario)
     alloc = allocate_grid(scenario, profile.mu_star, profile.theta_grid)
     base = baseline_grid(scenario, profile.theta_grid)
-    params = {"scenario": spath, **_solver_params(args)}
-    run = _Run("equilibrium", args, params,
-               ["equilibrium", "--scenario", spath, *_solver_argv(args)])
+    run = _Run(args)
     write_csv(run.path("equilibrium.csv"), {
         "theta": profile.theta_grid, "mu_star": profile.mu_star,
         "a": alloc.a, "b": alloc.b, "case": _case_column(alloc),
@@ -253,16 +252,14 @@ def _cmd_equilibrium(args) -> int:
 
 
 def _cmd_hacking(args) -> int:
-    scenario, spath = _load_scenario_arg(args.scenario)
+    scenario, args.scenario = _load_scenario_arg(args.scenario)
     profile = _solve(args, scenario)
     if not profile.converged:
         print(f"equilibrium did not converge: residual {profile.residual:.3e}",
               file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     verdicts = hacking_verdicts(profile)
-    params = {"scenario": spath, **_solver_params(args)}
-    run = _Run("hacking", args, params,
-               ["hacking", "--scenario", spath, *_solver_argv(args)])
+    run = _Run(args)
     write_csv(run.path("hacking.csv"), {
         "theta": verdicts.theta, "hacks": verdicts.hacks.astype(int),
         "band": np.asarray(verdicts.region, dtype=object),
@@ -285,7 +282,7 @@ def _cmd_hacking(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    scenario, spath = _load_scenario_arg(args.scenario)
+    scenario, args.scenario = _load_scenario_arg(args.scenario)
     vectors = _parse_prize_list(args.prizes)
     result = skewness_sweep(scenario, vectors, grid_size=args.grid,
                             tol=args.tol, damping=args.damping)
@@ -295,10 +292,7 @@ def _cmd_sweep(args) -> int:
         print(f"sweep equilibria {unconverged} did not converge "
               f"(residuals {residuals})", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    params = {"scenario": spath, "prizes": args.prizes, **_solver_params(args)}
-    run = _Run("sweep", args, params,
-               ["sweep", "--scenario", spath, "--prizes", args.prizes,
-                *_solver_argv(args)])
+    run = _Run(args)
     rows = result.rows()
     write_csv(run.path("sweep.csv"),
               {key: np.asarray([r[key] for r in rows],
@@ -321,9 +315,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    scenario, spath = _load_scenario_arg(args.scenario)
-    cells = None
-    if not args.panel_cells:
+    scenario, args.scenario = _load_scenario_arg(args.scenario)
+    if args.panel_cells:
+        cells = panel_cells(scenario, players=scenario.players, grid_size=args.grid,
+                            tol=args.tol, damping=args.damping)
+    else:
         profile = _solve(args, scenario)
         if not profile.converged:
             print(f"equilibrium did not converge: residual {profile.residual:.3e}",
@@ -339,25 +335,8 @@ def _cmd_simulate(args) -> int:
         traj_length=args.traj_length,
         drift_scale=args.drift_scale,
         noise_scale=args.noise_scale,
-        grid_size=args.grid,
-        tol=args.tol,
-        damping=args.damping,
     )
-    params = {
-        "scenario": spath, "seed": args.seed, "contests": args.contests,
-        "traj_length": args.traj_length, "drift_scale": args.drift_scale,
-        "noise_scale": args.noise_scale,
-        "panel_cells": bool(args.panel_cells), **_solver_params(args),
-    }
-    run = _Run("simulate", args, params, [
-        "simulate", "--scenario", spath, "--seed", str(args.seed),
-        "--contests", str(args.contests),
-        "--traj-length", str(args.traj_length),
-        "--drift-scale", repr(args.drift_scale),
-        "--noise-scale", repr(args.noise_scale),
-        *(["--panel-cells"] if args.panel_cells else []),
-        *_solver_argv(args),
-    ])
+    run = _Run(args)
     panel.contests_to_csv(run.path("contests.csv"))
     panel.to_csv(run.path("panel.csv"))
     run.finish()
@@ -380,9 +359,8 @@ def _cmd_mk(args) -> int:
             f"{args.input}: no column {args.column!r} (have {sorted(columns)})")
     series = np.asarray(columns[args.column], dtype=float)
     result = mann_kendall(series)
-    in_path = str(Path(args.input).resolve())
-    run = _Run("mk", args, {"input": in_path, "column": args.column},
-               ["mk", "--input", in_path, "--column", args.column])
+    args.input = str(Path(args.input).resolve())
+    run = _Run(args)
     _write_json(run.path("mk.json"), {
         "column": args.column, "n": result.n, "S": result.s,
         "var_S": result.var_s, "Z": result.z,
@@ -399,15 +377,8 @@ def _cmd_regress(args) -> int:
     spec = PanelSpec(outcome=args.outcome, dummies=dummies,
                      interactions=interactions, group=args.group)
     result = fe_ols(columns, spec)
-    in_path = str(Path(args.input).resolve())
-    params = {"input": in_path, "outcome": args.outcome,
-              "dummies": args.dummies, "interactions": args.interactions,
-              "group": args.group}
-    run = _Run("regress", args, params, [
-        "regress", "--input", in_path, "--outcome", args.outcome,
-        "--dummies", args.dummies, "--interactions", args.interactions,
-        "--group", args.group,
-    ])
+    args.input = str(Path(args.input).resolve())
+    run = _Run(args)
     _write_json(run.path("regress.json"), result.to_dict())
     run.finish()
     for name, coef, se in zip(result.names, result.coef, result.se):
@@ -420,7 +391,7 @@ def _cmd_regress(args) -> int:
 def _cmd_examples(args) -> int:
     checks = golden_suite()
     failed = [c for c in checks if not c.passed]
-    run = _Run("examples", args, {}, ["examples"])
+    run = _Run(args)
     _write_json(run.path("examples.json"), [
         {"example": c.example, "check": c.name, "passed": c.passed,
          "detail": c.detail} for c in checks
@@ -462,7 +433,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add(name, func, help_text, scenario=True, solver=False):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, parser=p)
         if scenario:
             p.add_argument("--scenario", required=True,
                            help="scenario JSON file or shipped example name")
@@ -506,7 +477,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="score noise at full mechanistic share")
     p.add_argument("--panel-cells", action="store_true",
                    help="vary prize value and skew across built-in cells "
-                        "instead of using the scenario's own prizes")
+                        "instead of using the scenario's own prizes; the "
+                        "skewed cells pay three ranks, so the scenario needs "
+                        "at least 3 players")
 
     p = add("mk", _cmd_mk, "Mann-Kendall trend test on a CSV column",
             scenario=False)

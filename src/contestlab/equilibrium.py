@@ -27,7 +27,7 @@ from scipy import stats
 
 from ._isotonic import isotonic_projection
 from ._quadrature import adaptive_simpson, gauss_legendre
-from ._rootfind import bisect_scalar
+from ._rootfind import bisect_vec, expand_upper
 from .baseline import BaselineGrid, baseline_grid
 from .costmin import allocate_grid
 from .errors import DomainError, SolverError
@@ -37,6 +37,9 @@ Array = np.ndarray
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _THETA_NODES = 64
+_COARSE_POINTS = 200     # best-response sweep resolution on [0, mu_max]
+_GOLDEN_XTOL = 1e-6      # golden-section bracket width
+_RANK_TOL = 1e-9         # total quadrature error of a rank distribution
 _GAIN_NODES = 96
 _WEIGHT_GRID = 4097
 
@@ -82,13 +85,13 @@ class OpponentMixture:
         return out.reshape(s.shape) if s.shape else out[0]
 
 
-def opponent_mixture(profile: StrategyProfile, nodes: int = _THETA_NODES) -> OpponentMixture:
+def opponent_mixture(profile: StrategyProfile) -> OpponentMixture:
     """Discretise the opponents' performance mixture over types."""
     types = profile.scenario.types
     if types.degenerate:
         return OpponentMixture(np.ones(1), np.atleast_1d(profile.mu_at(types.lo)),
                                profile.scenario.noise)
-    th, w = gauss_legendre(nodes, types.lo, types.hi)
+    th, w = gauss_legendre(_THETA_NODES, types.lo, types.hi)
     wf = w * types.pdf(th)
     wf = wf / wf.sum()  # keep the mixture an exact probability
     return OpponentMixture(wf, np.interp(th, profile.theta_grid, profile.mu_star),
@@ -101,25 +104,20 @@ def _rank_pmf(g: Array, players: int, ranks: Array) -> Array:
     return stats.binom.pmf(ranks[None, :] - 1, players - 1, (1.0 - g)[:, None])
 
 
-def rank_probabilities(mu: float, profile: StrategyProfile,
-                       players: int | None = None, *,
-                       mixture: OpponentMixture | None = None,
-                       tol: float = 1e-9) -> Array:
+def rank_probabilities(mu: float, profile: StrategyProfile) -> Array:
     """Distribution of the final rank for a player targeting ``mu``.
 
     Integrates the binomial rank weights against the player's own
     performance density by adaptive Simpson quadrature; the total error
-    across all rank entries is controlled by ``tol``, so the vector sums
-    to one at that accuracy.
+    across all rank entries is at most 1e-9, so the vector sums to one
+    at that accuracy.
     """
     if mu < 0:
         raise DomainError(f"fitness target must be non-negative, got {mu!r}")
-    players = profile.scenario.players if players is None else players
-    if players < 1:
-        raise DomainError("players must be at least 1")
+    players = profile.scenario.players
     if players == 1:
         return np.ones(1)
-    mix = opponent_mixture(profile) if mixture is None else mixture
+    mix = opponent_mixture(profile)
     noise = profile.scenario.noise
     ranks = np.arange(1, players + 1)
 
@@ -129,19 +127,16 @@ def rank_probabilities(mu: float, profile: StrategyProfile,
 
     lo = float(noise.ppf(1e-12, mu))
     hi = float(noise.ppf(1.0 - 1e-12, mu))
-    return adaptive_simpson(integrand, lo, hi, tol=tol)
+    return adaptive_simpson(integrand, lo, hi, tol=_RANK_TOL)
 
 
-def contest_gain(mu: float, profile: StrategyProfile,
-                 prizes: PrizeVector | None = None, *,
-                 players: int | None = None) -> float:
+def contest_gain(mu: float, profile: StrategyProfile) -> float:
     """Expected prize money for a player targeting ``mu``."""
-    players = profile.scenario.players if players is None else players
-    prizes = profile.scenario.prizes if prizes is None else prizes
-    if prizes.is_zero:
+    scenario = profile.scenario
+    if scenario.prizes.is_zero:
         return 0.0
-    p = rank_probabilities(mu, profile, players)
-    return float(p @ prizes.padded(players))
+    p = rank_probabilities(mu, profile)
+    return float(p @ scenario.prizes.padded(scenario.players))
 
 
 class GainTable:
@@ -187,11 +182,10 @@ class GainTable:
         return w @ self.z_weights
 
 
-def _mu_upper_bound(scenario: Scenario, prizes: PrizeVector,
-                    base: BaselineGrid) -> float:
+def _mu_upper_bound(scenario: Scenario, base: BaselineGrid) -> float:
     """Bracket above every best response, doubled for slack."""
     lo, hi = scenario.support
-    top = prizes.top
+    top = scenario.prizes.top
     base_cap = float(np.max(base.mu)) if base.mu.size else 1.0
     if scenario.nu.kind == "saturating":
         cap = float(scenario.nu.sup(hi)) + float(scenario.xi.invert(top)) + 1.0
@@ -199,30 +193,23 @@ def _mu_upper_bound(scenario: Scenario, prizes: PrizeVector,
     h_max = scenario.noise.max_density(max(base_cap, 1e-2))
     target = 1.0 + top * h_max
 
-    def mc_gap(mu: float) -> float:
-        grid = allocate_grid(scenario, np.array([mu]), np.array([hi]))
-        return float(grid.marginal_cost[0]) - target
+    def mc_gap(mu: Array) -> Array:
+        return allocate_grid(scenario, mu, np.array([hi])).marginal_cost - target
 
-    probe = max(base_cap, 1.0)
-    for _ in range(60):
-        if mc_gap(probe) >= 0:
-            break
-        probe *= 2.0
-    else:
-        raise SolverError(
-            "marginal cost never reaches the contest-gain bound; "
-            "the best response is unbounded for this configuration")
-    root = bisect_scalar(mc_gap, 0.0, probe, tol=1e-6 * probe)
+    probe = expand_upper(mc_gap, np.array([max(base_cap, 1.0)]),
+                         what="the best response: marginal cost never reaches "
+                              "the contest-gain bound")
+    root = float(bisect_vec(mc_gap, np.zeros(1), probe, tol=1e-6 * probe[0])[0])
     return max(2.0 * root, 2.0 * base_cap + 1.0, 1e-6)
 
 
-def _golden_max(payoff, lo: Array, hi: Array, xtol: float,
+def _golden_max(payoff, lo: Array, hi: Array,
                 best_x: Array, best_f: Array) -> tuple[Array, Array]:
     """Lockstep golden-section ascent on per-element brackets."""
     width = float(np.max(hi - lo))
     if width <= 0:
         return best_x, best_f
-    steps = max(1, int(math.ceil(math.log(max(width / xtol, 1.0))
+    steps = max(1, int(math.ceil(math.log(max(width / _GOLDEN_XTOL, 1.0))
                                  / math.log(1.0 / _INV_PHI))))
     for _ in range(steps):
         d = hi - lo
@@ -243,8 +230,7 @@ def _golden_max(payoff, lo: Array, hi: Array, xtol: float,
 
 
 def _best_response_grid(scenario: Scenario, table: GainTable, thetas: Array,
-                        mu_grid: Array, cost_matrix: Array,
-                        xtol: float) -> tuple[Array, Array]:
+                        mu_grid: Array, cost_matrix: Array) -> tuple[Array, Array]:
     """Best responses for every type against a fixed gain table.
 
     ``cost_matrix`` holds C(mu_grid[i], thetas[j]); the coarse sweep picks
@@ -264,35 +250,29 @@ def _best_response_grid(scenario: Scenario, table: GainTable, thetas: Array,
         cost = allocate_grid(scenario, mu, thetas).cost
         return table.gain(mu) + mu - cost
 
-    return _golden_max(payoff, lo, hi, xtol, best_x.copy(), best_f.copy())
+    return _golden_max(payoff, lo, hi, best_x.copy(), best_f.copy())
 
 
-def best_response_grid(profile: StrategyProfile, thetas,
-                       prizes: PrizeVector | None = None, *,
-                       coarse: int = 200, xtol: float = 1e-6,
-                       mu_max: float | None = None) -> Array:
+def best_response_grid(profile: StrategyProfile, thetas) -> Array:
     """Best responses of many types against a profile, sharing one gain table.
 
     One type's best response is ``best_response_grid(profile, [theta])[0]``.
     """
     scenario = profile.scenario
     thetas = np.asarray(thetas, dtype=float)
-    prizes = scenario.prizes if prizes is None else prizes
     base = baseline_grid(scenario, thetas)
-    if mu_max is None:
-        mu_max = _mu_upper_bound(scenario, prizes, base)
+    mu_max = _mu_upper_bound(scenario, base)
     table = GainTable(opponent_mixture(profile), scenario.noise,
-                      scenario.players, prizes, mu_max)
-    mu_grid = np.linspace(0.0, mu_max, coarse)
+                      scenario.players, scenario.prizes, mu_max)
+    mu_grid = np.linspace(0.0, mu_max, _COARSE_POINTS)
     cost_matrix = allocate_grid(scenario, mu_grid[:, None], thetas[None, :]).cost
-    br, _ = _best_response_grid(scenario, table, thetas, mu_grid, cost_matrix, xtol)
+    br, _ = _best_response_grid(scenario, table, thetas, mu_grid, cost_matrix)
     return br
 
 
 def solve_equilibrium(scenario: Scenario, *, grid_size: int = 201,
                       tol: float = 1e-5, damping: float = 0.5,
-                      max_iter: int = 500, coarse: int = 200,
-                      xtol: float = 1e-6) -> StrategyProfile:
+                      max_iter: int = 500) -> StrategyProfile:
     """Damped fixed-point iteration for the symmetric equilibrium schedule.
 
     Starts from the no-contest schedule, damps each best-response sweep by
@@ -311,32 +291,31 @@ def solve_equilibrium(scenario: Scenario, *, grid_size: int = 201,
     base = baseline_grid(scenario, thetas)
     mu = isotonic_projection(base.mu)
     prizes = scenario.prizes
-    mu_max = _mu_upper_bound(scenario, prizes, base)
+    mu_max = _mu_upper_bound(scenario, base)
 
-    mu_grid = np.linspace(0.0, mu_max, coarse)
+    mu_grid = np.linspace(0.0, mu_max, _COARSE_POINTS)
     cost_matrix = allocate_grid(scenario, mu_grid[:, None], thetas[None, :]).cost
 
     converged = False
     residual = math.inf
     iterations = 0
     extensions = 0
-    step = mu_max / (coarse - 1)
+    step = mu_max / (_COARSE_POINTS - 1)
     while iterations < max_iter:
         iterations += 1
         profile = StrategyProfile(scenario, thetas, mu.copy(), False, iterations,
                                   math.inf)
         table = GainTable(opponent_mixture(profile), scenario.noise,
                           scenario.players, prizes, mu_max)
-        br, _ = _best_response_grid(scenario, table, thetas, mu_grid,
-                                    cost_matrix, xtol)
+        br, _ = _best_response_grid(scenario, table, thetas, mu_grid, cost_matrix)
         if float(np.max(br)) > mu_max - 2.0 * step:
             if extensions >= 12:
                 raise SolverError(
                     f"best responses keep escaping the bracket (mu_max={mu_max:.4g})")
             extensions += 1
             mu_max *= 1.6
-            step = mu_max / (coarse - 1)
-            mu_grid = np.linspace(0.0, mu_max, coarse)
+            step = mu_max / (_COARSE_POINTS - 1)
+            mu_grid = np.linspace(0.0, mu_max, _COARSE_POINTS)
             cost_matrix = allocate_grid(scenario, mu_grid[:, None],
                                         thetas[None, :]).cost
             continue

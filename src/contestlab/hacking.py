@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rootfind import bisect_scalar
-from .baseline import BaselineGrid, BaselineThresholds, baseline_grid, baseline_thresholds
+from ._rootfind import bisect_vec
+from .baseline import BaselineThresholds, baseline_grid
 from .costmin import allocate_grid
 from .equilibrium import StrategyProfile, solve_equilibrium
 from .errors import DomainError, UnconvergedProfileError
@@ -32,6 +32,9 @@ Array = np.ndarray
 
 # strictness margin: efforts this close count as unchanged
 EFFORT_TOL = 1e-6
+# schedule drops and hacking-mass rises up to these sizes are not violations
+DOMINANCE_TOL = 1e-4
+MEASURE_TOL = 1e-12
 
 PURE_MECHANIZER = "pure-mechanizer"
 CONTEST_CREATOR = "contest-creator"
@@ -39,26 +42,21 @@ DUAL_CHANNEL = "dual-channel"
 PURE_CREATOR = "pure-creator"
 
 
-def _require_converged(profile: StrategyProfile, force: bool) -> None:
-    if not profile.converged and not force:
+def _require_converged(profile: StrategyProfile) -> None:
+    if not profile.converged:
         raise UnconvergedProfileError(
-            f"profile did not converge (residual {profile.residual:.3g}); "
-            "pass force=True to use it anyway")
+            f"profile did not converge (residual {profile.residual:.3g})")
 
 
-def compare_prize_vectors(r1: PrizeVector, r2: PrizeVector,
-                          players: int | None = None) -> str:
+def compare_prize_vectors(r1: PrizeVector, r2: PrizeVector, players: int) -> str:
     """Order two prize vectors by their adjacent gaps.
 
     Returns ``"geq"``, ``"leq"``, ``"equal"`` or ``"incomparable"``.  The
-    vectors are compared over ranks 1..n-1 where n is ``players`` when
-    given, else the longer length: vectors are treated as spanning the
-    whole contest, so two pure win-bonuses of different size compare
-    equal only in the degenerate one-rank reading.
+    vectors are compared over ranks 1..players-1: vectors are treated as
+    spanning the whole contest.
     """
-    n = max(len(r1), len(r2), 1) if players is None else players
-    g1 = r1.gaps(n)
-    g2 = r2.gaps(n)
+    g1 = r1.gaps(players)
+    g2 = r2.gaps(players)
     eps = 1e-12 * max(1.0, float(np.max(np.abs(g1), initial=0.0)),
                       float(np.max(np.abs(g2), initial=0.0)))
     ge = bool(np.all(g1 >= g2 - eps))
@@ -100,27 +98,25 @@ class HackingProfile:
         return float(np.sum(masses[self.hacks]))
 
 
-def hacking_threshold(profile: StrategyProfile, *, force: bool = False) -> float:
+def hacking_threshold(profile: StrategyProfile) -> float:
     """Largest type that fully mechanises its equilibrium target.
 
     Solves xi'(xi^{-1}(mu*(theta))) = nu_a(0, theta); -inf when even the
     lowest type prefers some creation, +inf when every type mechanises.
     """
-    _require_converged(profile, force)
+    _require_converged(profile)
     scenario = profile.scenario
     lo, hi = scenario.support
     xi, nu = scenario.xi, scenario.nu
 
-    def gap(theta: float) -> float:
-        mu = float(profile.mu_at(theta))
-        mech_margin = float(xi.deriv(xi.invert(mu)))
-        return float(nu.deriv_a(0.0, theta)) - mech_margin
+    def gap(theta):
+        return nu.deriv_a(0.0, theta) - xi.deriv(xi.invert(profile.mu_at(theta)))
 
     if gap(lo) > 0:
         return -np.inf
     if gap(hi) <= 0:
         return np.inf
-    return float(bisect_scalar(gap, lo, hi, tol=1e-11))
+    return float(bisect_vec(gap, np.array([lo]), np.array([hi]), tol=1e-11)[0])
 
 
 def _bands(thetas: Array, theta_star: float, thr: BaselineThresholds) -> np.ndarray:
@@ -131,15 +127,13 @@ def _bands(thetas: Array, theta_star: float, thr: BaselineThresholds) -> np.ndar
     return out
 
 
-def hacking_verdicts(profile: StrategyProfile, *, force: bool = False,
-                     base: BaselineGrid | None = None) -> HackingProfile:
+def hacking_verdicts(profile: StrategyProfile) -> HackingProfile:
     """Classify every grid type of an equilibrium profile."""
-    _require_converged(profile, force)
+    _require_converged(profile)
     scenario = profile.scenario
     alloc = allocate_grid(scenario, profile.mu_star, profile.theta_grid)
-    if base is None:
-        base = baseline_grid(scenario, profile.theta_grid)
-    theta_star = hacking_threshold(profile, force=force)
+    base = baseline_grid(scenario, profile.theta_grid)
+    theta_star = hacking_threshold(profile)
     hacks = (alloc.a <= base.a + EFFORT_TOL) & (alloc.b > base.b + EFFORT_TOL)
     bands = _bands(profile.theta_grid, theta_star, base.thresholds)
     return HackingProfile(profile.theta_grid, hacks, tuple(bands.tolist()),
@@ -161,7 +155,7 @@ class SweepResult:
     def hack_measures(self) -> tuple[float, ...]:
         return tuple(v.measure(self.scenario) for v in self.verdicts)
 
-    def dominance_violations(self, tol: float = 1e-4) -> list[dict]:
+    def dominance_violations(self) -> list[dict]:
         """Pointwise schedule drops where the prize order demands a rise."""
         out = []
         for i, j, rel in self.relations:
@@ -173,7 +167,7 @@ class SweepResult:
                 continue
             gap = self.profiles[lo_idx].mu_star - self.profiles[hi_idx].mu_star
             worst = int(np.argmax(gap))
-            if gap[worst] > tol:
+            if gap[worst] > DOMINANCE_TOL:
                 out.append({
                     "dominant": hi_idx, "dominated": lo_idx,
                     "theta": float(self.profiles[hi_idx].theta_grid[worst]),
@@ -181,7 +175,7 @@ class SweepResult:
                 })
         return out
 
-    def measure_violations(self, tol: float = 1e-12) -> list[dict]:
+    def measure_violations(self) -> list[dict]:
         """Hacking-mass increases where the prize order demands a drop."""
         out = []
         measures = self.hack_measures
@@ -192,7 +186,7 @@ class SweepResult:
                 hi_idx, lo_idx = j, i
             else:
                 continue
-            if measures[hi_idx] > measures[lo_idx] + tol:
+            if measures[hi_idx] > measures[lo_idx] + MEASURE_TOL:
                 out.append({"dominant": hi_idx, "dominated": lo_idx,
                             "excess": measures[hi_idx] - measures[lo_idx]})
         return out
@@ -215,8 +209,7 @@ class SweepResult:
 
 
 def skewness_sweep(scenario: Scenario, prize_vectors, *, grid_size: int = 201,
-                   tol: float = 1e-5, damping: float = 0.5,
-                   max_iter: int = 500) -> SweepResult:
+                   tol: float = 1e-5, damping: float = 0.5) -> SweepResult:
     """Solve the contest under each prize vector and compare outcomes.
 
     All vectors must be pairwise comparable under the gap order; the
@@ -241,7 +234,7 @@ def skewness_sweep(scenario: Scenario, prize_vectors, *, grid_size: int = 201,
     verdicts = []
     for pv in pvs:
         prof = solve_equilibrium(scenario.with_prizes(pv), grid_size=grid_size,
-                                 tol=tol, damping=damping, max_iter=max_iter)
+                                 tol=tol, damping=damping)
         profiles.append(prof)
         verdicts.append(hacking_verdicts(prof))
     return SweepResult(scenario, tuple(pvs), tuple(relations),

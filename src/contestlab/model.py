@@ -36,6 +36,9 @@ _NOISE_KINDS = ("normal", "gumbel", "exponential")
 # fitness this close to a saturating supremum counts as unreachable
 SATURATION_MARGIN = 1e-6
 
+# points per axis of the assumption checks' sample grids
+_CHECK_GRID = 25
+
 
 def _check_nonneg(name: str, x: Array | float) -> Array:
     arr = np.asarray(x, dtype=float)
@@ -392,11 +395,10 @@ class PrizeVector:
         out[: len(self.values)] = self.values
         return out
 
-    def gaps(self, n: int | None = None) -> np.ndarray:
+    def gaps(self, n: int) -> np.ndarray:
         """Adjacent prize gaps R_k - R_{k+1} for k = 1..n-1."""
-        m = len(self.values) if n is None else n
-        padded = self.padded(max(m, len(self.values)))
-        return padded[:-1] - padded[1:] if m > 1 else np.zeros(0)
+        padded = self.padded(max(n, len(self.values)))
+        return padded[:-1] - padded[1:] if n > 1 else np.zeros(0)
 
 
 @dataclass(frozen=True)
@@ -456,11 +458,9 @@ class Scenario:
         return Scenario(self.nu, self.xi, self.cost, self.types, self.noise,
                         self.players, pv)
 
-    def with_players(self, players: int, prizes=None) -> "Scenario":
-        pv = self.prizes if prizes is None else (
-            prizes if isinstance(prizes, PrizeVector) else PrizeVector(tuple(prizes)))
+    def with_players(self, players: int) -> "Scenario":
         return Scenario(self.nu, self.xi, self.cost, self.types, self.noise,
-                        players, pv)
+                        players, self.prizes)
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +610,7 @@ class ValidationReport:
         }
 
 
-def validate_assumptions(scenario: Scenario, grid: int = 25) -> ValidationReport:
+def validate_assumptions(scenario: Scenario) -> ValidationReport:
     """Check the structural assumptions on a sample grid.
 
     Four checks, one entry each: supermodularity of the creative
@@ -619,6 +619,7 @@ def validate_assumptions(scenario: Scenario, grid: int = 25) -> ValidationReport
     and the vanishing-marginal-product limit of the mechanistic channel.
     """
     lo, hi = scenario.support
+    grid = _CHECK_GRID
     checks: list[AssumptionCheck] = []
 
     # supermodularity: marginal product of a strictly increasing in theta

@@ -480,8 +480,6 @@ def panel_cells(
     grid_size: int = 201,
     tol: float = 1e-5,
     damping: float = 0.5,
-    max_iter: int = 500,
-    force: bool = False,
 ) -> tuple[PanelCell, ...]:
     """Solve the equilibrium for each prize-value x skew cell.
 
@@ -512,9 +510,8 @@ def panel_cells(
                 grid_size=grid_size,
                 tol=tol,
                 damping=damping,
-                max_iter=max_iter,
             )
-            if not profile.converged and not force:
+            if not profile.converged:
                 raise UnconvergedProfileError(
                     f"equilibrium for prize value {value}, skew {skew} did not "
                     f"converge (residual {profile.residual:.3e})"
@@ -528,25 +525,20 @@ def panel_cells(
 def synthetic_panel(
     scenario: Scenario,
     *,
+    players: int,
+    cells: Sequence[PanelCell],
     n_contests: int = 500,
-    players: int = 200,
     seed: int = 0,
-    cells: Sequence[PanelCell] | None = None,
-    prize_values: Sequence[float] = (1.0, 4.0, 16.0),
-    skew_weights: Sequence[float] = (0.5, 0.3, 0.2),
     traj_length: int = 10,
     drift_scale: float = 0.3,
     noise_scale: float = 2.0,
     score_base: float = 50.0,
     score_gain: float = 5.0,
-    grid_size: int = 201,
-    tol: float = 1e-5,
-    damping: float = 0.5,
-    max_iter: int = 500,
-    force: bool = False,
 ) -> SyntheticPanel:
-    """Simulate a full contest panel across prize-value x skew cells.
+    """Simulate a contest panel across ``players``-player cells.
 
+    The cells usually come from :func:`panel_cells` (prize-value x skew
+    designs) or are one cell holding an already-solved profile.
     Contest j runs under cell j mod n_cells with Philox stream j; its
     trajectories use stream n_contests + j, so every draw in the build is
     pinned to (seed, a stream index).  Each player's trajectory starts at
@@ -558,23 +550,13 @@ def synthetic_panel(
         raise DomainError(f"need at least one contest, got {n_contests}")
     if traj_length < 2:
         raise DomainError(f"trajectory length must be >= 2, got {traj_length}")
-    if cells is None:
-        cells = panel_cells(
-            scenario,
-            players=players,
-            prize_values=prize_values,
-            skew_weights=skew_weights,
-            grid_size=grid_size,
-            tol=tol,
-            damping=damping,
-            max_iter=max_iter,
-            force=force,
-        )
     cells = tuple(cells)
     if not cells:
         raise DomainError("no panel cells")
-    count = cells[0].scenario.players
-    total = n_contests * count
+    counts = sorted({cell.scenario.players for cell in cells})
+    if counts != [players]:
+        raise DomainError(f"panel of {players} players, but the cells have {counts}")
+    total = n_contests * players
 
     cols: dict[str, Array] = {
         "contest_id": np.empty(total, dtype=np.int64),
@@ -598,8 +580,8 @@ def synthetic_panel(
     for j in range(n_contests):
         cell = cells[j % len(cells)]
         out = run_contest(cell.scenario, cell.profile, seed, replication=j, force=True)
-        eps = _stream(seed, n_contests + j).standard_normal((count, traj_length))
-        rows = slice(j * count, (j + 1) * count)
+        eps = _stream(seed, n_contests + j).standard_normal((players, traj_length))
+        rows = slice(j * players, (j + 1) * players)
         trajectories[rows] = _trajectory_matrix(
             out.a,
             out.b,
@@ -610,7 +592,7 @@ def synthetic_panel(
             eps,
         )
         cols["contest_id"][rows] = j
-        cols["player_id"][rows] = np.arange(count)
+        cols["player_id"][rows] = np.arange(players)
         cols["type"][rows] = out.theta
         cols["a"][rows] = out.a
         cols["b"][rows] = out.b
@@ -637,8 +619,6 @@ def synthetic_panel(
 def panel_regressions(
     panel: Mapping[str, Array],
     edges: Array,
-    *,
-    group: str = "contest_id",
 ) -> dict[str, RegressionResult]:
     """The four within regressions used to audit a synthetic panel.
 
@@ -655,8 +635,6 @@ def panel_regressions(
 
     out: dict[str, RegressionResult] = {}
     for label, outcome in (("fitness", "mu"), ("mk", "mk_Z")):
-        out[f"{label}_type"] = fe_ols(data, PanelSpec(outcome, dummies, group=group))
-        out[f"{label}_interactions"] = fe_ols(
-            data, PanelSpec(outcome, dummies, interactions, group=group)
-        )
+        out[f"{label}_type"] = fe_ols(data, PanelSpec(outcome, dummies))
+        out[f"{label}_interactions"] = fe_ols(data, PanelSpec(outcome, dummies, interactions))
     return out

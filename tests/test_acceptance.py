@@ -157,7 +157,7 @@ def test_criterion_5():
         [PrizeVector((1.0, 0.0)), PrizeVector((2.0, 0.0)), PrizeVector((4.0, 0.0))],
     )
     assert all(p.converged for p in sweep.profiles)
-    dominance = sweep.dominance_violations(tol=1e-4)
+    dominance = sweep.dominance_violations()
     assert not dominance, dominance[:10]
     measures = sweep.measure_violations()
     assert not measures, measures[:10]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import subprocess
 import sys
@@ -18,6 +19,8 @@ from contestlab.cli import (
     EXIT_OK,
     EXIT_USAGE,
     MANIFEST_NAME,
+    _build_parser,
+    _manifest_arguments,
     main,
 )
 
@@ -113,6 +116,11 @@ class TestArtifactsAndReplay:
         assert "--threads" not in manifest["replay_argv"]
         assert_replay_identical(out, tmp_path)
 
+    def test_simulate_panel_cells_needs_three_players(self, tmp_path, capsys):
+        assert run_cli("simulate", "--scenario", "example1", "--panel-cells",
+                       "--out", tmp_path / "pc2") == EXIT_INPUT
+        assert "need at least 3 players" in capsys.readouterr().err
+
     def test_examples_checks_artifact(self, tmp_path):
         out = tmp_path / "e"
         assert run_cli("examples", "--out", out) == EXIT_OK
@@ -128,6 +136,34 @@ class TestArtifactsAndReplay:
         listed = json.loads(manifests[0].read_text())["outputs"]
         for name in listed:
             assert (out / name).exists()
+
+
+# one invocation per subcommand that writes a manifest
+MANIFEST_ARGV = {
+    "validate": ["--scenario", "example1"],
+    "cost": ["--scenario", "example3", "--theta", "1.0", "--mu-max", "2.5"],
+    "baseline": ["--scenario", "example4", "--grid", "41"],
+    "equilibrium": ["--scenario", "example1", "--tol", "1e-4"],
+    "hacking": ["--scenario", "example3", "--damping", "0.25"],
+    "sweep": ["--scenario", "example3", "--prizes", "1,0;2,0"],
+    "simulate": ["--scenario", "example1", "--seed", "7", "--panel-cells"],
+    "mk": ["--input", "trend.csv", "--column", "score"],
+    "regress": ["--input", "panel.csv", "--outcome", "y", "--dummies", "x"],
+    "examples": [],
+}
+
+
+def test_replay_argv_parses_back_to_parameters():
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) - {"replay"} == set(MANIFEST_ARGV)
+    for command, argv in MANIFEST_ARGV.items():
+        params, replay_argv = _manifest_arguments(
+            parser.parse_args([command, *argv, "--out", "x"]))
+        assert replay_argv[0] == command and "--out" not in replay_argv
+        assert _manifest_arguments(parser.parse_args(replay_argv)) == (params, replay_argv)
+    params, replay_argv = _manifest_arguments(parser.parse_args(["simulate", "--scenario", "e"]))
+    assert params["panel_cells"] is False and "--panel-cells" not in replay_argv
 
 
 class TestExitCodes:

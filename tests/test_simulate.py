@@ -401,6 +401,11 @@ class TestSyntheticPanel:
         skew = panel.columns["prize_skew"].reshape(6, 8)[:, 0]
         np.testing.assert_array_equal(skew, [1, 0, 1, 0, 1, 0])
 
+    def test_players_must_match_cells(self, small_cells):
+        scn, cells = small_cells
+        with pytest.raises(DomainError, match="8"):
+            synthetic_panel(scn, n_contests=2, players=4, cells=cells)
+
     def test_csv_round_trip(self, small_cells, tmp_path):
         from contestlab._tables import read_csv_columns
 
