@@ -18,6 +18,7 @@ Array = np.ndarray
 
 _MAX_BISECTIONS = 200
 _MAX_DOUBLINGS = 80
+_STALL_STEPS = 3         # secant steps allowed before the bracket must halve
 
 
 def bisect_vec(
@@ -27,23 +28,63 @@ def bisect_vec(
     *,
     tol: float = 1e-10,
 ) -> Array:
-    """Elementwise bisection for a sign change of ``func`` on ``[lo, hi]``.
+    """Elementwise bracketed root of ``func`` on ``[lo, hi]``.
 
     ``func`` must be non-decreasing in its argument wherever it is finite
     (callers arrange signs so the target crosses from negative to positive).
-    Endpoints are never evaluated, so infinite limits at the bracket edges
-    are harmless.  Elements with ``lo == hi`` pass through unchanged.
+    Returns the midpoint of a bracket no wider than ``tol``.  Endpoints are
+    never evaluated, so infinite limits at the bracket edges are harmless.
+    Elements with ``lo == hi`` pass through unchanged.
+
+    Steps are Illinois regula falsi: the secant through the bracket's end
+    values, with the value at an end that survives twice running halved.
+    A step bisects instead while an end value is unknown or not finite,
+    and when the bracket has not halved within ``_STALL_STEPS`` steps.  A
+    secant point stays ``min(tol, width/2)/2`` inside the bracket, so a
+    bracket that closes in on the root from one side still shrinks to
+    ``tol``.  Like plain bisection, every element keeps narrowing until
+    the widest bracket is within ``tol``, for at most ``_MAX_BISECTIONS``
+    steps.
     """
     lo = np.array(lo, dtype=float, copy=True)
     hi = np.array(hi, dtype=float, copy=True)
+    f_lo = np.full_like(lo, np.nan)
+    f_hi = np.full_like(hi, np.nan)
+    moved = np.zeros(lo.shape, dtype=np.int8)   # end replaced last: -1 lo, +1 hi
+    ref = hi - lo                               # width at the last halving
+    stall = np.zeros(lo.shape, dtype=np.int8)   # steps since then, capped
     for _ in range(_MAX_BISECTIONS):
         if np.all(hi - lo <= tol):
             break
-        mid = 0.5 * (lo + hi)
-        up = func(mid) >= 0.0
-        hi = np.where(up, mid, hi)
-        lo = np.where(up, lo, mid)
+        x = _probe(lo, hi, f_lo, f_hi, stall, tol)
+        fx = func(x)
+        up = fx >= 0.0
+        down = ~up
+        # Illinois: halve the value at an end that survives twice running
+        np.multiply(f_lo, 0.5, out=f_lo, where=up & (moved == 1))
+        np.multiply(f_hi, 0.5, out=f_hi, where=down & (moved == -1))
+        np.copyto(hi, x, where=up)
+        np.copyto(f_hi, fx, where=up)
+        np.copyto(lo, x, where=down)
+        np.copyto(f_lo, fx, where=down)
+        moved = np.where(up, np.int8(1), np.int8(-1))
+        width = hi - lo
+        halved = width <= 0.5 * ref
+        np.copyto(ref, width, where=halved)
+        stall = np.where(halved, np.int8(0), np.minimum(stall + 1, _STALL_STEPS))
     return 0.5 * (lo + hi)
+
+
+def _probe(lo: Array, hi: Array, f_lo: Array, f_hi: Array, stall: Array,
+           tol: float) -> Array:
+    """Next point of each bracket: the clipped secant, or the midpoint."""
+    width = hi - lo
+    margin = 0.5 * np.minimum(tol, 0.5 * width)
+    with np.errstate(invalid="ignore", over="ignore"):
+        secant = hi - f_hi * (width / (f_hi - f_lo))
+    secant = np.clip(secant, lo + margin, hi - margin)
+    use_mid = ~(np.isfinite(f_lo) & np.isfinite(f_hi)) | (stall >= _STALL_STEPS)
+    return np.where(use_mid, 0.5 * (lo + hi), secant)
 
 
 def expand_upper(

@@ -18,9 +18,12 @@ decreasing, so exactly one of three regimes applies:
 - interior:     the single crossing psi(y) = nu_a(y, theta)
 
 Ties at the boundary tests resolve to the corner regimes.  The crossing
-is bracketed by construction and solved by bisection to 1e-10 in y; the
-produced split satisfies the fitness constraint to 1e-8 because the
-mechanistic effort is recovered by exact inversion.
+is bracketed by construction and located to 1e-10 in y by the bracketed
+root finder of ``_rootfind``; the produced split satisfies the fitness
+constraint to 1e-8 because the mechanistic effort is recovered by exact
+inversion.  Input is validated once, on entry: every later argument is
+non-negative by construction, so the solver calls the forms' unchecked
+kernels.
 """
 
 from __future__ import annotations
@@ -74,17 +77,17 @@ def allocate_grid(scenario: Scenario, mu, theta) -> AllocationGrid:
     th_f = np.ascontiguousarray(th_b, dtype=float).ravel()
 
     nu_form, xi, cost = scenario.nu, scenario.xi, scenario.cost
-    xi0 = float(xi.deriv(0.0))
+    xi0 = float(xi._deriv(np.zeros(())))
 
-    b_bar = xi.invert(mu_f)
-    a_bar = nu_form.invert(mu_f, th_f)
-    psi0 = xi.deriv(b_bar)
-    nua0 = nu_form.deriv_a(np.zeros_like(mu_f), th_f)
+    b_bar = xi._invert(mu_f)
+    a_bar = nu_form._invert(mu_f, th_f)
+    psi0 = xi._deriv(b_bar)
+    nua0 = nu_form._deriv_a(np.zeros_like(mu_f), th_f)
 
     mech = psi0 >= nua0
     a_bar_safe = np.where(np.isfinite(a_bar), a_bar, 0.0)
     nua_full = np.where(np.isfinite(a_bar),
-                        nu_form.deriv_a(a_bar_safe, th_f), -np.inf)
+                        nu_form._deriv_a(a_bar_safe, th_f), -np.inf)
     create = ~mech & np.isfinite(a_bar) & (xi0 <= nua_full)
     interior = ~mech & ~create
 
@@ -96,9 +99,9 @@ def allocate_grid(scenario: Scenario, mu, theta) -> AllocationGrid:
         mu_i, th_i = mu_f[idx], th_f[idx]
 
         def margin_gap(y: Array) -> Array:
-            remainder = np.maximum(mu_i - nu_form.value(y, th_i), 0.0)
-            psi = xi.deriv(xi.invert(remainder))
-            return psi - nu_form.deriv_a(y, th_i)
+            remainder = np.maximum(mu_i - nu_form._value(y, th_i), 0.0)
+            psi = xi._deriv(xi._invert(remainder))
+            return psi - nu_form._deriv_a(y, th_i)
 
         hi = a_bar[idx]
         unbounded = ~np.isfinite(hi)
@@ -110,11 +113,11 @@ def allocate_grid(scenario: Scenario, mu, theta) -> AllocationGrid:
                           hi)
         y_star = bisect_vec(margin_gap, np.zeros_like(hi), hi, tol=1e-10)
         a[idx] = y_star
-        b[idx] = xi.invert(np.maximum(mu_i - nu_form.value(y_star, th_i), 0.0))
+        b[idx] = xi._invert(np.maximum(mu_i - nu_form._value(y_star, th_i), 0.0))
 
     with np.errstate(divide="ignore"):
-        lam_mech = 1.0 / xi.deriv(b)
-        lam_create = 1.0 / nu_form.deriv_a(np.where(create, a, 0.0), th_f)
+        lam_mech = 1.0 / xi._deriv(b)
+        lam_create = 1.0 / nu_form._deriv_a(np.where(create, a, 0.0), th_f)
     lam = np.where(create, lam_create, lam_mech)
 
     effort = a + b
@@ -126,8 +129,8 @@ def allocate_grid(scenario: Scenario, mu, theta) -> AllocationGrid:
         a=a.reshape(mu_b.shape),
         b=b.reshape(mu_b.shape),
         case=case.reshape(mu_b.shape),
-        cost=cost.value(effort).reshape(mu_b.shape),
+        cost=cost._value(effort).reshape(mu_b.shape),
         shadow_price=lam.reshape(mu_b.shape),
-        marginal_cost=(cost.deriv(effort) * lam).reshape(mu_b.shape),
+        marginal_cost=(cost._deriv(effort) * lam).reshape(mu_b.shape),
     )
     return grid

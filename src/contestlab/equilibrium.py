@@ -15,6 +15,17 @@ grid, projecting onto non-decreasing schedules each step (the monotone
 envelope is where the fixed point lives; projection also keeps the
 iteration stable).  Starting from the no-contest schedule keeps every
 iterate above it, which downstream dominance checks rely on.
+
+Each best response is found in two stages.  A coarse sweep over a fixed
+grid of targets picks the best cell for every type, which keeps the
+search global when the payoff has several peaks.  Inside that cell's
+neighbours the first-order condition
+
+    gain'(mu) + 1 = dC/dmu
+
+is solved by a bracketed root finder: ``GainTable.gain_and_slope``
+supplies the exact slope of the tabulated gain and the allocation
+supplies the marginal cost.
 """
 
 from __future__ import annotations
@@ -35,10 +46,9 @@ from .model import NoiseFamily, PrizeVector, Scenario
 
 Array = np.ndarray
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _THETA_NODES = 64
 _COARSE_POINTS = 200     # best-response sweep resolution on [0, mu_max]
-_GOLDEN_XTOL = 1e-6      # golden-section bracket width
+_FOC_TOL = 1e-9          # bracket width of the first-order-condition root
 _RANK_TOL = 1e-9         # total quadrature error of a rank distribution
 _GAIN_NODES = 96
 _WEIGHT_GRID = 4097
@@ -163,9 +173,13 @@ class GainTable:
         s_lo = min(float(lo0 + sc0 * z_lo),
                    float(np.min(noise.loc_scale(mus)[0])))
         s_hi = float(lo1 + sc1 * z_hi)
-        self.s_grid = np.linspace(s_lo, s_hi, _WEIGHT_GRID)
+        self.s_grid, self.s_step = np.linspace(s_lo, s_hi, _WEIGHT_GRID, retstep=True)
         g = mixture.cdf(self.s_grid)
         self.w_grid = _rank_pmf(g, players, ranks) @ paid[ranks - 1]
+        self.w_slope = np.diff(self.w_grid) / np.diff(self.s_grid)
+        # loc and scale are affine in mu, so a unit step gives their slopes
+        lo_unit, sc_unit = noise.loc_scale(np.array(1.0))
+        self.dloc, self.dscale = float(lo_unit - lo0), float(sc_unit - sc0)
         self.w_lo = float(paid[players - 1])   # everyone ahead
         self.w_hi = float(paid[0])             # nobody ahead
         u, wu = gauss_legendre(_GAIN_NODES, 0.0, 1.0)
@@ -173,13 +187,30 @@ class GainTable:
         self.z_weights = wu
 
     def gain(self, mu) -> Array:
+        return self.gain_and_slope(mu)[0]
+
+    def gain_and_slope(self, mu) -> tuple[Array, Array]:
+        """Expected prize at each ``mu`` and its exact derivative in ``mu``.
+
+        W is piecewise linear on the uniform ``s_grid``, so each node's
+        segment comes from index arithmetic; the slope is that segment's
+        slope times ds/dmu = dloc/dmu + z * dscale/dmu (loc and scale
+        are affine in mu for every noise kind).
+        """
         mu = np.atleast_1d(np.asarray(mu, dtype=float))
         if self.zero:
-            return np.zeros_like(mu)
+            return np.zeros_like(mu), np.zeros_like(mu)
         loc, scale = self.noise.loc_scale(mu)
         s = loc[:, None] + scale[:, None] * self.z_nodes[None, :]
-        w = np.interp(s, self.s_grid, self.w_grid, left=self.w_lo, right=self.w_hi)
-        return w @ self.z_weights
+        pos = (s - self.s_grid[0]) / self.s_step
+        seg = np.clip(np.floor(pos), 0, _WEIGHT_GRID - 2).astype(np.intp)
+        w = self.w_grid[seg] + self.w_slope[seg] * (s - self.s_grid[seg])
+        slope = self.w_slope[seg]
+        below, above = pos < 0.0, pos > _WEIGHT_GRID - 1
+        w = np.where(below, self.w_lo, np.where(above, self.w_hi, w))
+        slope = np.where(below | above, 0.0, slope)
+        ds = self.dloc + self.dscale * self.z_nodes
+        return w @ self.z_weights, slope @ (self.z_weights * ds)
 
 
 def _mu_upper_bound(scenario: Scenario, base: BaselineGrid) -> float:
@@ -203,40 +234,17 @@ def _mu_upper_bound(scenario: Scenario, base: BaselineGrid) -> float:
     return max(2.0 * root, 2.0 * base_cap + 1.0, 1e-6)
 
 
-def _golden_max(payoff, lo: Array, hi: Array,
-                best_x: Array, best_f: Array) -> tuple[Array, Array]:
-    """Lockstep golden-section ascent on per-element brackets."""
-    width = float(np.max(hi - lo))
-    if width <= 0:
-        return best_x, best_f
-    steps = max(1, int(math.ceil(math.log(max(width / _GOLDEN_XTOL, 1.0))
-                                 / math.log(1.0 / _INV_PHI))))
-    for _ in range(steps):
-        d = hi - lo
-        x1 = hi - _INV_PHI * d
-        x2 = lo + _INV_PHI * d
-        f1 = payoff(x1)
-        f2 = payoff(x2)
-        upd = f1 > best_f
-        best_x = np.where(upd, x1, best_x)
-        best_f = np.where(upd, f1, best_f)
-        upd = f2 > best_f
-        best_x = np.where(upd, x2, best_x)
-        best_f = np.where(upd, f2, best_f)
-        keep_left = f1 >= f2
-        hi = np.where(keep_left, x2, hi)
-        lo = np.where(keep_left, lo, x1)
-    return best_x, best_f
-
-
 def _best_response_grid(scenario: Scenario, table: GainTable, thetas: Array,
                         mu_grid: Array, cost_matrix: Array) -> tuple[Array, Array]:
     """Best responses for every type against a fixed gain table.
 
-    ``cost_matrix`` holds C(mu_grid[i], thetas[j]); the coarse sweep picks
-    the best cell, a golden-section pass refines inside the bracket, and
-    the best payoff ever evaluated is returned (so the result dominates
-    every coarse grid point by construction).
+    ``cost_matrix`` holds C(mu_grid[i], thetas[j]).  The coarse sweep
+    picks the best cell, which also guards against multimodal payoffs;
+    inside its two neighbouring cells, the first-order condition
+    gain'(mu) + 1 = dC/dmu is solved to ``_FOC_TOL`` by the bracketed root
+    finder.  Each probe takes cost and marginal cost from one allocation.
+    The best payoff ever evaluated is returned, so the result dominates
+    every coarse grid point by construction.
     """
     gains = table.gain(mu_grid)
     payoff_matrix = gains[:, None] + mu_grid[:, None] - cost_matrix
@@ -246,11 +254,18 @@ def _best_response_grid(scenario: Scenario, table: GainTable, thetas: Array,
     lo = mu_grid[np.maximum(idx - 1, 0)]
     hi = mu_grid[np.minimum(idx + 1, mu_grid.size - 1)]
 
-    def payoff(mu: Array) -> Array:
-        cost = allocate_grid(scenario, mu, thetas).cost
-        return table.gain(mu) + mu - cost
+    def foc_gap(mu: Array) -> Array:
+        nonlocal best_x, best_f
+        alloc = allocate_grid(scenario, mu, thetas)
+        gain, slope = table.gain_and_slope(mu)
+        f = gain + mu - alloc.cost
+        better = f > best_f
+        best_x = np.where(better, mu, best_x)
+        best_f = np.where(better, f, best_f)
+        return alloc.marginal_cost - 1.0 - slope
 
-    return _golden_max(payoff, lo, hi, best_x.copy(), best_f.copy())
+    bisect_vec(foc_gap, lo, hi, tol=_FOC_TOL)
+    return best_x, best_f
 
 
 def best_response_grid(profile: StrategyProfile, thetas) -> Array:

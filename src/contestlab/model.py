@@ -71,18 +71,24 @@ class ProductionForm:
             raise DomainError(f"{self.kind} production takes no alpha")
 
     def value(self, a: Array | float, theta: Array | float) -> Array:
-        a = _check_nonneg("creative effort", a)
-        theta = np.asarray(theta, dtype=float)
+        return self._value(_check_nonneg("creative effort", a),
+                           np.asarray(theta, dtype=float))
+
+    def deriv_a(self, a: Array | float, theta: Array | float) -> Array:
+        """Marginal product of creative effort; +inf at a=0 for power forms."""
+        return self._deriv_a(_check_nonneg("creative effort", a),
+                             np.asarray(theta, dtype=float))
+
+    # unchecked kernels: float arrays, a >= 0 guaranteed by the caller
+
+    def _value(self, a: Array, theta: Array) -> Array:
         if self.kind == "linear":
             return theta * a
         if self.kind == "power":
             return theta * np.power(a, self.alpha)
         return theta * (-np.expm1(-a))
 
-    def deriv_a(self, a: Array | float, theta: Array | float) -> Array:
-        """Marginal product of creative effort; +inf at a=0 for power forms."""
-        a = _check_nonneg("creative effort", a)
-        theta = np.asarray(theta, dtype=float)
+    def _deriv_a(self, a: Array, theta: Array) -> Array:
         if self.kind == "linear":
             return theta * np.ones_like(a)
         if self.kind == "power":
@@ -102,8 +108,10 @@ class ProductionForm:
 
     def invert(self, target: Array | float, theta: Array | float) -> Array:
         """Creative effort reaching ``target`` alone; inf when unreachable."""
-        target = _check_nonneg("fitness target", target)
-        theta = np.asarray(theta, dtype=float)
+        return self._invert(_check_nonneg("fitness target", target),
+                            np.asarray(theta, dtype=float))
+
+    def _invert(self, target: Array, theta: Array) -> Array:
         with np.errstate(divide="ignore", invalid="ignore"):
             if self.kind == "linear":
                 raw = target / theta
@@ -142,25 +150,33 @@ class MechanizationForm:
             raise DomainError("linear mechanization takes no alpha")
 
     def value(self, b: Array | float) -> Array:
-        b = _check_nonneg("mechanistic effort", b)
-        if self.kind == "linear":
-            return b.copy() if isinstance(b, np.ndarray) else np.asarray(b)
-        return np.power(b, self.alpha)
+        return self._value(_check_nonneg("mechanistic effort", b))
 
     def deriv(self, b: Array | float) -> Array:
         """Marginal product of mechanistic effort; +inf at b=0 for power."""
-        b = _check_nonneg("mechanistic effort", b)
+        return self._deriv(_check_nonneg("mechanistic effort", b))
+
+    def invert(self, target: Array | float) -> Array:
+        """Mechanistic effort producing exactly ``target``."""
+        return self._invert(_check_nonneg("fitness target", target))
+
+    # unchecked kernels: float arrays, non-negative by the caller's guarantee
+
+    def _value(self, b: Array) -> Array:
+        if self.kind == "linear":
+            return b.copy()
+        return np.power(b, self.alpha)
+
+    def _deriv(self, b: Array) -> Array:
         if self.kind == "linear":
             return np.ones_like(b)
         with np.errstate(divide="ignore"):
             raw = self.alpha * np.power(b, self.alpha - 1.0)
         return np.where(b > 0, raw, np.inf)
 
-    def invert(self, target: Array | float) -> Array:
-        """Mechanistic effort producing exactly ``target``."""
-        target = _check_nonneg("fitness target", target)
+    def _invert(self, target: Array) -> Array:
         if self.kind == "linear":
-            return np.asarray(target, dtype=float).copy()
+            return target.copy()
         return np.power(target, 1.0 / self.alpha)
 
 
@@ -181,13 +197,19 @@ class CostForm:
             raise DomainError("cost scale kappa must be positive")
 
     def value(self, e: Array | float) -> Array:
-        e = _check_nonneg("total effort", e)
+        return self._value(_check_nonneg("total effort", e))
+
+    def deriv(self, e: Array | float) -> Array:
+        return self._deriv(_check_nonneg("total effort", e))
+
+    # unchecked kernels: float arrays, e >= 0 guaranteed by the caller
+
+    def _value(self, e: Array) -> Array:
         if self.kind == "linear":
             return self.kappa * e
         return self.kappa * e * e
 
-    def deriv(self, e: Array | float) -> Array:
-        e = _check_nonneg("total effort", e)
+    def _deriv(self, e: Array) -> Array:
         if self.kind == "linear":
             return self.kappa * np.ones_like(e)
         return 2.0 * self.kappa * e

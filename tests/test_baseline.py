@@ -65,6 +65,15 @@ class TestClosedFormPoints:
             assert pt.b[0] == pytest.approx(0.25, abs=1e-8)
             assert pt.mu[0] == pytest.approx(0.5 * theta**2 + 0.5, abs=1e-8)
 
+    def test_example2_interior_split_on_a_grid(self):
+        # near theta = 0 the joint optimum amplifies the split's root error
+        # about 400-fold; b = 1/4 must still hold to 1e-10 there
+        scn = example_scenario("example2")
+        grid = baseline_grid(scn, np.linspace(0.0, 10.0, 201))
+        interior = np.asarray(grid.region) == "interior"
+        assert interior.sum() == 200
+        np.testing.assert_allclose(grid.b[interior], 0.25, rtol=0, atol=1e-10)
+
     def test_example3_mech_region_effort(self):
         # below the cutoff only the mechanistic channel runs: b solves
         # xi'(b) = c'(b), here 0.5 / sqrt(b) = b, so b = 0.5**(2/3)

@@ -24,6 +24,10 @@ from contestlab import (
     rank_probabilities,
     solve_equilibrium,
 )
+from contestlab.costmin import allocate_grid
+from contestlab.equilibrium import _mu_upper_bound
+
+NOISE_KINDS = ("normal", "gumbel", "exponential")
 
 
 def point_mass_profile(mu_opp: float, players: int = 2,
@@ -117,6 +121,36 @@ class TestGainTable:
         gains = table.gain(np.linspace(0.0, 8.0, 50))
         assert np.all(np.diff(gains) >= -1e-10)
 
+    @staticmethod
+    def _table(profile, noise_kind):
+        """The profile's schedule, replayed under another noise family."""
+        scn = profile.scenario
+        noisy = example_scenario("example1", players=scn.players,
+                                 prizes=list(scn.prizes.values),
+                                 noise={"kind": noise_kind, "dispersion": 1.0})
+        replay = StrategyProfile(noisy, profile.theta_grid, profile.mu_star.copy(),
+                                 True, 0, 0.0)
+        return GainTable(opponent_mixture(replay), noisy.noise, scn.players,
+                         noisy.prizes, mu_max=12.0)
+
+    @pytest.mark.parametrize("noise_kind", NOISE_KINDS)
+    @pytest.mark.parametrize("players, prizes", [(2, (1.0, 0.0)), (5, (1.0, 0.5, 0.0))])
+    def test_gain_and_slope_oracles(self, equilibria, noise_kind, players, prizes):
+        # the gain is gain() itself; the slope is the derivative of that
+        # piecewise-linear gain, so a central difference with a step far
+        # below the W grid spacing matches it except across a kink
+        table = self._table(equilibria("example1", players=players, prizes=prizes),
+                            noise_kind)
+        mu = np.linspace(0.05, 8.0, 400)
+        gain, slope = table.gain_and_slope(mu)
+        np.testing.assert_array_equal(gain, table.gain(mu))
+        h = 1e-7
+        central = (table.gain(mu + h) - table.gain(mu - h)) / (2.0 * h)
+        err = np.abs(slope - central)
+        assert float(np.max(err)) < 5e-6
+        assert float(np.median(err)) < 1e-8
+        assert float(np.max(np.abs(slope))) > 0.1
+
     def test_zero_prizes_zero_gain(self, equilibria):
         profile = equilibria("example1")
         table = GainTable(opponent_mixture(profile), profile.scenario.noise,
@@ -160,6 +194,37 @@ class TestSolveEquilibrium:
         for theta in (0.3, 1.2, 2.7):
             br = best_response_grid(profile, [theta])[0]
             assert br == pytest.approx(float(profile.mu_at(theta)), abs=1e-4)
+
+    @pytest.mark.parametrize("name", ["example1", "example2", "example3", "example4"])
+    def test_best_response_beats_fine_grid(self, equilibria, name):
+        # the coarse sweep plus the first-order-condition refinement must
+        # reach every point of a grid ten times finer than the sweep
+        profile = equilibria(name)
+        scn, thetas = profile.scenario, profile.theta_grid
+        mu_max = _mu_upper_bound(scn, baseline_grid(scn, thetas))
+        table = GainTable(opponent_mixture(profile), scn.noise, scn.players,
+                          scn.prizes, mu_max)
+
+        def payoff(mu, th):
+            gain = table.gain(mu.ravel()).reshape(mu.shape)
+            return gain + mu - allocate_grid(scn, mu, th).cost
+
+        br = best_response_grid(profile, thetas)
+        fine = np.linspace(0.0, mu_max, 2000)
+        fine_best = np.max(payoff(fine[:, None], thetas[None, :]), axis=0)
+        assert np.all(payoff(br, thetas) >= fine_best - 1e-9)
+
+    def test_twenty_player_skewed_cell_converges(self):
+        # the skewed prize-value-40 cell of demos/panel_experiment.py at 20
+        # players; it used to cycle between two best responses
+        scn = example_scenario(
+            "example3", players=20, prizes=[20.0, 12.0, 8.0],
+            types={"kind": "uniform", "support": [0.5, 1.5]},
+            noise={"kind": "normal", "dispersion": 3.0},
+        )
+        profile = solve_equilibrium(scn, max_iter=150)
+        assert profile.converged
+        assert profile.residual < 1e-4
 
     def test_zero_prizes_equal_baseline(self):
         scn = example_scenario("example1")

@@ -116,6 +116,39 @@ class TestRootfind:
         roots = bisect_vec(lambda x: x - 1.0, np.array([3.0]), np.array([3.0]))
         assert roots[0] == 3.0
 
+    def test_bisect_vec_never_evaluates_endpoints(self):
+        def func(x):
+            if np.any((x == 0.0) | (x == 4.0)):
+                raise AssertionError(f"endpoint evaluated: {x}")
+            return x - 1.3
+
+        root = bisect_vec(func, np.zeros(1), np.full(1, 4.0), tol=1e-12)
+        assert root[0] == pytest.approx(1.3, abs=1e-12)
+
+    def test_bisect_vec_infinite_end_value(self):
+        # log is -inf at the lower end; the root is still found to tol
+        c = 0.7
+        with np.errstate(divide="ignore"):
+            root = bisect_vec(lambda x: np.log(x) - c, np.zeros(1), np.full(1, 4.0),
+                              tol=1e-12)
+        assert abs(root[0] - np.exp(c)) <= 0.5e-12 + 1e-15
+        # an end value that is -inf after evaluation: still converges to tol
+        step = lambda x: np.where(x < 1.4, -np.inf, x - 1.5)
+        root = bisect_vec(step, np.zeros(1), np.full(1, 4.0), tol=1e-12)
+        assert abs(root[0] - 1.5) <= 0.5e-12
+
+    def test_bisect_vec_fewer_evaluations_than_bisection(self):
+        # halving [0, 4] to 1e-12 takes 42 evaluations
+        calls = []
+
+        def func(x):
+            calls.append(x)
+            return x**3 - 2.0
+
+        root = bisect_vec(func, np.zeros(1), np.full(1, 4.0), tol=1e-12)
+        assert abs(root[0] - 2.0 ** (1.0 / 3.0)) <= 0.5e-12 + 1e-15
+        assert len(calls) == 10
+
     def test_expand_upper_finds_bracket(self):
         hi = expand_upper(lambda x: x - 1000.0, np.array([1.0]))
         assert hi[0] >= 1000.0
