@@ -10,6 +10,7 @@ is always called on whole arrays.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -19,9 +20,18 @@ from .errors import IntegrationError
 _MAX_INTERVALS = 200_000
 
 
+@cache
+def _unit_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point rule on [-1, 1], computed once per n and read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def gauss_legendre(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the n-point Gauss-Legendre rule on [lo, hi]."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _unit_rule(n)
     half = 0.5 * (hi - lo)
     return lo + half * (x + 1.0), half * w
 

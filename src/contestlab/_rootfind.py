@@ -42,9 +42,9 @@ def bisect_vec(
     and when the bracket has not halved within ``_STALL_STEPS`` steps.  A
     secant point stays ``min(tol, width/2)/2`` inside the bracket, so a
     bracket that closes in on the root from one side still shrinks to
-    ``tol``.  Like plain bisection, every element keeps narrowing until
-    the widest bracket is within ``tol``, for at most ``_MAX_BISECTIONS``
-    steps.
+    ``tol``.  An element stops moving once its own bracket is within
+    ``tol``, after at most ``_MAX_BISECTIONS`` steps, so its result does
+    not depend on the other elements of the call.
     """
     lo = np.array(lo, dtype=float, copy=True)
     hi = np.array(hi, dtype=float, copy=True)
@@ -54,12 +54,13 @@ def bisect_vec(
     ref = hi - lo                               # width at the last halving
     stall = np.zeros(lo.shape, dtype=np.int8)   # steps since then, capped
     for _ in range(_MAX_BISECTIONS):
-        if np.all(hi - lo <= tol):
+        live = hi - lo > tol
+        if not live.any():
             break
         x = _probe(lo, hi, f_lo, f_hi, stall, tol)
         fx = func(x)
-        up = fx >= 0.0
-        down = ~up
+        up = (fx >= 0.0) & live
+        down = live ^ up
         # Illinois: halve the value at an end that survives twice running
         np.multiply(f_lo, 0.5, out=f_lo, where=up & (moved == 1))
         np.multiply(f_hi, 0.5, out=f_hi, where=down & (moved == -1))

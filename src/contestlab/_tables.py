@@ -14,6 +14,8 @@ import numpy as np
 
 from .errors import DomainError
 
+_CHUNK_ROWS = 8192   # rows formatted per batch; bounds the memory of a write
+
 
 def _format_cell(value) -> str:
     if isinstance(value, (bool, np.bool_)):
@@ -23,6 +25,18 @@ def _format_cell(value) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
+
+
+def _format_column(col: np.ndarray):
+    """The cells of one column as strings, each as ``_format_cell`` writes it."""
+    kind = col.dtype.kind if col.ndim == 1 else "O"
+    if kind == "f":
+        return map(repr, col.astype(float, copy=False).tolist())
+    if kind in "iu":
+        return map(str, col.tolist())
+    if kind == "b":
+        return map(str, col.astype(np.uint8).tolist())
+    return map(_format_cell, col)
 
 
 def write_csv(path, columns: Mapping[str, np.ndarray], order: Sequence[str] | None = None) -> None:
@@ -38,8 +52,9 @@ def write_csv(path, columns: Mapping[str, np.ndarray], order: Sequence[str] | No
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(names)
-        for i in range(arrays[0].shape[0] if arrays else 0):
-            writer.writerow([_format_cell(a[i]) for a in arrays])
+        for start in range(0, arrays[0].shape[0] if arrays else 0, _CHUNK_ROWS):
+            chunk = slice(start, start + _CHUNK_ROWS)
+            writer.writerows(zip(*(_format_column(a[chunk]) for a in arrays)))
 
 
 def read_csv_columns(path) -> dict[str, np.ndarray]:

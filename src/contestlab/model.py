@@ -363,13 +363,15 @@ class NoiseFamily:
     def sample(self, rng: np.random.Generator, mu: Array | float) -> Array:
         mu = np.asarray(mu, dtype=float)
         loc, scale = self.loc_scale(mu)
+        return loc + scale * self._standard_draws(rng, mu.shape)
+
+    def _standard_draws(self, rng: np.random.Generator, shape) -> Array:
+        """Draws of the base variate Z of ``loc_scale``, in stream order."""
         if self.kind == "normal":
-            z = rng.standard_normal(mu.shape)
-        elif self.kind == "gumbel":
-            z = rng.gumbel(0.0, 1.0, mu.shape)
-        else:
-            z = rng.standard_exponential(mu.shape)
-        return loc + scale * z
+            return rng.standard_normal(shape)
+        if self.kind == "gumbel":
+            return rng.gumbel(0.0, 1.0, shape)
+        return rng.standard_exponential(shape)
 
     def max_density(self, mu: float) -> float:
         """Peak of the density of H_mu; used for search-bracket heuristics."""

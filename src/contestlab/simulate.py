@@ -8,6 +8,13 @@ fixed-effects regressions on the resulting panel.
 Randomness uses counter-based Philox streams keyed by ``(seed,
 stream_index)``: replications are independent and reproducible, and
 contest j always draws from stream j.
+
+Contests are simulated in batches: a short loop makes each contest's
+draws from its own stream, then types, targets, allocations, scores,
+ranks and payoffs are computed once for the whole (contests x players)
+batch.  Every step after the draws is elementwise or row-wise, so a
+contest's record is the same in any batch, and :func:`run_contest` is
+the batch of one.
 """
 
 from __future__ import annotations
@@ -118,19 +125,18 @@ def _mk_batch(scores: Array) -> tuple[Array, Array, Array]:
         diff = scores[:, k:] - scores[:, :-k]
         s += np.sign(diff, out=diff).sum(axis=1)
 
-    # per-row tie correction via run lengths of the sorted rows
+    # tie correction from the run lengths of the sorted rows that have
+    # ties; every row opens a run, so no run crosses into the next row
     srt = np.sort(scores, axis=1)
-    run = np.ones(rows)
+    same = srt[:, 1:] == srt[:, :-1]
+    tied = np.flatnonzero(same.any(axis=1))
+    opens = np.ones((tied.size, n), dtype=bool)
+    np.logical_not(same[tied], out=opens[:, 1:])
+    starts = np.flatnonzero(opens)
+    t = np.diff(starts, append=opens.size).astype(float)
     corr = np.zeros(rows)
-    for col in range(1, n):
-        same = srt[:, col] == srt[:, col - 1]
-        ended = ~same & (run > 1)
-        t = run[ended]
-        corr[ended] += t * (t - 1.0) * (2.0 * t + 5.0)
-        run = np.where(same, run + 1.0, 1.0)
-    tail = run > 1
-    t = run[tail]
-    corr[tail] += t * (t - 1.0) * (2.0 * t + 5.0)
+    corr[tied] = np.bincount(starts // n, weights=t * (t - 1.0) * (2.0 * t + 5.0),
+                             minlength=tied.size)
 
     var_s = (n * (n - 1) * (2 * n + 5) - corr) / 18.0
     z = np.zeros(rows)
@@ -180,6 +186,16 @@ def _require_profile(profile: StrategyProfile, force: bool) -> None:
         )
 
 
+def _require_match(scenario: Scenario, profile: StrategyProfile) -> str:
+    """The scenario's id, once the profile is known to be solved for it."""
+    sid, solved = scenario.scenario_id, profile.scenario.scenario_id
+    if sid != solved:
+        raise DomainError(
+            f"profile was solved for scenario {solved}, got scenario {sid}"
+        )
+    return sid
+
+
 def run_contest(
     scenario: Scenario,
     profile: StrategyProfile,
@@ -194,37 +210,59 @@ def run_contest(
     each player gets one performance draw, and ranks (best first) are
     paid from the prize vector.  Deterministic in (seed, replication).
     """
-    if scenario.scenario_id != profile.scenario.scenario_id:
-        raise DomainError(
-            f"profile was solved for scenario {profile.scenario.scenario_id}, "
-            f"got scenario {scenario.scenario_id}"
-        )
+    sid = _require_match(scenario, profile)
     _require_profile(profile, force)
-    rng = _stream(seed, replication)
-    count = scenario.players
-    theta = np.asarray(scenario.types.sample(rng, count), dtype=float)
-    mu = np.asarray(profile.mu_at(theta), dtype=float)
-    grid = allocate_grid(scenario, mu, theta)
-    score = np.asarray(scenario.noise.sample(rng, mu), dtype=float)
-
-    order = np.argsort(-score, kind="stable")
-    rank = np.empty(count, dtype=np.int64)
-    rank[order] = np.arange(1, count + 1)
-    prize = scenario.prizes.padded(count)[rank - 1]
-    payoff = prize + score - scenario.cost.value(grid.a + grid.b)
+    batch = _contest_batch(scenario, profile, seed, [replication])
     return ContestOutcome(
-        scenario_id=scenario.scenario_id,
+        scenario_id=sid,
         seed=int(seed),
         replication=int(replication),
-        theta=theta,
-        a=grid.a,
-        b=grid.b,
-        mu=mu,
-        score=score,
-        rank=rank,
-        prize=prize,
-        payoff=payoff,
+        **{name: values[0] for name, values in batch.items()},
     )
+
+
+def _contest_batch(
+    scenario: Scenario,
+    profile: StrategyProfile,
+    seed: int,
+    replications: Sequence[int],
+) -> dict[str, Array]:
+    """Contests ``replications`` of one scenario as (contests, players) arrays.
+
+    Row i is contest ``replications[i]``, drawn from its own stream
+    (seed, replications[i]): the type uniforms, then the noise variates.
+    Everything after the draws runs once on the whole batch and is
+    elementwise or row-wise, so a row does not depend on which other
+    contests share the batch.  Keys are the per-player fields of
+    :class:`ContestOutcome`.
+    """
+    count = scenario.players
+    u = np.empty((len(replications), count))
+    z = np.empty_like(u)
+    for i, j in enumerate(replications):
+        rng = _stream(seed, j)
+        u[i] = rng.random(count)
+        z[i] = scenario.noise._standard_draws(rng, count)
+    theta = scenario.types.ppf(u)
+    mu = profile.mu_at(theta)
+    grid = allocate_grid(scenario, mu, theta)
+    loc, scale = scenario.noise.loc_scale(mu)
+    score = loc + scale * z
+
+    order = np.argsort(-score, axis=1, kind="stable")
+    rank = np.empty(score.shape, dtype=np.int64)
+    np.put_along_axis(rank, order, np.arange(1, count + 1)[None, :], axis=1)
+    prize = scenario.prizes.padded(count)[rank - 1]
+    return {
+        "theta": theta,
+        "a": grid.a,
+        "b": grid.b,
+        "mu": mu,
+        "score": score,
+        "rank": rank,
+        "prize": prize,
+        "payoff": prize + score - grid.cost,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -539,9 +577,10 @@ def synthetic_panel(
 
     The cells usually come from :func:`panel_cells` (prize-value x skew
     designs) or are one cell holding an already-solved profile.
-    Contest j runs under cell j mod n_cells with Philox stream j; its
-    trajectories use stream n_contests + j, so every draw in the build is
-    pinned to (seed, a stream index).  Each player's trajectory starts at
+    Contest j runs under cell j mod n_cells with Philox stream j; each
+    cell's contests are simulated as one batch.  Contest j's trajectories
+    use stream n_contests + j, so every draw in the build is pinned to
+    (seed, a stream index).  Each player's trajectory starts at
     an affine transform of their realised score (score_base +
     score_gain * s) and trends with their creative share; the final
     trajectory value is the ``score_final`` column.
@@ -576,34 +615,33 @@ def synthetic_panel(
         "prize_skew": np.empty(total, dtype=np.int64),
     }
 
-    trajectories = np.empty((total, traj_length))
-    for j in range(n_contests):
-        cell = cells[j % len(cells)]
-        out = run_contest(cell.scenario, cell.profile, seed, replication=j, force=True)
-        eps = _stream(seed, n_contests + j).standard_normal((players, traj_length))
-        rows = slice(j * players, (j + 1) * players)
-        trajectories[rows] = _trajectory_matrix(
-            out.a,
-            out.b,
-            traj_length,
-            float(drift_scale),
-            float(noise_scale),
-            score_base + score_gain * out.score,
-            eps,
-        )
-        cols["contest_id"][rows] = j
-        cols["player_id"][rows] = np.arange(players)
-        cols["type"][rows] = out.theta
-        cols["a"][rows] = out.a
-        cols["b"][rows] = out.b
-        cols["mu"][rows] = out.mu
-        cols["score"][rows] = out.score
-        cols["rank"][rows] = out.rank
-        cols["prize"][rows] = out.prize
-        cols["payoff"][rows] = out.payoff
-        cols["prize_value"][rows] = cell.prize_value
-        cols["prize_skew"][rows] = cell.prize_skew
+    contests = {name: col.reshape(n_contests, players) for name, col in cols.items()}
+    contests["contest_id"][:] = np.arange(n_contests)[:, None]
+    contests["player_id"][:] = np.arange(players)
+    n_cells = len(cells)
+    for c, cell in enumerate(cells[:n_contests]):
+        _require_match(cell.scenario, cell.profile)
+        rows = slice(c, None, n_cells)
+        batch = _contest_batch(cell.scenario, cell.profile, seed,
+                               range(c, n_contests, n_cells))
+        for name, values in batch.items():
+            contests["type" if name == "theta" else name][rows] = values
+        contests["prize_value"][rows] = cell.prize_value
+        contests["prize_skew"][rows] = cell.prize_skew
 
+    eps = np.empty((total, traj_length))
+    for j in range(n_contests):
+        _stream(seed, n_contests + j).standard_normal(
+            out=eps[j * players:(j + 1) * players])
+    trajectories = _trajectory_matrix(
+        cols["a"],
+        cols["b"],
+        traj_length,
+        float(drift_scale),
+        float(noise_scale),
+        score_base + score_gain * cols["score"],
+        eps,
+    )
     cols["score_final"][:] = trajectories[:, -1]
     cols["mk_S"][:], _, cols["mk_Z"][:] = _mk_batch(trajectories)
 

@@ -111,6 +111,16 @@ class TestRootfind:
         roots = bisect_vec(lambda x: x * x - targets, np.zeros(4),
                            np.full(4, 20.0), tol=1e-12)
         np.testing.assert_allclose(roots, np.sqrt(targets), atol=1e-10)
+        # each element stops at its own tol, so the batch result equals the
+        # one-element calls bit for bit, whatever the brackets around it
+        targets = np.array([1e-3, 2.0, 9.0, 100.0, 3.7e5, 5.0])
+        hi = np.array([0.5, 2.0, 6000.0, 20.0, 1e3, 0.0])
+        lo = np.array([0.0, 0.0, 0.0, 9.5, 0.0, 0.0])
+        roots = bisect_vec(lambda x: x**3 - targets, lo, hi, tol=1e-10)
+        for k in range(targets.size):
+            one = bisect_vec(lambda x: x**3 - targets[k], lo[k:k + 1], hi[k:k + 1],
+                             tol=1e-10)
+            assert roots[k] == one[0], k
 
     def test_bisect_vec_degenerate_bracket_passthrough(self):
         roots = bisect_vec(lambda x: x - 1.0, np.array([3.0]), np.array([3.0]))

@@ -31,7 +31,14 @@ from contestlab import (
     type_bin_edges,
 )
 from contestlab._quadrature import gauss_legendre
-from contestlab.simulate import _mk_batch, _stream, _trajectory_matrix
+from contestlab.costmin import INTERIOR, allocate_grid
+from contestlab.simulate import (
+    CONTEST_COLUMNS,
+    _contest_batch,
+    _mk_batch,
+    _stream,
+    _trajectory_matrix,
+)
 
 
 @pytest.fixture(scope="module")
@@ -58,8 +65,7 @@ def mk_oracle(series) -> tuple[int, float]:
     n = x.size
     s = 0
     for i in range(n - 1):
-        for j in range(i + 1, n):
-            s += int(np.sign(x[j] - x[i]))
+        s += int(np.sign(x[i + 1:] - x[i]).sum())   # the pairs (i, j > i)
     ties = sum(t * (t - 1) * (2 * t + 5)
                for t in Counter(x.tolist()).values() if t > 1)
     var = (n * (n - 1) * (2 * n + 5) - ties) / 18.0
@@ -128,6 +134,12 @@ class TestMannKendall:
             assert s[k] == oracle_s
             assert var[k] == pytest.approx(oracle_var, abs=1e-12)
             assert z[k] == pytest.approx(oracle_z, abs=1e-12)
+        # one long series with many ties: runs of up to ~130 equal values
+        long = rng.integers(0, 60, size=(1, 4000)).astype(float)
+        s, var, _ = _mk_batch(long)
+        oracle_s, oracle_var = mk_oracle(long[0])
+        assert s[0] == oracle_s
+        assert var[0] == oracle_var
 
     def test_input_validation(self):
         with pytest.raises(DomainError):
@@ -250,16 +262,43 @@ class TestRunContest:
                 cols[name], np.concatenate([getattr(o, field) for o in outs]),
                 err_msg=name)
 
+    @pytest.mark.parametrize("noise, types", [
+        ({"kind": "normal", "dispersion": 3.0}, {"kind": "uniform", "support": [0.5, 1.5]}),
+        ({"kind": "gumbel", "dispersion": 2.0}, {"kind": "uniform", "support": [0.5, 1.5]}),
+        ({"kind": "exponential"}, {"kind": "uniform", "support": [0.5, 1.5]}),
+        ({"kind": "normal", "dispersion": 3.0},
+         {"kind": "truncated-normal", "support": [0.5, 1.5], "loc": 1.0, "scale": 0.3}),
+    ], ids=["normal", "gumbel", "exponential", "truncated-normal"])
+    def test_batch_rows_equal_single_contests(self, noise, types):
+        # bit for bit, a and b included: a contest's interior allocation
+        # must not depend on the other contests of its batch
+        scn = example_scenario("example3", players=6, prizes=[1.0, 0.5],
+                               noise=noise, types=types)
+        profile = solve_equilibrium(scn, grid_size=21, max_iter=3)
+        reps = [9, 0, 4, 17, 2, 11, 5, 30]
+        batch = _contest_batch(scn, profile, 21, reps)
+        grid = allocate_grid(scn, batch["mu"], batch["theta"])
+        assert np.mean(grid.case == INTERIOR) > 0.5
+        for i, r in enumerate(reps):
+            out = run_contest(scn, profile, 21, r, force=True)
+            for name, values in batch.items():
+                np.testing.assert_array_equal(values[i], getattr(out, name),
+                                              err_msg=f"{name}, contest {r}")
+
     def test_rank_frequencies_match_analytic_distribution(self, small_game):
         # condition on a top type bin and compare the simulated rank
         # frequencies with the quadrature rank distribution averaged
         # over the same bin
         scn, profile = small_game
         n = 100_000
-        outs = [run_contest(scn, profile, 13, r) for r in range(n)]
-        assert [o.replication for o in outs] == list(range(n))
-        theta0 = np.array([o.theta[0] for o in outs])
-        rank0 = np.array([o.rank[0] for o in outs])
+        batch = _contest_batch(scn, profile, 13, range(n))
+        # row r is replication r
+        for r in (0, 1, 4321, n - 1):
+            out = run_contest(scn, profile, 13, r)
+            for name, values in batch.items():
+                np.testing.assert_array_equal(values[r], getattr(out, name), err_msg=name)
+        theta0 = batch["theta"][:, 0]
+        rank0 = batch["rank"][:, 0]
         lo, hi = 2.4, 3.0
         inside = (theta0 >= lo) & (theta0 <= hi)
         freq = np.bincount(rank0[inside], minlength=6)[1:] / inside.sum()
@@ -391,6 +430,14 @@ class TestSyntheticPanel:
             np.testing.assert_array_equal(arr, p2.columns[col], err_msg=col)
         assert not np.array_equal(p1.columns["score_final"],
                                   p3.columns["score_final"])
+
+    def test_contest_columns_do_not_depend_on_panel_size(self, small_cells):
+        scn, cells = small_cells
+        kwargs = dict(players=8, cells=cells, seed=3, traj_length=6)
+        short = synthetic_panel(scn, n_contests=6, **kwargs).columns
+        long = synthetic_panel(scn, n_contests=12, **kwargs).columns
+        for name in CONTEST_COLUMNS:
+            np.testing.assert_array_equal(short[name], long[name][:48], err_msg=name)
 
     def test_contests_cycle_through_cells(self, small_cells):
         scn, cells = small_cells
