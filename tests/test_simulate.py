@@ -295,6 +295,8 @@ class TestRunContest:
         # row r is replication r
         for r in (0, 1, 4321, n - 1):
             out = run_contest(scn, profile, 13, r)
+            assert out.replication == r
+            assert out.seed == 13
             for name, values in batch.items():
                 np.testing.assert_array_equal(values[r], getattr(out, name), err_msg=name)
         theta0 = batch["theta"][:, 0]
