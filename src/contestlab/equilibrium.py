@@ -25,7 +25,9 @@ neighbours the first-order condition
 
 is solved by a bracketed root finder: ``GainTable.gain_and_slope``
 supplies the exact slope of the tabulated gain and the allocation
-supplies the marginal cost.
+supplies the marginal cost.  The table is C1 (cubic Hermite in the
+score, on the exact derivative of the prize weight), so the gap is
+continuous and the root finder converges superlinearly.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ _COARSE_POINTS = 200     # best-response sweep resolution on [0, mu_max]
 _FOC_TOL = 1e-9          # bracket width of the first-order-condition root
 _RANK_TOL = 1e-9         # total quadrature error of a rank distribution
 _GAIN_NODES = 96
-_WEIGHT_GRID = 4097
+_WEIGHT_GRID = 1025
 
 
 @dataclass(frozen=True)
@@ -92,6 +94,9 @@ class OpponentMixture:
         s = np.asarray(s, dtype=float)
         flat = np.atleast_1d(s)
         out = self.noise.cdf(flat[:, None], self.mus[None, :]) @ self.weights
+        # the weighted sum can round an ulp above 1, where the binomial
+        # rank weights in 1 - G are NaN
+        out = np.minimum(out, 1.0)
         return out.reshape(s.shape) if s.shape else out[0]
 
 
@@ -152,10 +157,12 @@ def contest_gain(mu: float, profile: StrategyProfile) -> float:
 class GainTable:
     """Fast expected-prize evaluator for a fixed opponent mixture.
 
-    Precomputes the conditional prize weight W(s) = E[prize | own score s]
-    on a dense grid, then evaluates the expectation over own noise with a
-    fixed Gauss-Legendre rule in quantile space.  Shared by the solver and
-    the public best response so both optimise the identical payoff.
+    Tabulates the conditional prize weight W(s) = E[prize | own score s]
+    and its exact derivative on a uniform score grid, and interpolates W
+    by cubic Hermite segments, so the gain is C1 and its slope continuous.
+    The expectation over own noise uses a fixed Gauss-Legendre rule in
+    quantile space.  Shared by the solver and the public best response so
+    both optimise the identical payoff.
     """
 
     def __init__(self, mixture: OpponentMixture, noise: NoiseFamily,
@@ -173,10 +180,21 @@ class GainTable:
         s_lo = min(float(lo0 + sc0 * z_lo),
                    float(np.min(noise.loc_scale(mus)[0])))
         s_hi = float(lo1 + sc1 * z_hi)
-        self.s_grid, self.s_step = np.linspace(s_lo, s_hi, _WEIGHT_GRID, retstep=True)
-        g = mixture.cdf(self.s_grid)
-        self.w_grid = _rank_pmf(g, players, ranks) @ paid[ranks - 1]
-        self.w_slope = np.diff(self.w_grid) / np.diff(self.s_grid)
+        s_grid, h = np.linspace(s_lo, s_hi, _WEIGHT_GRID, retstep=True)
+        self.s_lo, self.s_step = s_lo, h
+        g = mixture.cdf(s_grid)
+        w = _rank_pmf(g, players, ranks) @ paid[ranks - 1]
+        # dW/ds = (n-1) G'(s) sum_j binom(j; n-2, 1-G) (paid_{j+1} - paid_{j+2})
+        drop = (paid[:-1] - paid[1:])[:ranks[-1]]
+        dens = (mixture.noise.pdf(s_grid[:, None], mixture.mus[None, :])
+                @ mixture.weights)
+        beaten = stats.binom.pmf(np.arange(drop.size)[None, :], players - 2,
+                                 (1.0 - g)[:, None])
+        m = h * (players - 1) * dens * (beaten @ drop)   # slope per unit t
+        # cubic Hermite segments in t = (s - s_i) / h, Horner order c0..c3
+        dw = np.diff(w)
+        self.coef = np.stack([w[:-1], m[:-1], 3.0 * dw - 2.0 * m[:-1] - m[1:],
+                              m[:-1] + m[1:] - 2.0 * dw])
         # loc and scale are affine in mu, so a unit step gives their slopes
         lo_unit, sc_unit = noise.loc_scale(np.array(1.0))
         self.dloc, self.dscale = float(lo_unit - lo0), float(sc_unit - sc0)
@@ -192,20 +210,22 @@ class GainTable:
     def gain_and_slope(self, mu) -> tuple[Array, Array]:
         """Expected prize at each ``mu`` and its exact derivative in ``mu``.
 
-        W is piecewise linear on the uniform ``s_grid``, so each node's
-        segment comes from index arithmetic; the slope is that segment's
-        slope times ds/dmu = dloc/dmu + z * dscale/dmu (loc and scale
-        are affine in mu for every noise kind).
+        W is a cubic Hermite spline on the uniform score grid, so each
+        node's segment comes from index arithmetic and its slope is the
+        derivative of that cubic times ds/dmu = dloc/dmu + z * dscale/dmu
+        (loc and scale are affine in mu for every noise kind).
         """
         mu = np.atleast_1d(np.asarray(mu, dtype=float))
         if self.zero:
             return np.zeros_like(mu), np.zeros_like(mu)
         loc, scale = self.noise.loc_scale(mu)
         s = loc[:, None] + scale[:, None] * self.z_nodes[None, :]
-        pos = (s - self.s_grid[0]) / self.s_step
+        pos = (s - self.s_lo) / self.s_step
         seg = np.clip(np.floor(pos), 0, _WEIGHT_GRID - 2).astype(np.intp)
-        w = self.w_grid[seg] + self.w_slope[seg] * (s - self.s_grid[seg])
-        slope = self.w_slope[seg]
+        t = pos - seg
+        c0, c1, c2, c3 = self.coef[:, seg]
+        w = ((c3 * t + c2) * t + c1) * t + c0
+        slope = ((3.0 * c3 * t + 2.0 * c2) * t + c1) / self.s_step
         below, above = pos < 0.0, pos > _WEIGHT_GRID - 1
         w = np.where(below, self.w_lo, np.where(above, self.w_hi, w))
         slope = np.where(below | above, 0.0, slope)
@@ -292,9 +312,10 @@ def solve_equilibrium(scenario: Scenario, *, grid_size: int = 201,
 
     Starts from the no-contest schedule, damps each best-response sweep by
     ``damping`` and projects onto non-decreasing schedules.  Stops when
-    the sup-norm best-response residual or the iterate change falls below
-    ``tol``; ``converged`` is False (never raised here) when the budget
-    runs out first.
+    the sup-norm best-response residual of the current iterate is at most
+    ``tol``.  The returned schedule is the last iterate whose residual was
+    measured, and ``residual`` is that residual; ``converged`` is False
+    (never raised here) when the budget runs out first.
     """
     if not 0.0 < damping <= 1.0:
         raise DomainError("damping must lie in (0, 1]")
@@ -312,7 +333,7 @@ def solve_equilibrium(scenario: Scenario, *, grid_size: int = 201,
     cost_matrix = allocate_grid(scenario, mu_grid[:, None], thetas[None, :]).cost
 
     converged = False
-    residual = math.inf
+    residual, measured = math.inf, mu
     iterations = 0
     extensions = 0
     step = mu_max / (_COARSE_POINTS - 1)
@@ -334,13 +355,10 @@ def solve_equilibrium(scenario: Scenario, *, grid_size: int = 201,
             cost_matrix = allocate_grid(scenario, mu_grid[:, None],
                                         thetas[None, :]).cost
             continue
-        residual = float(np.max(np.abs(br - mu)))
-        nxt = isotonic_projection((1.0 - damping) * mu + damping * br)
-        change = float(np.max(np.abs(nxt - mu)))
-        mu = nxt
-        # the sup best-response gap is the real fixed-point criterion; the
-        # iterate change only proxies it (change ~ damping * residual)
-        if residual < tol or change < tol:
-            converged = True
+        residual, measured = float(np.max(np.abs(br - mu))), mu
+        converged = residual <= tol
+        if converged:
             break
-    return StrategyProfile(scenario, thetas, mu, converged, iterations, residual)
+        mu = isotonic_projection((1.0 - damping) * mu + damping * br)
+    return StrategyProfile(scenario, thetas, measured, converged, iterations,
+                           residual)

@@ -610,10 +610,6 @@ class ValidationReport:
         return all(c.status != "fail" for c in self.checks)
 
     @property
-    def warnings(self) -> tuple[AssumptionCheck, ...]:
-        return tuple(c for c in self.checks if c.status == "warn")
-
-    @property
     def failures(self) -> tuple[AssumptionCheck, ...]:
         return tuple(c for c in self.checks if c.status == "fail")
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from helpers import assert_replay_identical
 
+import contestlab
 from contestlab._tables import read_csv_columns, write_csv
 from contestlab.cli import (
     EXIT_INPUT,
@@ -206,11 +208,16 @@ class TestExitCodes:
 
 
 def test_console_script_entry_point(tmp_path):
-    # one end-to-end check through the installed executable
+    # one end-to-end check through the installed executable; the child
+    # imports the same contestlab as this process, installed or not
+    src = str(Path(contestlab.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "contestlab.cli", "validate",
          "--scenario", "example1", "--out", str(tmp_path / "sub")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "sub" / "validation.json").exists()

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, special, stats
+from scipy import integrate, optimize, special, stats
 
 from contestlab import (
     DomainError,
@@ -136,9 +136,9 @@ class TestGainTable:
     @pytest.mark.parametrize("noise_kind", NOISE_KINDS)
     @pytest.mark.parametrize("players, prizes", [(2, (1.0, 0.0)), (5, (1.0, 0.5, 0.0))])
     def test_gain_and_slope_oracles(self, equilibria, noise_kind, players, prizes):
-        # the gain is gain() itself; the slope is the derivative of that
-        # piecewise-linear gain, so a central difference with a step far
-        # below the W grid spacing matches it except across a kink
+        # the gain is gain() itself; the slope is the exact derivative of
+        # that C1 piecewise-cubic gain, so a central difference with a step
+        # far below the W grid spacing matches it to rounding everywhere
         table = self._table(equilibria("example1", players=players, prizes=prizes),
                             noise_kind)
         mu = np.linspace(0.05, 8.0, 400)
@@ -147,7 +147,7 @@ class TestGainTable:
         h = 1e-7
         central = (table.gain(mu + h) - table.gain(mu - h)) / (2.0 * h)
         err = np.abs(slope - central)
-        assert float(np.max(err)) < 5e-6
+        assert float(np.max(err)) < 1e-8
         assert float(np.median(err)) < 1e-8
         assert float(np.max(np.abs(slope))) > 0.1
 
@@ -214,6 +214,28 @@ class TestSolveEquilibrium:
         fine_best = np.max(payoff(fine[:, None], thetas[None, :]), axis=0)
         assert np.all(payoff(br, thetas) >= fine_best - 1e-9)
 
+    def test_example1_best_response_matches_exact_foc(self, equilibria):
+        # two players, N(0, 1) noise and one unit prize: the gain against
+        # the opponent mixture is sum_j w_j Phi((mu - mu_j) / sqrt 2), so
+        # the exact best response solves dC/dmu = 1 + its derivative
+        profile = equilibria("example1")
+        scn, thetas = profile.scenario, profile.theta_grid
+        mix = opponent_mixture(profile)
+
+        def foc(mu, th):
+            slope = mix.weights @ stats.norm.pdf(mu, mix.mus, math.sqrt(2.0))
+            mc = allocate_grid(scn, np.array([mu]), np.array([th])).marginal_cost
+            return float(mc[0]) - 1.0 - float(slope)
+
+        br = best_response_grid(profile, thetas)
+        err = []
+        for mu, th in zip(br, thetas):
+            lo, hi = max(mu - 1e-3, 0.0), mu + 1e-3
+            assert foc(lo, th) < 0.0 < foc(hi, th)
+            err.append(abs(optimize.brentq(foc, lo, hi, args=(th,),
+                                           xtol=1e-13) - mu))
+        assert max(err) < 2e-5
+
     def test_twenty_player_skewed_cell_converges(self):
         # the skewed prize-value-40 cell of demos/panel_experiment.py at 20
         # players; it used to cycle between two best responses
@@ -224,7 +246,7 @@ class TestSolveEquilibrium:
         )
         profile = solve_equilibrium(scn, max_iter=150)
         assert profile.converged
-        assert profile.residual < 1e-4
+        assert profile.residual <= 1e-5
 
     def test_zero_prizes_equal_baseline(self):
         scn = example_scenario("example1")
@@ -257,6 +279,26 @@ class TestSolveEquilibrium:
         assert not profile.converged
         assert profile.iterations == 3
         assert math.isfinite(profile.residual)
+
+    @pytest.mark.parametrize("types", [
+        {"kind": "uniform", "support": [0.0, 3.0]},
+        {"kind": "truncated-normal", "support": [0.0, 3.0], "loc": 1.0, "scale": 0.8},
+    ], ids=["uniform", "truncnorm"])
+    @pytest.mark.parametrize("noise_kind", NOISE_KINDS)
+    @pytest.mark.parametrize("players, prizes", [(2, [1.0]), (20, [1.0, 0.6, 0.3])])
+    def test_equilibrium_properties(self, noise_kind, players, prizes, types):
+        # example1's forms under other noise, type laws and player counts
+        scn = example_scenario("example1", players=players, prizes=prizes,
+                               types=types,
+                               noise={"kind": noise_kind, "dispersion": 1.0})
+        profile = solve_equilibrium(scn, grid_size=51)
+        assert profile.converged and profile.residual <= 1e-5
+        assert np.all(np.diff(profile.mu_star) >= 0.0)
+        base = baseline_grid(scn, profile.theta_grid)
+        assert np.all(profile.mu_star >= base.mu - 1e-9)
+        flat = solve_equilibrium(scn.with_prizes(()), grid_size=51)
+        assert flat.converged
+        np.testing.assert_allclose(flat.mu_star, base.mu, atol=1e-9)
 
     def test_mu_at_interpolates(self, equilibria):
         profile = equilibria("example1")
