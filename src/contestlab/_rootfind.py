@@ -94,9 +94,13 @@ def expand_upper(
     *,
     what: str = "root bracket",
 ) -> Array:
-    """Double ``start`` elementwise until ``func`` turns non-negative.
+    """Upper bracket that strictly encloses the root of ``func`` above 0.
 
-    Used to find a finite upper bracket when no analytic cap exists.  Raises
+    Doubles ``start`` elementwise until ``func`` turns non-negative and
+    returns twice that probe.  ``bisect_vec`` never evaluates an endpoint,
+    so a root sitting exactly on the probe would leave the upper end value
+    unknown and force plain halving; one more doubling puts the probe at
+    the midpoint of a bracket from 0, the first point evaluated.  Raises
     :class:`SolverError` when some element never crosses, which signals a
     problem whose optimum runs away (for instance a cost function too flat
     for the production primitives).
@@ -105,7 +109,7 @@ def expand_upper(
     pending = func(hi) < 0.0
     for _ in range(_MAX_DOUBLINGS):
         if not np.any(pending):
-            return hi
+            return 2.0 * hi
         hi = np.where(pending, hi * 2.0, hi)
         pending = pending & (func(hi) < 0.0)
     raise SolverError(

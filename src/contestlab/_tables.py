@@ -58,16 +58,24 @@ def write_csv(path, columns: Mapping[str, np.ndarray], order: Sequence[str] | No
 
 
 def read_csv_columns(path) -> dict[str, np.ndarray]:
-    """Read a CSV into named arrays; integer-looking columns become int64."""
+    """Read a CSV into named arrays; integer-looking columns become int64.
+
+    Every row must have as many fields as the header.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise DomainError(f"{path}: empty CSV") from None
-        rows = list(reader)
-    if not header or any(not name for name in header):
-        raise DomainError(f"{path}: malformed CSV header {header!r}")
+        if not header or any(not name for name in header):
+            raise DomainError(f"{path}: malformed CSV header {header!r}")
+        rows = []
+        for row in reader:
+            if len(row) != len(header):
+                raise DomainError(f"{path}: line {reader.line_num} has {len(row)} "
+                                  f"fields, the header has {len(header)}")
+            rows.append(row)
     out: dict[str, np.ndarray] = {}
     for j, name in enumerate(header):
         raw = [row[j] for row in rows]

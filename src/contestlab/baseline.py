@@ -1,5 +1,12 @@
 """Private optimum without a contest: max nu(a, theta) + xi(b) - c(a + b).
 
+The optimum splits its fitness at least cost, so it maximises
+mu - C(mu, theta) over the target alone: it is the best response to a
+contest that pays nothing.  ``baseline_grid`` solves that first-order
+condition, dC/dmu = 1, with the least-cost split of ``costmin`` (the
+same solver that splits equilibrium targets), so both sides of a
+hacking verdict come from one allocation rule.
+
 The type space splits into three regions separated by two thresholds.
 Below ``mech_upper`` even the first unit of creative effort earns less
 than the mechanistic margin at the one-channel optimum, so only b is
@@ -19,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rootfind import bisect_vec, expand_upper
-from .costmin import CASE_NAMES, CREATE_ONLY, INTERIOR, MECH_ONLY
+from .costmin import CASE_NAMES, CREATE_ONLY, INTERIOR, MECH_ONLY, allocate_grid
 from .errors import SolverError
 from .model import Scenario
 
@@ -61,83 +68,25 @@ class BaselineGrid:
     thresholds: BaselineThresholds
 
 
+def _root_from_zero(gap, like: Array, what: str, tol: float) -> Array:
+    """Root of a gap increasing in effort on [0, inf); 0 where gap(0) >= 0."""
+    zero = np.zeros_like(like)
+    hi = expand_upper(gap, np.ones_like(like), what=what)
+    return bisect_vec(gap, zero, np.where(gap(zero) < 0.0, hi, 0.0), tol=tol)
+
+
 def _mech_optimum(scenario: Scenario) -> float:
     """Effort b solving xi'(b) = c'(b); 0 if mechanization never pays."""
     xi, cost = scenario.xi, scenario.cost
-    if float(xi.deriv(0.0)) <= float(cost.deriv(0.0)):
-        return 0.0
-
-    def gap(b: Array) -> Array:
-        return cost.deriv(b) - xi.deriv(b)
-
-    hi = expand_upper(gap, np.array([1.0]), what="mechanistic one-channel optimum")
-    return float(bisect_vec(gap, np.zeros(1), hi, tol=1e-12)[0])
+    return float(_root_from_zero(lambda b: cost.deriv(b) - xi.deriv(b), np.zeros(1),
+                                 "mechanistic one-channel optimum", 1e-12)[0])
 
 
 def _creative_optimum(scenario: Scenario, thetas: Array) -> Array:
     """Efforts a solving nu_a(a, theta) = c'(a), elementwise (0 at corner)."""
     nu, cost = scenario.nu, scenario.cost
-
-    def gap(a: Array) -> Array:
-        return cost.deriv(a) - nu.deriv_a(a, thetas)
-
-    active = np.asarray(nu.deriv_a(np.zeros_like(thetas), thetas)
-                        > cost.deriv(np.zeros_like(thetas)))
-    out = np.zeros_like(thetas)
-    if np.any(active):
-        idx = np.nonzero(active)[0]
-        th = thetas[idx]
-
-        def gap_i(a: Array) -> Array:
-            return cost.deriv(a) - nu.deriv_a(a, th)
-
-        hi = expand_upper(gap_i, np.ones_like(th), what="creative one-channel optimum")
-        out[idx] = bisect_vec(gap_i, np.zeros_like(th), hi, tol=1e-12)
-    return out
-
-
-def _interior_split(scenario: Scenario, e: Array, thetas: Array) -> tuple[Array, Array]:
-    """Best (a, common margin) for fixed total effort ``e``."""
-    nu, xi = scenario.nu, scenario.xi
-    zeros = np.zeros_like(e)
-    f_lo = xi.deriv(e) - nu.deriv_a(zeros, thetas)          # margin gap at a=0
-    f_hi = float(xi.deriv(0.0)) - nu.deriv_a(e, thetas)     # margin gap at a=e
-    all_mech = f_lo >= 0
-    all_create = ~all_mech & (f_hi <= 0)
-    mixed = ~all_mech & ~all_create
-
-    a = np.where(all_mech, 0.0, np.where(all_create, e, np.nan))
-    if np.any(mixed):
-        idx = np.nonzero(mixed)[0]
-        e_i, th_i = e[idx], thetas[idx]
-
-        def gap(x: Array) -> Array:
-            return xi.deriv(e_i - x) - nu.deriv_a(x, th_i)
-
-        # _joint_optimum root-finds through this split, which amplifies
-        # its error (about 400-fold at theta = 0.05 on example2), so it
-        # runs 100 times tighter than that outer search
-        a_mid = bisect_vec(gap, np.zeros_like(e_i), e_i, tol=1e-13)
-        a[idx] = a_mid
-
-    margin = np.where(all_mech, xi.deriv(e),
-                      np.where(all_create, nu.deriv_a(np.where(all_create, e, 0.0), thetas),
-                               nu.deriv_a(np.where(mixed, a, 1.0), thetas)))
-    return a, margin
-
-
-def _joint_optimum(scenario: Scenario, thetas: Array) -> tuple[Array, Array]:
-    """Total effort and its split at the two-channel optimum."""
-    cost = scenario.cost
-
-    def outer_gap(e: Array) -> Array:
-        _, margin = _interior_split(scenario, e, thetas)
-        return cost.deriv(e) - margin
-
-    hi = expand_upper(outer_gap, np.ones_like(thetas), what="joint effort optimum")
-    e_star = bisect_vec(outer_gap, np.zeros_like(thetas), hi, tol=1e-11)
-    a_star, _ = _interior_split(scenario, e_star, thetas)
-    return e_star, a_star
+    return _root_from_zero(lambda a: cost.deriv(a) - nu.deriv_a(a, thetas), thetas,
+                           "creative one-channel optimum", 1e-12)
 
 
 def baseline_thresholds(scenario: Scenario) -> BaselineThresholds:
@@ -183,30 +132,24 @@ def baseline_thresholds(scenario: Scenario) -> BaselineThresholds:
 
 
 def baseline_grid(scenario: Scenario, thetas) -> BaselineGrid:
-    """No-contest optima for a whole grid of types."""
+    """No-contest optima for a whole grid of types.
+
+    Each type's target is the root of dC/dmu - 1 on [0, expand_upper]; a
+    type whose marginal cost already reaches 1 at mu = 0 stays there.
+    Region labels come from the thresholds.
+    """
     thetas = np.asarray(thetas, dtype=float)
     for t in (thetas.min(), thetas.max()) if thetas.size else ():
         scenario.check_theta(float(t))
     thr = baseline_thresholds(scenario)
     codes = _region_codes(thr, thetas)
 
-    a = np.zeros_like(thetas)
-    b = np.zeros_like(thetas)
+    def gap(mu: Array) -> Array:
+        return allocate_grid(scenario, mu, thetas).marginal_cost - 1.0
 
-    mech = codes == MECH_ONLY
-    if np.any(mech):
-        b[mech] = _mech_optimum(scenario)
-
-    create = codes == CREATE_ONLY
-    if np.any(create):
-        a[create] = _creative_optimum(scenario, thetas[create])
-
-    interior = codes == INTERIOR
-    if np.any(interior):
-        e_star, a_star = _joint_optimum(scenario, thetas[interior])
-        a[interior] = a_star
-        b[interior] = e_star - a_star
-
+    mu_star = _root_from_zero(gap, thetas, "no-contest optimum", 1e-10)
+    alloc = allocate_grid(scenario, mu_star, thetas)
+    a, b = alloc.a, alloc.b
     mu = scenario.nu.value(a, thetas) + scenario.xi.value(b)
     payoff = mu - scenario.cost.value(a + b)
     regions = tuple(CASE_NAMES[c] for c in codes.tolist())

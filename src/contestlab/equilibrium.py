@@ -264,10 +264,13 @@ def _best_response_grid(scenario: Scenario, table: GainTable, thetas: Array,
     gain'(mu) + 1 = dC/dmu is solved to ``_FOC_TOL`` by the bracketed root
     finder.  Each probe takes cost and marginal cost from one allocation.
     The best payoff ever evaluated is returned, so the result dominates
-    every coarse grid point by construction.
+    every coarse grid point by construction.  A non-finite coarse payoff
+    raises :class:`SolverError`, since ``argmax`` would pick it.
     """
     gains = table.gain(mu_grid)
     payoff_matrix = gains[:, None] + mu_grid[:, None] - cost_matrix
+    if not np.all(np.isfinite(payoff_matrix)):
+        raise SolverError("best-response payoff is not finite on the coarse grid")
     idx = np.argmax(payoff_matrix, axis=0)
     best_x = mu_grid[idx]
     best_f = payoff_matrix[idx, np.arange(thetas.size)]

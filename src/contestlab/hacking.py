@@ -35,6 +35,8 @@ EFFORT_TOL = 1e-6
 # schedule drops and hacking-mass rises up to these sizes are not violations
 DOMINANCE_TOL = 1e-4
 MEASURE_TOL = 1e-12
+# prize gaps this close count as equal
+GAP_TOL = 1e-12
 
 PURE_MECHANIZER = "pure-mechanizer"
 CONTEST_CREATOR = "contest-creator"
@@ -57,10 +59,8 @@ def compare_prize_vectors(r1: PrizeVector, r2: PrizeVector, players: int) -> str
     """
     g1 = r1.gaps(players)
     g2 = r2.gaps(players)
-    eps = 1e-12 * max(1.0, float(np.max(np.abs(g1), initial=0.0)),
-                      float(np.max(np.abs(g2), initial=0.0)))
-    ge = bool(np.all(g1 >= g2 - eps))
-    le = bool(np.all(g2 >= g1 - eps))
+    ge = bool(np.all(g1 >= g2 - GAP_TOL))
+    le = bool(np.all(g2 >= g1 - GAP_TOL))
     if ge and le:
         return "equal"
     if ge:
@@ -155,16 +155,18 @@ class SweepResult:
     def hack_measures(self) -> tuple[float, ...]:
         return tuple(v.measure(self.scenario) for v in self.verdicts)
 
+    def _ordered_pairs(self):
+        """(dominant, dominated) index pairs of the comparable prize vectors."""
+        for i, j, rel in self.relations:
+            if rel == "geq":
+                yield i, j
+            elif rel == "leq":
+                yield j, i
+
     def dominance_violations(self) -> list[dict]:
         """Pointwise schedule drops where the prize order demands a rise."""
         out = []
-        for i, j, rel in self.relations:
-            if rel == "geq":
-                hi_idx, lo_idx = i, j
-            elif rel == "leq":
-                hi_idx, lo_idx = j, i
-            else:
-                continue
+        for hi_idx, lo_idx in self._ordered_pairs():
             gap = self.profiles[lo_idx].mu_star - self.profiles[hi_idx].mu_star
             worst = int(np.argmax(gap))
             if gap[worst] > DOMINANCE_TOL:
@@ -179,13 +181,7 @@ class SweepResult:
         """Hacking-mass increases where the prize order demands a drop."""
         out = []
         measures = self.hack_measures
-        for i, j, rel in self.relations:
-            if rel == "geq":
-                hi_idx, lo_idx = i, j
-            elif rel == "leq":
-                hi_idx, lo_idx = j, i
-            else:
-                continue
+        for hi_idx, lo_idx in self._ordered_pairs():
             if measures[hi_idx] > measures[lo_idx] + MEASURE_TOL:
                 out.append({"dominant": hi_idx, "dominated": lo_idx,
                             "excess": measures[hi_idx] - measures[lo_idx]})

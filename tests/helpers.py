@@ -27,6 +27,15 @@ PROP_TOL = 1e-8
 REGION_TOL = 1e-5
 
 
+def nan_at_fourth_point(gain):
+    """A ``GainTable.gain`` replacement with the fourth target's gain NaN."""
+    def patched(self, mu):
+        out = np.array(gain(self, mu), dtype=float)
+        out[3] = np.nan
+        return out
+    return patched
+
+
 def random_scenario(rng: np.random.Generator) -> Scenario:
     """A structurally valid scenario with randomly mixed primitive forms."""
     nu_kind = rng.choice(["linear", "power", "saturating"])

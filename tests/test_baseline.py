@@ -66,8 +66,8 @@ class TestClosedFormPoints:
             assert pt.mu[0] == pytest.approx(0.5 * theta**2 + 0.5, abs=1e-8)
 
     def test_example2_interior_split_on_a_grid(self):
-        # near theta = 0 the joint optimum amplifies the split's root error
-        # about 400-fold; b = 1/4 must still hold to 1e-10 there
+        # near theta = 0 the creative margin is steep in a, so the split's
+        # root error is largest there; b = 1/4 must still hold to 1e-10
         scn = example_scenario("example2")
         grid = baseline_grid(scn, np.linspace(0.0, 10.0, 201))
         interior = np.asarray(grid.region) == "interior"
@@ -117,6 +117,25 @@ class TestGridInvariants:
                 assert region == "create-only"
             else:
                 assert region == "interior"
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_THRESHOLDS))
+    def test_first_order_conditions(self, name):
+        # KKT of max nu(a) + xi(b) - c(a + b) from the primitive forms
+        # alone: a used channel's marginal product equals marginal cost,
+        # an unused one's does not exceed it
+        scn = example_scenario(name)
+        lo, hi = scn.support
+        thetas = np.linspace(lo, hi, 201)
+        grid = baseline_grid(scn, thetas)
+        mc = scn.cost.deriv(grid.a + grid.b)
+        with np.errstate(divide="ignore"):
+            margins = {"a": scn.nu.deriv_a(grid.a, thetas), "b": scn.xi.deriv(grid.b)}
+        for channel, margin in margins.items():
+            used = getattr(grid, channel) > 0
+            ratio = margin / mc
+            np.testing.assert_allclose(ratio[used], 1.0, rtol=0, atol=1e-7,
+                                       err_msg=f"{name}: {channel}")
+            assert np.all(ratio[~used] <= 1.0 + 1e-7), (name, channel)
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_THRESHOLDS))
     def test_lattice_dominance(self, name):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import assert_replay_identical
+from helpers import assert_replay_identical, nan_at_fourth_point
 
 import contestlab
 from contestlab._tables import read_csv_columns, write_csv
@@ -187,6 +187,18 @@ class TestExitCodes:
         assert run_cli("mk", "--input", TREND_CSV,
                        "--column", "nope", "--out", tmp_path / "z") == EXIT_INPUT
 
+    @pytest.mark.parametrize("command", ["mk", "regress"])
+    @pytest.mark.parametrize("bad_row", ["3", "3,3.0,7"], ids=["short", "long"])
+    def test_ragged_csv_row_is_input_error(self, tmp_path, capsys, command, bad_row):
+        path = tmp_path / "ragged.csv"
+        path.write_text(f"step,score\n1,1.0\n2,2.0\n{bad_row}\n4,4.0\n")
+        args = (["--column", "score"] if command == "mk"
+                else ["--outcome", "score", "--dummies", "step", "--group", "step"])
+        assert run_cli(command, "--input", path, *args,
+                       "--out", tmp_path / "r") == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "ragged.csv: line 4 " in err
+
     def test_unknown_command_is_usage_error(self, capsys):
         assert run_cli("frobnicate") == EXIT_USAGE
         capsys.readouterr()
@@ -201,6 +213,14 @@ class TestExitCodes:
                        "--grid", "21", "--tol", "0",
                        "--out", tmp_path / "nc")
         assert code == EXIT_NO_CONVERGENCE
+
+    def test_non_finite_payoff_is_exit_three(self, tmp_path, monkeypatch, capsys):
+        table = contestlab.GainTable
+        monkeypatch.setattr(table, "gain", nan_at_fourth_point(table.gain))
+        code = run_cli("equilibrium", "--scenario", "example1", "--grid", "21",
+                       "--out", tmp_path / "nan")
+        assert code == EXIT_NO_CONVERGENCE
+        assert "not finite" in capsys.readouterr().err
 
     def test_replay_of_missing_manifest_is_input_error(self, tmp_path):
         assert run_cli("replay", tmp_path / "nope.json",

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import nan_at_fourth_point
 from scipy import integrate, optimize, special, stats
 
 from contestlab import (
@@ -14,6 +15,7 @@ from contestlab import (
     NoiseFamily,
     PrizeVector,
     Scenario,
+    SolverError,
     StrategyProfile,
     TypeDistribution,
     baseline_grid,
@@ -279,6 +281,12 @@ class TestSolveEquilibrium:
         assert not profile.converged
         assert profile.iterations == 3
         assert math.isfinite(profile.residual)
+
+    def test_non_finite_payoff_raises(self, monkeypatch):
+        # argmax would pick the NaN cell; the solver must stop at once
+        monkeypatch.setattr(GainTable, "gain", nan_at_fourth_point(GainTable.gain))
+        with pytest.raises(SolverError, match="not finite"):
+            solve_equilibrium(example_scenario("example1"), grid_size=21)
 
     @pytest.mark.parametrize("types", [
         {"kind": "uniform", "support": [0.0, 3.0]},

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from helpers import effort_region_violations
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contestlab import (
     DomainError,
     PrizeVector,
     StrategyProfile,
+    SweepResult,
     UnconvergedProfileError,
     allocate_grid,
     baseline_grid,
@@ -48,6 +51,9 @@ class TestGapOrder:
                                      players) == "incomparable"
 
     @given(prize_vectors(), prize_vectors())
+    # a gap of 3.8e-12 against 0 is a strict difference at 1e-12, even
+    # next to a gap of 4
+    @example(PrizeVector((1.0, 3.776312707881728e-12)), PrizeVector((4.0,)))
     @settings(max_examples=200, deadline=None)
     def test_relation_matches_gap_arithmetic(self, r1, r2):
         players = 4
@@ -158,6 +164,27 @@ class TestSkewnessSweep:
         # steeper prizes push every type weakly up
         assert np.all(sweep.profiles[1].mu_star
                       >= sweep.profiles[0].mu_star - 1e-4)
+
+    def test_violations_follow_the_prize_order(self):
+        # both orientations of the order; the equal pair would violate
+        # in one orientation, so it must be skipped
+        theta = np.array([0.0, 1.0, 2.0])
+        mus = [np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.5, 3.0]),
+               np.array([1.0, 2.0, 2.5])]
+        sweep = SweepResult(
+            scenario=None, prize_vectors=(),
+            relations=((0, 1, "geq"), (0, 2, "leq"), (1, 2, "equal")),
+            profiles=tuple(SimpleNamespace(theta_grid=theta, mu_star=m) for m in mus),
+            verdicts=tuple(SimpleNamespace(measure=lambda scn, v=v: v)
+                           for v in (0.5, 0.2, 0.7)))
+        assert sweep.dominance_violations() == [
+            {"dominant": 0, "dominated": 1, "theta": 1.0, "shortfall": 0.5},
+            {"dominant": 2, "dominated": 0, "theta": 2.0, "shortfall": 0.5},
+        ]
+        assert sweep.measure_violations() == [
+            {"dominant": 0, "dominated": 1, "excess": 0.5 - 0.2},
+            {"dominant": 2, "dominated": 0, "excess": 0.7 - 0.5},
+        ]
 
     def test_incomparable_vectors_rejected(self):
         scn = example_scenario("example1", players=3, prizes=[1.0, 0.0, 0.0])

@@ -163,6 +163,21 @@ class TestRootfind:
         hi = expand_upper(lambda x: x - 1000.0, np.array([1.0]))
         assert hi[0] >= 1000.0
 
+    def test_expand_upper_bracket_is_cheap_for_a_root_on_a_probe(self):
+        # the root of x - 1 sits on the first doubling probe; the bracket
+        # must enclose it strictly, or the root finder never learns the
+        # upper end's value and halves to tol (35 evaluations)
+        calls = []
+
+        def func(x):
+            calls.append(x)
+            return x - 1.0
+
+        hi = expand_upper(func, np.array([1.0]))
+        root = bisect_vec(func, np.zeros(1), hi)
+        assert abs(root[0] - 1.0) <= 1e-10
+        assert len(calls) <= 12
+
     def test_expand_upper_raises_when_hopeless(self):
         with pytest.raises(SolverError, match="bracket"):
             expand_upper(lambda x: -np.ones_like(x), np.array([1.0]))

@@ -83,6 +83,14 @@ def test_empty_file_rejected(tmp_path):
         read_csv_columns(path)
 
 
+@pytest.mark.parametrize("bad_row", ["4", "4,4.0,9"], ids=["short", "long"])
+def test_ragged_rows_rejected(tmp_path, bad_row):
+    path = tmp_path / "ragged.csv"
+    path.write_text(f"step,score\n1,1.0\n2,2.0\n{bad_row}\n5,5.0\n")
+    with pytest.raises(DomainError, match=r"ragged\.csv: line 4 "):
+        read_csv_columns(path)
+
+
 def test_non_numeric_column_comes_back_as_objects(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("name,v\nfoo,1\nbar,2\n")
