@@ -47,7 +47,7 @@ def main() -> None:
 
     print(f"\nhacking cutoff theta1* = {verdicts.theta_star:.4f} "
           f"(baseline mech band ends at {verdicts.thresholds.mech_upper:.4f})")
-    print(f"hacking measure = {verdicts.measure(scenario):.4f}")
+    print(f"hacking measure = {verdicts.measure:.4f}")
 
 
 if __name__ == "__main__":

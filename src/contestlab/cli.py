@@ -5,7 +5,9 @@ resolved parameters; ``contestlab replay <manifest> --out <dir>`` re-runs
 the same command and must reproduce the CSV/JSON outputs byte for byte.
 
 Exit codes: 0 success, 1 input error, 2 usage error, 3 numerical
-non-convergence.
+non-convergence.  Every failure, including an equilibrium that did not
+converge, reaches :func:`dispatch` as an exception and prints one
+``error:`` line.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .errors import (
     DomainError,
     IntegrationError,
     SolverError,
-    UnconvergedProfileError,
 )
 from .golden import golden_suite
 from .hacking import hacking_threshold, hacking_verdicts, skewness_sweep
@@ -192,6 +193,8 @@ def _cmd_cost(args) -> int:
     scenario.check_theta(args.theta)
     if args.mu_max <= 0:
         raise DomainError(f"--mu-max must be positive, got {args.mu_max}")
+    if args.points < 1:
+        raise DomainError(f"--points must be at least 1, got {args.points}")
     mus = np.linspace(0.0, args.mu_max, args.points)
     grid = allocate_grid(scenario, mus, np.full(mus.shape, args.theta))
     run = _Run(args)
@@ -207,6 +210,8 @@ def _cmd_cost(args) -> int:
 
 def _cmd_baseline(args) -> int:
     scenario, args.scenario = _load_scenario_arg(args.scenario)
+    if args.grid < 1:
+        raise DomainError(f"--grid must be at least 1, got {args.grid}")
     lo, hi = scenario.support
     thetas = np.linspace(lo, hi, args.grid) if hi > lo else np.array([lo])
     grid = baseline_grid(scenario, thetas)
@@ -242,10 +247,7 @@ def _cmd_equilibrium(args) -> int:
         "damping": args.damping, "scenario_id": scenario.scenario_id,
     })
     run.finish()
-    if not profile.converged:
-        print(f"equilibrium did not converge: residual {profile.residual:.3e}",
-              file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+    profile.require_converged()   # after the artifacts, which record the failure
     print(f"converged in {profile.iterations} iterations "
           f"(residual {profile.residual:.3e})")
     return EXIT_OK
@@ -253,12 +255,7 @@ def _cmd_equilibrium(args) -> int:
 
 def _cmd_hacking(args) -> int:
     scenario, args.scenario = _load_scenario_arg(args.scenario)
-    profile = _solve(args, scenario)
-    if not profile.converged:
-        print(f"equilibrium did not converge: residual {profile.residual:.3e}",
-              file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    verdicts = hacking_verdicts(profile)
+    verdicts = hacking_verdicts(_solve(args, scenario))
     run = _Run(args)
     write_csv(run.path("hacking.csv"), {
         "theta": verdicts.theta, "hacks": verdicts.hacks.astype(int),
@@ -272,12 +269,12 @@ def _cmd_hacking(args) -> int:
         "theta_star": verdicts.theta_star,
         "mech_upper": verdicts.thresholds.mech_upper,
         "create_lower": verdicts.thresholds.create_lower,
-        "hacking_measure": verdicts.measure(scenario),
+        "hacking_measure": verdicts.measure,
         "scenario_id": scenario.scenario_id,
     })
     run.finish()
     print(f"theta_star={verdicts.theta_star:.6g} "
-          f"measure={verdicts.measure(scenario):.6g}")
+          f"measure={verdicts.measure:.6g}")
     return EXIT_OK
 
 
@@ -286,12 +283,6 @@ def _cmd_sweep(args) -> int:
     vectors = _parse_prize_list(args.prizes)
     result = skewness_sweep(scenario, vectors, grid_size=args.grid,
                             tol=args.tol, damping=args.damping)
-    unconverged = [i for i, p in enumerate(result.profiles) if not p.converged]
-    if unconverged:
-        residuals = ", ".join(f"{result.profiles[i].residual:.3e}" for i in unconverged)
-        print(f"sweep equilibria {unconverged} did not converge "
-              f"(residuals {residuals})", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
     run = _Run(args)
     rows = result.rows()
     write_csv(run.path("sweep.csv"),
@@ -319,13 +310,9 @@ def _cmd_simulate(args) -> int:
     if args.panel_cells:
         cells = panel_cells(scenario, players=scenario.players, grid_size=args.grid,
                             tol=args.tol, damping=args.damping)
-    else:
-        profile = _solve(args, scenario)
-        if not profile.converged:
-            print(f"equilibrium did not converge: residual {profile.residual:.3e}",
-                  file=sys.stderr)
-            return EXIT_NO_CONVERGENCE
-        cells = _single_cell(scenario, profile)
+    else:   # the scenario's own prizes as one cell; few prizes mean skewed
+        skew = 1 if len(scenario.prizes) <= 3 else 0
+        cells = (PanelCell(scenario.prizes.total, skew, _solve(args, scenario)),)
     panel = synthetic_panel(
         scenario,
         n_contests=args.contests,
@@ -343,13 +330,6 @@ def _cmd_simulate(args) -> int:
     print(f"simulated {args.contests} contests x {scenario.players} players "
           f"(panel rows: {panel.n_rows})")
     return EXIT_OK
-
-
-def _single_cell(scenario, profile):
-    # reuse the already-solved profile as the one panel cell
-    skew = 1 if len(scenario.prizes) <= 3 else 0
-    return (PanelCell(prize_value=scenario.prizes.total, prize_skew=skew,
-                      scenario=scenario, profile=profile),)
 
 
 def _cmd_mk(args) -> int:
@@ -515,9 +495,6 @@ def dispatch(argv) -> int:
     args.started = time.monotonic()
     try:
         return args.func(args)
-    except UnconvergedProfileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
     except (SolverError, IntegrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE

@@ -43,8 +43,8 @@ from ._quadrature import adaptive_simpson, gauss_legendre
 from ._rootfind import bisect_vec, expand_upper
 from .baseline import BaselineGrid, baseline_grid
 from .costmin import allocate_grid
-from .errors import DomainError, SolverError
-from .model import NoiseFamily, PrizeVector, Scenario
+from .errors import DomainError, SolverError, UnconvergedProfileError
+from .model import NoiseFamily, Scenario
 
 Array = np.ndarray
 
@@ -75,6 +75,12 @@ class StrategyProfile:
     def __post_init__(self) -> None:
         self.theta_grid.setflags(write=False)
         self.mu_star.setflags(write=False)
+
+    def require_converged(self) -> None:
+        """Raise :class:`UnconvergedProfileError` unless ``converged``."""
+        if not self.converged:
+            raise UnconvergedProfileError(
+                f"equilibrium did not converge (residual {self.residual:.3e})")
 
     def mu_at(self, theta) -> Array | float:
         theta = np.asarray(theta, dtype=float)
@@ -155,7 +161,7 @@ def contest_gain(mu: float, profile: StrategyProfile) -> float:
 
 
 class GainTable:
-    """Fast expected-prize evaluator for a fixed opponent mixture.
+    """Fast expected-prize evaluator against a fixed profile's opponents.
 
     Tabulates the conditional prize weight W(s) = E[prize | own score s]
     and its exact derivative on a uniform score grid, and interpolates W
@@ -165,14 +171,16 @@ class GainTable:
     both optimise the identical payoff.
     """
 
-    def __init__(self, mixture: OpponentMixture, noise: NoiseFamily,
-                 players: int, prizes: PrizeVector, mu_max: float):
+    def __init__(self, profile: StrategyProfile, mu_max: float):
+        scenario = profile.scenario
+        noise, players, prizes = scenario.noise, scenario.players, scenario.prizes
         self.noise = noise
         self.zero = prizes.is_zero or players == 1
         if self.zero:
             return
         paid = prizes.padded(players)
         ranks = np.nonzero(paid > 0)[0] + 1
+        mixture = opponent_mixture(profile)
         lo0, sc0 = noise.loc_scale(np.array(0.0))
         lo1, sc1 = noise.loc_scale(np.array(mu_max))
         z_lo, z_hi = float(noise.z_ppf(1e-9)), float(noise.z_ppf(1.0 - 1e-9))
@@ -254,8 +262,15 @@ def _mu_upper_bound(scenario: Scenario, base: BaselineGrid) -> float:
     return max(2.0 * root, 2.0 * base_cap + 1.0, 1e-6)
 
 
+def _coarse_grid(scenario: Scenario, thetas: Array,
+                 mu_max: float) -> tuple[Array, Array]:
+    """The coarse target sweep on [0, mu_max] and its cost for every type."""
+    mu_grid = np.linspace(0.0, mu_max, _COARSE_POINTS)
+    return mu_grid, allocate_grid(scenario, mu_grid[:, None], thetas[None, :]).cost
+
+
 def _best_response_grid(scenario: Scenario, table: GainTable, thetas: Array,
-                        mu_grid: Array, cost_matrix: Array) -> tuple[Array, Array]:
+                        mu_grid: Array, cost_matrix: Array) -> Array:
     """Best responses for every type against a fixed gain table.
 
     ``cost_matrix`` holds C(mu_grid[i], thetas[j]).  The coarse sweep
@@ -263,9 +278,9 @@ def _best_response_grid(scenario: Scenario, table: GainTable, thetas: Array,
     inside its two neighbouring cells, the first-order condition
     gain'(mu) + 1 = dC/dmu is solved to ``_FOC_TOL`` by the bracketed root
     finder.  Each probe takes cost and marginal cost from one allocation.
-    The best payoff ever evaluated is returned, so the result dominates
-    every coarse grid point by construction.  A non-finite coarse payoff
-    raises :class:`SolverError`, since ``argmax`` would pick it.
+    The target of the best payoff ever evaluated is returned, so it
+    dominates every coarse grid point by construction.  A non-finite
+    coarse payoff raises :class:`SolverError`, since ``argmax`` would pick it.
     """
     gains = table.gain(mu_grid)
     payoff_matrix = gains[:, None] + mu_grid[:, None] - cost_matrix
@@ -288,7 +303,7 @@ def _best_response_grid(scenario: Scenario, table: GainTable, thetas: Array,
         return alloc.marginal_cost - 1.0 - slope
 
     bisect_vec(foc_gap, lo, hi, tol=_FOC_TOL)
-    return best_x, best_f
+    return best_x
 
 
 def best_response_grid(profile: StrategyProfile, thetas) -> Array:
@@ -298,14 +313,10 @@ def best_response_grid(profile: StrategyProfile, thetas) -> Array:
     """
     scenario = profile.scenario
     thetas = np.asarray(thetas, dtype=float)
-    base = baseline_grid(scenario, thetas)
-    mu_max = _mu_upper_bound(scenario, base)
-    table = GainTable(opponent_mixture(profile), scenario.noise,
-                      scenario.players, scenario.prizes, mu_max)
-    mu_grid = np.linspace(0.0, mu_max, _COARSE_POINTS)
-    cost_matrix = allocate_grid(scenario, mu_grid[:, None], thetas[None, :]).cost
-    br, _ = _best_response_grid(scenario, table, thetas, mu_grid, cost_matrix)
-    return br
+    mu_max = _mu_upper_bound(scenario, baseline_grid(scenario, thetas))
+    mu_grid, cost_matrix = _coarse_grid(scenario, thetas, mu_max)
+    return _best_response_grid(scenario, GainTable(profile, mu_max), thetas,
+                               mu_grid, cost_matrix)
 
 
 def solve_equilibrium(scenario: Scenario, *, grid_size: int = 201,
@@ -322,6 +333,8 @@ def solve_equilibrium(scenario: Scenario, *, grid_size: int = 201,
     """
     if not 0.0 < damping <= 1.0:
         raise DomainError("damping must lie in (0, 1]")
+    if grid_size < 2:
+        raise DomainError(f"grid_size must be at least 2, got {grid_size}")
     lo, hi = scenario.support
     if scenario.types.degenerate:
         thetas = np.array([lo])
@@ -329,34 +342,26 @@ def solve_equilibrium(scenario: Scenario, *, grid_size: int = 201,
         thetas = np.linspace(lo, hi, grid_size)
     base = baseline_grid(scenario, thetas)
     mu = isotonic_projection(base.mu)
-    prizes = scenario.prizes
     mu_max = _mu_upper_bound(scenario, base)
-
-    mu_grid = np.linspace(0.0, mu_max, _COARSE_POINTS)
-    cost_matrix = allocate_grid(scenario, mu_grid[:, None], thetas[None, :]).cost
+    mu_grid, cost_matrix = _coarse_grid(scenario, thetas, mu_max)
 
     converged = False
     residual, measured = math.inf, mu
     iterations = 0
     extensions = 0
-    step = mu_max / (_COARSE_POINTS - 1)
     while iterations < max_iter:
         iterations += 1
         profile = StrategyProfile(scenario, thetas, mu.copy(), False, iterations,
                                   math.inf)
-        table = GainTable(opponent_mixture(profile), scenario.noise,
-                          scenario.players, prizes, mu_max)
-        br, _ = _best_response_grid(scenario, table, thetas, mu_grid, cost_matrix)
-        if float(np.max(br)) > mu_max - 2.0 * step:
+        br = _best_response_grid(scenario, GainTable(profile, mu_max), thetas,
+                                 mu_grid, cost_matrix)
+        if float(np.max(br)) > mu_max - 2.0 * mu_grid[1]:
             if extensions >= 12:
                 raise SolverError(
                     f"best responses keep escaping the bracket (mu_max={mu_max:.4g})")
             extensions += 1
             mu_max *= 1.6
-            step = mu_max / (_COARSE_POINTS - 1)
-            mu_grid = np.linspace(0.0, mu_max, _COARSE_POINTS)
-            cost_matrix = allocate_grid(scenario, mu_grid[:, None],
-                                        thetas[None, :]).cost
+            mu_grid, cost_matrix = _coarse_grid(scenario, thetas, mu_max)
             continue
         residual, measured = float(np.max(np.abs(br - mu))), mu
         converged = residual <= tol

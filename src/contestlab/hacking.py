@@ -13,6 +13,8 @@ gap R_k - R_{k+1} is at least the corresponding gap of R'.  Under that
 partial order equilibrium schedules move up pointwise and the mass of
 hacking types shrinks; :func:`skewness_sweep` measures both and flags
 violations instead of hiding them.
+
+Verdicts are read off a profile alone, which must have converged.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from ._rootfind import bisect_vec
 from .baseline import BaselineThresholds, baseline_grid
 from .costmin import allocate_grid
 from .equilibrium import StrategyProfile, solve_equilibrium
-from .errors import DomainError, UnconvergedProfileError
-from .model import PrizeVector, Scenario
+from .errors import DomainError
+from .model import PrizeVector, Scenario, TypeDistribution
 
 Array = np.ndarray
 
@@ -42,12 +44,6 @@ PURE_MECHANIZER = "pure-mechanizer"
 CONTEST_CREATOR = "contest-creator"
 DUAL_CHANNEL = "dual-channel"
 PURE_CREATOR = "pure-creator"
-
-
-def _require_converged(profile: StrategyProfile) -> None:
-    if not profile.converged:
-        raise UnconvergedProfileError(
-            f"profile did not converge (residual {profile.residual:.3g})")
 
 
 def compare_prize_vectors(r1: PrizeVector, r2: PrizeVector, players: int) -> str:
@@ -72,12 +68,17 @@ def compare_prize_vectors(r1: PrizeVector, r2: PrizeVector, players: int) -> str
 
 @dataclass(frozen=True)
 class HackingProfile:
-    """Verdicts along a type grid plus the band cutoffs."""
+    """Verdicts along a type grid plus the band cutoffs.
+
+    ``measure`` is the probability mass of the hacking types under the
+    profile's type distribution.
+    """
 
     theta: Array
     hacks: np.ndarray
     region: tuple[str, ...]
     theta_star: float
+    measure: float
     thresholds: BaselineThresholds
     a_star: Array
     b_star: Array
@@ -86,17 +87,6 @@ class HackingProfile:
     mu_star: Array
     mu_base: Array
 
-    def measure(self, scenario: Scenario) -> float:
-        """Probability mass of hacking types under the type distribution."""
-        types = scenario.types
-        if self.theta.size == 1:
-            return float(self.hacks[0])
-        edges = np.concatenate([[types.lo],
-                                0.5 * (self.theta[1:] + self.theta[:-1]),
-                                [types.hi]])
-        masses = np.diff(types.cdf(edges))
-        return float(np.sum(masses[self.hacks]))
-
 
 def hacking_threshold(profile: StrategyProfile) -> float:
     """Largest type that fully mechanises its equilibrium target.
@@ -104,7 +94,7 @@ def hacking_threshold(profile: StrategyProfile) -> float:
     Solves xi'(xi^{-1}(mu*(theta))) = nu_a(0, theta); -inf when even the
     lowest type prefers some creation, +inf when every type mechanises.
     """
-    _require_converged(profile)
+    profile.require_converged()
     scenario = profile.scenario
     lo, hi = scenario.support
     xi, nu = scenario.xi, scenario.nu
@@ -127,17 +117,27 @@ def _bands(thetas: Array, theta_star: float, thr: BaselineThresholds) -> np.ndar
     return out
 
 
+def _type_mass(types: TypeDistribution, theta: Array, hacks: Array) -> float:
+    """Mass of the flagged grid types, each owning the cell to its midpoints."""
+    if theta.size == 1:
+        return float(hacks[0])
+    edges = np.concatenate([[types.lo], 0.5 * (theta[1:] + theta[:-1]), [types.hi]])
+    masses = np.diff(types.cdf(edges))
+    return float(np.sum(masses[hacks]))
+
+
 def hacking_verdicts(profile: StrategyProfile) -> HackingProfile:
     """Classify every grid type of an equilibrium profile."""
-    _require_converged(profile)
-    scenario = profile.scenario
-    alloc = allocate_grid(scenario, profile.mu_star, profile.theta_grid)
-    base = baseline_grid(scenario, profile.theta_grid)
+    profile.require_converged()
+    scenario, theta = profile.scenario, profile.theta_grid
+    alloc = allocate_grid(scenario, profile.mu_star, theta)
+    base = baseline_grid(scenario, theta)
     theta_star = hacking_threshold(profile)
     hacks = (alloc.a <= base.a + EFFORT_TOL) & (alloc.b > base.b + EFFORT_TOL)
-    bands = _bands(profile.theta_grid, theta_star, base.thresholds)
-    return HackingProfile(profile.theta_grid, hacks, tuple(bands.tolist()),
-                          theta_star, base.thresholds, alloc.a, alloc.b,
+    bands = _bands(theta, theta_star, base.thresholds)
+    return HackingProfile(theta, hacks, tuple(bands.tolist()), theta_star,
+                          _type_mass(scenario.types, theta, hacks),
+                          base.thresholds, alloc.a, alloc.b,
                           base.a, base.b, profile.mu_star, base.mu)
 
 
@@ -145,7 +145,6 @@ def hacking_verdicts(profile: StrategyProfile) -> HackingProfile:
 class SweepResult:
     """Equilibria and hacking measures across ordered prize vectors."""
 
-    scenario: Scenario
     prize_vectors: tuple[PrizeVector, ...]
     relations: tuple[tuple[int, int, str], ...]
     profiles: tuple[StrategyProfile, ...]
@@ -153,7 +152,7 @@ class SweepResult:
 
     @property
     def hack_measures(self) -> tuple[float, ...]:
-        return tuple(v.measure(self.scenario) for v in self.verdicts)
+        return tuple(v.measure for v in self.verdicts)
 
     def _ordered_pairs(self):
         """(dominant, dominated) index pairs of the comparable prize vectors."""
@@ -233,5 +232,5 @@ def skewness_sweep(scenario: Scenario, prize_vectors, *, grid_size: int = 201,
                                  tol=tol, damping=damping)
         profiles.append(prof)
         verdicts.append(hacking_verdicts(prof))
-    return SweepResult(scenario, tuple(pvs), tuple(relations),
-                       tuple(profiles), tuple(verdicts))
+    return SweepResult(tuple(pvs), tuple(relations), tuple(profiles),
+                       tuple(verdicts))

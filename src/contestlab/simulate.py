@@ -15,6 +15,10 @@ ranks and payoffs are computed once for the whole (contests x players)
 batch.  Every step after the draws is elementwise or row-wise, so a
 contest's record is the same in any batch, and :func:`run_contest` is
 the batch of one.
+
+A profile carries its scenario, so the simulators take the profile
+alone; :func:`run_contest` and :class:`PanelCell` refuse one that did
+not converge.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import scipy.linalg
 from ._tables import write_csv
 from .costmin import allocate_grid
 from .equilibrium import StrategyProfile, solve_equilibrium
-from .errors import DomainError, SolverError, UnconvergedProfileError
+from .errors import DomainError, SolverError
 from .model import Array, PrizeVector, Scenario
 
 __all__ = [
@@ -178,43 +182,22 @@ class ContestOutcome:
         return int(self.theta.size)
 
 
-def _require_profile(profile: StrategyProfile, force: bool) -> None:
-    if not profile.converged and not force:
-        raise UnconvergedProfileError(
-            "strategy profile did not converge "
-            f"(residual {profile.residual:.3e}); pass force=True to simulate anyway"
-        )
-
-
-def _require_match(scenario: Scenario, profile: StrategyProfile) -> str:
-    """The scenario's id, once the profile is known to be solved for it."""
-    sid, solved = scenario.scenario_id, profile.scenario.scenario_id
-    if sid != solved:
-        raise DomainError(
-            f"profile was solved for scenario {solved}, got scenario {sid}"
-        )
-    return sid
-
-
 def run_contest(
-    scenario: Scenario,
     profile: StrategyProfile,
     seed: int,
     replication: int = 0,
-    force: bool = False,
 ) -> ContestOutcome:
-    """Simulate one contest under a symmetric strategy profile.
+    """Simulate one contest under a converged symmetric strategy profile.
 
-    Types are drawn i.i.d. from the scenario's type distribution, efforts
-    follow the least-cost allocation at the profile's fitness target,
-    each player gets one performance draw, and ranks (best first) are
-    paid from the prize vector.  Deterministic in (seed, replication).
+    Types are drawn i.i.d. from the profile scenario's type distribution,
+    efforts follow the least-cost allocation at the profile's fitness
+    target, each player gets one performance draw, and ranks (best first)
+    are paid from the prize vector.  Deterministic in (seed, replication).
     """
-    sid = _require_match(scenario, profile)
-    _require_profile(profile, force)
-    batch = _contest_batch(scenario, profile, seed, [replication])
+    profile.require_converged()
+    batch = _contest_batch(profile, seed, [replication])
     return ContestOutcome(
-        scenario_id=sid,
+        scenario_id=profile.scenario.scenario_id,
         seed=int(seed),
         replication=int(replication),
         **{name: values[0] for name, values in batch.items()},
@@ -222,12 +205,11 @@ def run_contest(
 
 
 def _contest_batch(
-    scenario: Scenario,
     profile: StrategyProfile,
     seed: int,
     replications: Sequence[int],
 ) -> dict[str, Array]:
-    """Contests ``replications`` of one scenario as (contests, players) arrays.
+    """Contests ``replications`` under one profile as (contests, players) arrays.
 
     Row i is contest ``replications[i]``, drawn from its own stream
     (seed, replications[i]): the type uniforms, then the noise variates.
@@ -236,6 +218,7 @@ def _contest_batch(
     contests share the batch.  Keys are the per-player fields of
     :class:`ContestOutcome`.
     """
+    scenario = profile.scenario
     count = scenario.players
     u = np.empty((len(replications), count))
     z = np.empty_like(u)
@@ -327,7 +310,6 @@ class RegressionResult:
     coef: Array
     se: Array
     r_squared: float
-    residuals: Array
     nobs: int
     n_groups: int
     df_resid: int
@@ -415,7 +397,6 @@ def fe_ols(panel: Mapping[str, Array], spec: PanelSpec) -> RegressionResult:
         coef=beta,
         se=se,
         r_squared=float(r_squared),
-        residuals=residuals,
         nobs=int(nobs),
         n_groups=int(n_groups),
         df_resid=int(df_resid),
@@ -473,12 +454,14 @@ def add_interactions(
 
 @dataclass(frozen=True)
 class PanelCell:
-    """One contest design: a prize budget, its split, and the equilibrium."""
+    """One contest design: a prize budget, its split, and a converged equilibrium."""
 
     prize_value: float
     prize_skew: int
-    scenario: Scenario
     profile: StrategyProfile
+
+    def __post_init__(self) -> None:
+        self.profile.require_converged()
 
 
 @dataclass(frozen=True)
@@ -493,10 +476,7 @@ class SyntheticPanel:
     """
 
     columns: dict[str, Array]
-    cells: tuple[PanelCell, ...]
     scenario: Scenario
-    seed: int
-    traj_length: int
 
     @property
     def n_rows(self) -> int:
@@ -542,21 +522,13 @@ def panel_cells(
                 prizes = PrizeVector(tuple(w * value for w in weights))
             else:
                 prizes = PrizeVector((value / players,) * players)
-            cell_scn = base.with_prizes(prizes)
             profile = solve_equilibrium(
-                cell_scn,
+                base.with_prizes(prizes),
                 grid_size=grid_size,
                 tol=tol,
                 damping=damping,
             )
-            if not profile.converged:
-                raise UnconvergedProfileError(
-                    f"equilibrium for prize value {value}, skew {skew} did not "
-                    f"converge (residual {profile.residual:.3e})"
-                )
-            cells.append(
-                PanelCell(prize_value=value, prize_skew=skew, scenario=cell_scn, profile=profile)
-            )
+            cells.append(PanelCell(prize_value=value, prize_skew=skew, profile=profile))
     return tuple(cells)
 
 
@@ -592,7 +564,7 @@ def synthetic_panel(
     cells = tuple(cells)
     if not cells:
         raise DomainError("no panel cells")
-    counts = sorted({cell.scenario.players for cell in cells})
+    counts = sorted({cell.profile.scenario.players for cell in cells})
     if counts != [players]:
         raise DomainError(f"panel of {players} players, but the cells have {counts}")
     total = n_contests * players
@@ -620,10 +592,8 @@ def synthetic_panel(
     contests["player_id"][:] = np.arange(players)
     n_cells = len(cells)
     for c, cell in enumerate(cells[:n_contests]):
-        _require_match(cell.scenario, cell.profile)
         rows = slice(c, None, n_cells)
-        batch = _contest_batch(cell.scenario, cell.profile, seed,
-                               range(c, n_contests, n_cells))
+        batch = _contest_batch(cell.profile, seed, range(c, n_contests, n_cells))
         for name, values in batch.items():
             contests["type" if name == "theta" else name][rows] = values
         contests["prize_value"][rows] = cell.prize_value
@@ -645,13 +615,7 @@ def synthetic_panel(
     cols["score_final"][:] = trajectories[:, -1]
     cols["mk_S"][:], _, cols["mk_Z"][:] = _mk_batch(trajectories)
 
-    return SyntheticPanel(
-        columns=cols,
-        cells=cells,
-        scenario=scenario,
-        seed=int(seed),
-        traj_length=int(traj_length),
-    )
+    return SyntheticPanel(columns=cols, scenario=scenario)
 
 
 def panel_regressions(

@@ -14,6 +14,8 @@ import pytest
 from helpers import assert_replay_identical, nan_at_fourth_point
 
 import contestlab
+import contestlab.hacking
+from contestlab import solve_equilibrium
 from contestlab._tables import read_csv_columns, write_csv
 from contestlab.cli import (
     EXIT_INPUT,
@@ -213,6 +215,40 @@ class TestExitCodes:
                        "--grid", "21", "--tol", "0",
                        "--out", tmp_path / "nc")
         assert code == EXIT_NO_CONVERGENCE
+
+    @pytest.mark.parametrize("argv", [
+        ["equilibrium"], ["hacking"], ["sweep", "--prizes", "1,0;2,0"],
+        ["simulate", "--contests", "5"],
+    ], ids=["equilibrium", "hacking", "sweep", "simulate"])
+    def test_unconverged_equilibrium_is_one_error_line(self, tmp_path, monkeypatch,
+                                                       capsys, argv):
+        def two_iterations(scenario, **kwargs):
+            return solve_equilibrium(scenario, **kwargs, max_iter=2)
+
+        for module in (contestlab.cli, contestlab.hacking):
+            monkeypatch.setattr(module, "solve_equilibrium", two_iterations)
+        out = tmp_path / "nc"
+        code = run_cli(*argv, "--scenario", "example1", "--grid", "21", "--out", out)
+        assert code == EXIT_NO_CONVERGENCE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: equilibrium did not converge")
+        if argv[0] == "equilibrium":
+            # the artifacts are written first and record the failure
+            assert json.loads((out / "equilibrium.json").read_text())["converged"] is False
+
+    @pytest.mark.parametrize("argv", [
+        ["equilibrium", "--grid", "0"], ["equilibrium", "--grid", "-3"],
+        ["equilibrium", "--grid", "1"], ["sweep", "--prizes", "1,0;2,0", "--grid", "0"],
+        ["baseline", "--grid", "-3"], ["cost", "--theta", "1", "--points", "0"],
+        ["cost", "--theta", "1", "--points", "-2"],
+    ], ids=["equilibrium-grid-0", "equilibrium-grid-negative", "equilibrium-grid-1",
+            "sweep-grid-0", "baseline-grid-negative", "cost-points-0",
+            "cost-points-negative"])
+    def test_bad_count_is_input_error(self, tmp_path, capsys, argv):
+        code = run_cli(*argv, "--scenario", "example1", "--out", tmp_path / "n")
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_non_finite_payoff_is_exit_three(self, tmp_path, monkeypatch, capsys):
         table = contestlab.GainTable

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -110,16 +111,14 @@ class TestRankProbabilities:
 class TestGainTable:
     def test_matches_adaptive_quadrature(self, equilibria):
         profile = equilibria("example1", players=5, prizes=(1.0, 0.5, 0.0))
-        table = GainTable(opponent_mixture(profile), profile.scenario.noise,
-                          5, profile.scenario.prizes, mu_max=12.0)
+        table = GainTable(profile, mu_max=12.0)
         for mu in (0.2, 1.1, 2.7, 4.4):
             direct = contest_gain(mu, profile)
             assert table.gain(mu)[0] == pytest.approx(direct, abs=2e-5)
 
     def test_gain_increasing_in_mu(self, equilibria):
         profile = equilibria("example1")
-        table = GainTable(opponent_mixture(profile), profile.scenario.noise,
-                          2, profile.scenario.prizes, mu_max=12.0)
+        table = GainTable(profile, mu_max=12.0)
         gains = table.gain(np.linspace(0.0, 8.0, 50))
         assert np.all(np.diff(gains) >= -1e-10)
 
@@ -132,8 +131,7 @@ class TestGainTable:
                                  noise={"kind": noise_kind, "dispersion": 1.0})
         replay = StrategyProfile(noisy, profile.theta_grid, profile.mu_star.copy(),
                                  True, 0, 0.0)
-        return GainTable(opponent_mixture(replay), noisy.noise, scn.players,
-                         noisy.prizes, mu_max=12.0)
+        return GainTable(replay, mu_max=12.0)
 
     @pytest.mark.parametrize("noise_kind", NOISE_KINDS)
     @pytest.mark.parametrize("players, prizes", [(2, (1.0, 0.0)), (5, (1.0, 0.5, 0.0))])
@@ -155,8 +153,8 @@ class TestGainTable:
 
     def test_zero_prizes_zero_gain(self, equilibria):
         profile = equilibria("example1")
-        table = GainTable(opponent_mixture(profile), profile.scenario.noise,
-                          2, PrizeVector(()), mu_max=10.0)
+        unpaid = replace(profile, scenario=profile.scenario.with_prizes(PrizeVector(())))
+        table = GainTable(unpaid, mu_max=10.0)
         np.testing.assert_array_equal(table.gain([0.5, 1.5]), [0.0, 0.0])
 
 
@@ -204,8 +202,7 @@ class TestSolveEquilibrium:
         profile = equilibria(name)
         scn, thetas = profile.scenario, profile.theta_grid
         mu_max = _mu_upper_bound(scn, baseline_grid(scn, thetas))
-        table = GainTable(opponent_mixture(profile), scn.noise, scn.players,
-                          scn.prizes, mu_max)
+        table = GainTable(profile, mu_max)
 
         def payoff(mu, th):
             gain = table.gain(mu.ravel()).reshape(mu.shape)

@@ -136,7 +136,7 @@ class TestVerdicts:
     def test_measure_is_type_mass(self, equilibria):
         profile = equilibria("example3", prizes=(2.0, 0.0))
         verdicts = hacking_verdicts(profile)
-        measure = verdicts.measure(profile.scenario)
+        measure = verdicts.measure
         # uniform types on [0, 3]: mass of hacking cells ~ width / 3
         frac = verdicts.hacks.mean()
         assert measure == pytest.approx(frac, abs=0.01)
@@ -172,11 +172,10 @@ class TestSkewnessSweep:
         mus = [np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.5, 3.0]),
                np.array([1.0, 2.0, 2.5])]
         sweep = SweepResult(
-            scenario=None, prize_vectors=(),
+            prize_vectors=(),
             relations=((0, 1, "geq"), (0, 2, "leq"), (1, 2, "equal")),
             profiles=tuple(SimpleNamespace(theta_grid=theta, mu_star=m) for m in mus),
-            verdicts=tuple(SimpleNamespace(measure=lambda scn, v=v: v)
-                           for v in (0.5, 0.2, 0.7)))
+            verdicts=tuple(SimpleNamespace(measure=v) for v in (0.5, 0.2, 0.7)))
         assert sweep.dominance_violations() == [
             {"dominant": 0, "dominated": 1, "theta": 1.0, "shortfall": 0.5},
             {"dominant": 2, "dominated": 0, "theta": 2.0, "shortfall": 0.5},

@@ -206,13 +206,13 @@ class TestTrajectories:
 class TestRunContest:
     def test_payoff_identity_exact(self, small_game):
         scn, profile = small_game
-        out = run_contest(scn, profile, seed=1, replication=7)
+        out = run_contest(profile, seed=1, replication=7)
         recomputed = out.prize + out.score - scn.cost.value(out.a + out.b)
         np.testing.assert_array_equal(out.payoff, recomputed)
 
     def test_ranks_are_a_permutation_paying_prizes(self, small_game):
         scn, profile = small_game
-        out = run_contest(scn, profile, seed=2)
+        out = run_contest(profile, seed=2)
         assert sorted(out.rank.tolist()) == [1, 2, 3, 4, 5]
         np.testing.assert_array_equal(out.prize,
                                       scn.prizes.padded(5)[out.rank - 1])
@@ -221,40 +221,31 @@ class TestRunContest:
 
     def test_deterministic_per_replication(self, small_game):
         scn, profile = small_game
-        a = run_contest(scn, profile, seed=3, replication=0)
-        b = run_contest(scn, profile, seed=3, replication=0)
-        c = run_contest(scn, profile, seed=3, replication=1)
+        a = run_contest(profile, seed=3, replication=0)
+        b = run_contest(profile, seed=3, replication=0)
+        c = run_contest(profile, seed=3, replication=1)
         np.testing.assert_array_equal(a.score, b.score)
         assert not np.array_equal(a.score, c.score)
 
-    def test_scenario_mismatch_rejected(self, small_game):
-        scn, profile = small_game
-        other = example_scenario("example2", players=5,
-                                 prizes=[1.0, 0.5, 0.0, 0.0, 0.0])
-        with pytest.raises(DomainError, match="scenario"):
-            run_contest(other, profile, seed=0)
-
-    def test_unconverged_profile_needs_force(self, small_game):
+    def test_unconverged_profile_rejected(self, small_game):
         scn, _ = small_game
         bad = solve_equilibrium(scn, tol=1e-13, max_iter=2)
-        with pytest.raises(UnconvergedProfileError):
-            run_contest(scn, bad, seed=0)
-        out = run_contest(scn, bad, seed=0, force=True)
-        assert out.players == 5
+        with pytest.raises(UnconvergedProfileError, match="did not converge"):
+            run_contest(bad, seed=0)
 
     def test_columns_export(self, small_game):
         # a one-cell panel carries each contest's outcome columns, row for
         # row the same as the contests run on their own
         scn, profile = small_game
         cell = PanelCell(prize_value=scn.prizes.total, prize_skew=1,
-                         scenario=scn, profile=profile)
+                         profile=profile)
         panel = synthetic_panel(scn, n_contests=3, players=5, cells=(cell,),
                                 seed=8, traj_length=4)
         cols = panel.columns
         assert cols["contest_id"].tolist() == [0] * 5 + [1] * 5 + [2] * 5
         assert cols["player_id"].tolist() == list(range(5)) * 3
         assert cols["rank"].dtype == np.int64
-        outs = [run_contest(scn, profile, 8, r) for r in range(3)]
+        outs = [run_contest(profile, 8, r) for r in range(3)]
         for name, field in (("type", "theta"), ("mu", "mu"), ("score", "score"),
                             ("rank", "rank"), ("prize", "prize"),
                             ("payoff", "payoff")):
@@ -274,13 +265,14 @@ class TestRunContest:
         # must not depend on the other contests of its batch
         scn = example_scenario("example3", players=6, prizes=[1.0, 0.5],
                                noise=noise, types=types)
-        profile = solve_equilibrium(scn, grid_size=21, max_iter=3)
+        profile = solve_equilibrium(scn, grid_size=21)
+        assert profile.converged
         reps = [9, 0, 4, 17, 2, 11, 5, 30]
-        batch = _contest_batch(scn, profile, 21, reps)
+        batch = _contest_batch(profile, 21, reps)
         grid = allocate_grid(scn, batch["mu"], batch["theta"])
         assert np.mean(grid.case == INTERIOR) > 0.5
         for i, r in enumerate(reps):
-            out = run_contest(scn, profile, 21, r, force=True)
+            out = run_contest(profile, 21, r)
             for name, values in batch.items():
                 np.testing.assert_array_equal(values[i], getattr(out, name),
                                               err_msg=f"{name}, contest {r}")
@@ -291,10 +283,10 @@ class TestRunContest:
         # over the same bin
         scn, profile = small_game
         n = 100_000
-        batch = _contest_batch(scn, profile, 13, range(n))
+        batch = _contest_batch(profile, 13, range(n))
         # row r is replication r
         for r in (0, 1, 4321, n - 1):
-            out = run_contest(scn, profile, 13, r)
+            out = run_contest(profile, 13, r)
             assert out.replication == r
             assert out.seed == 13
             for name, values in batch.items():
@@ -406,9 +398,9 @@ class TestSyntheticPanel:
         scn, cells = small_cells
         assert [(c.prize_value, c.prize_skew) for c in cells] == [
             (1.0, 1), (1.0, 0), (4.0, 1), (4.0, 0)]
-        skewed = cells[0].scenario.prizes
+        skewed = cells[0].profile.scenario.prizes
         assert skewed.values == (0.5, 0.3, 0.2)
-        diffuse = cells[1].scenario.prizes
+        diffuse = cells[1].profile.scenario.prizes
         assert len(diffuse) == 8
         assert diffuse.total == pytest.approx(1.0)
 
@@ -449,6 +441,12 @@ class TestSyntheticPanel:
         np.testing.assert_array_equal(per_contest, [1.0, 1.0, 4.0, 4.0, 1.0, 1.0])
         skew = panel.columns["prize_skew"].reshape(6, 8)[:, 0]
         np.testing.assert_array_equal(skew, [1, 0, 1, 0, 1, 0])
+
+    def test_cell_refuses_unconverged_profile(self, small_cells):
+        scn, _ = small_cells
+        bad = solve_equilibrium(scn.with_players(8), grid_size=21, max_iter=2)
+        with pytest.raises(UnconvergedProfileError, match="did not converge"):
+            PanelCell(prize_value=scn.prizes.total, prize_skew=1, profile=bad)
 
     def test_players_must_match_cells(self, small_cells):
         scn, cells = small_cells
