@@ -10,7 +10,7 @@ effort between genuine improvement and score-chasing.  The core objects:
 - :mod:`contestlab.baseline`: the no-contest benchmark and its type
   thresholds.
 - :mod:`contestlab.equilibrium`: symmetric monotone equilibrium schedules
-  via damped best-response iteration.
+  via an Anderson-accelerated best-response fixed point.
 - :mod:`contestlab.hacking`: contest-vs-baseline effort comparisons, the
   mechanization cutoff, and prize-skewness sweeps.
 - :mod:`contestlab.simulate`: Monte Carlo contests, submission

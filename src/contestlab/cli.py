@@ -234,12 +234,11 @@ def _cmd_equilibrium(args) -> int:
     scenario, args.scenario = _load_scenario_arg(args.scenario)
     profile = _solve(args, scenario)
     alloc = allocate_grid(scenario, profile.mu_star, profile.theta_grid)
-    base = baseline_grid(scenario, profile.theta_grid)
     run = _Run(args)
     write_csv(run.path("equilibrium.csv"), {
         "theta": profile.theta_grid, "mu_star": profile.mu_star,
         "a": alloc.a, "b": alloc.b, "case": _case_column(alloc),
-        "mu_baseline": base.mu,
+        "mu_baseline": profile.baseline.mu,
     }, order=["theta", "mu_star", "a", "b", "case", "mu_baseline"])
     _write_json(run.path("equilibrium.json"), {
         "converged": profile.converged, "iterations": profile.iterations,
@@ -421,9 +420,10 @@ def _build_parser() -> argparse.ArgumentParser:
         if solver:
             p.add_argument("--grid", type=int, default=201, help="type grid size")
             p.add_argument("--tol", type=float, default=1e-5,
-                           help="fixed-point tolerance")
+                           help="fixed-point tolerance (finite, >= 0)")
             p.add_argument("--damping", type=float, default=0.5,
-                           help="best-response damping in (0, 1]")
+                           help="best-response weight of the first fixed-point "
+                                "step and of each restart, in (0, 1]")
         return p
 
     add("validate", _cmd_validate, "check model assumptions on a scenario")

@@ -10,11 +10,14 @@ where the expected prize at target mu integrates the rank weights against
 the player's own performance distribution H_mu and the opponents'
 performance mixture G (their noise mixed over types and the schedule).
 
-``solve_equilibrium`` runs a damped best-response iteration on a type
-grid, projecting onto non-decreasing schedules each step (the monotone
-envelope is where the fixed point lives; projection also keeps the
-iteration stable).  Starting from the no-contest schedule keeps every
-iterate above it, which downstream dominance checks rely on.
+``solve_equilibrium`` finds the fixed point of the best-response map on
+a type grid by Anderson mixing: each step combines the last few best
+responses so as to cancel the last few residuals, which converges in a
+handful of sweeps where a damped iteration needs about twenty.  Each
+iterate is projected onto non-decreasing schedules (the monotone
+envelope is where the fixed point lives) and kept at or above the
+no-contest schedule it starts from, which downstream dominance checks
+rely on.
 
 Each best response is found in two stages.  A coarse sweep over a fixed
 grid of targets picks the best cell for every type, which keeps the
@@ -54,27 +57,39 @@ _FOC_TOL = 1e-9          # bracket width of the first-order-condition root
 _RANK_TOL = 1e-9         # total quadrature error of a rank distribution
 _GAIN_NODES = 96
 _WEIGHT_GRID = 1025
+_ANDERSON_MEMORY = 3     # residual differences mixed in each fixed-point step
+_STALL_SWEEPS = 10       # sweeps without a new best residual before giving up
 
 
 @dataclass(frozen=True)
 class StrategyProfile:
     """A symmetric strategy: mean-fitness targets on a type grid.
 
-    Off-grid types interpolate linearly; the schedule is non-decreasing
-    by construction.  ``converged`` reports whether the solver met its
-    tolerance, ``residual`` is the final sup-norm best-response gap.
+    The type grid is the one of ``baseline``, the no-contest optima the
+    solver started from.  Off-grid types interpolate linearly; the
+    schedule is non-decreasing by construction.  ``converged`` reports
+    whether the solver met its tolerance, ``residual`` is the sup-norm
+    best-response gap of ``mu_star``.
     """
 
     scenario: Scenario
-    theta_grid: Array
+    baseline: BaselineGrid
     mu_star: Array
     converged: bool
     iterations: int
     residual: float
 
     def __post_init__(self) -> None:
+        if np.shape(self.mu_star) != self.theta_grid.shape:
+            raise DomainError(
+                f"mu_star has shape {np.shape(self.mu_star)}, the baseline's "
+                f"type grid {self.theta_grid.shape}")
         self.theta_grid.setflags(write=False)
         self.mu_star.setflags(write=False)
+
+    @property
+    def theta_grid(self) -> Array:
+        return self.baseline.theta
 
     def require_converged(self) -> None:
         """Raise :class:`UnconvergedProfileError` unless ``converged``."""
@@ -231,7 +246,7 @@ class GainTable:
         pos = (s - self.s_lo) / self.s_step
         seg = np.clip(np.floor(pos), 0, _WEIGHT_GRID - 2).astype(np.intp)
         t = pos - seg
-        c0, c1, c2, c3 = self.coef[:, seg]
+        c0, c1, c2, c3 = np.take(self.coef, seg, axis=1)
         w = ((c3 * t + c2) * t + c1) * t + c0
         slope = ((3.0 * c3 * t + 2.0 * c2) * t + c1) / self.s_step
         below, above = pos < 0.0, pos > _WEIGHT_GRID - 1
@@ -322,36 +337,53 @@ def best_response_grid(profile: StrategyProfile, thetas) -> Array:
 def solve_equilibrium(scenario: Scenario, *, grid_size: int = 201,
                       tol: float = 1e-5, damping: float = 0.5,
                       max_iter: int = 500) -> StrategyProfile:
-    """Damped fixed-point iteration for the symmetric equilibrium schedule.
+    """Anderson-accelerated fixed point for the symmetric equilibrium schedule.
 
-    Starts from the no-contest schedule, damps each best-response sweep by
-    ``damping`` and projects onto non-decreasing schedules.  Stops when
-    the sup-norm best-response residual of the current iterate is at most
-    ``tol``.  The returned schedule is the last iterate whose residual was
-    measured, and ``residual`` is that residual; ``converged`` is False
-    (never raised here) when the budget runs out first.
+    Iterates on the best-response map g from the no-contest schedule.
+    Each step is type-II Anderson mixing (Anderson 1965; Walker & Ni
+    2011) over the last ``_ANDERSON_MEMORY`` differences: with f = g - x,
+    the next iterate is g_k - dG gamma, where gamma is the least-squares
+    solution of dF gamma = f_k.  The history restarts when the residual
+    rises and when the target bracket ``mu_max`` is extended; the first
+    step after each restart is the best response damped by ``damping``.
+    Every iterate is clipped from below at the starting schedule and
+    projected onto non-decreasing schedules, which keeps it above the
+    no-contest schedule.
+
+    Stops when the sup-norm best-response residual is at most ``tol``,
+    when ``_STALL_SWEEPS`` sweeps in a row fail to improve on the best
+    residual, or after ``max_iter`` iterations.  The returned schedule is
+    the iterate with the smallest measured residual and ``residual`` is
+    its residual; ``converged`` (never raised here) says whether it is at
+    most ``tol``.
     """
     if not 0.0 < damping <= 1.0:
         raise DomainError("damping must lie in (0, 1]")
     if grid_size < 2:
         raise DomainError(f"grid_size must be at least 2, got {grid_size}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise DomainError(f"tol must be finite and non-negative, got {tol}")
     lo, hi = scenario.support
     if scenario.types.degenerate:
         thetas = np.array([lo])
     else:
         thetas = np.linspace(lo, hi, grid_size)
     base = baseline_grid(scenario, thetas)
-    mu = isotonic_projection(base.mu)
+    floor = isotonic_projection(base.mu)
+    mu = floor
     mu_max = _mu_upper_bound(scenario, base)
     mu_grid, cost_matrix = _coarse_grid(scenario, thetas, mu_max)
 
-    converged = False
-    residual, measured = math.inf, mu
+    best_residual, best_mu = math.inf, mu
+    last_residual = math.inf
+    stalled = 0
+    g_hist: list[Array] = []   # best responses since the last restart
+    f_hist: list[Array] = []   # their residuals g - x
     iterations = 0
     extensions = 0
     while iterations < max_iter:
         iterations += 1
-        profile = StrategyProfile(scenario, thetas, mu.copy(), False, iterations,
+        profile = StrategyProfile(scenario, base, mu.copy(), False, iterations,
                                   math.inf)
         br = _best_response_grid(scenario, GainTable(profile, mu_max), thetas,
                                  mu_grid, cost_matrix)
@@ -362,11 +394,28 @@ def solve_equilibrium(scenario: Scenario, *, grid_size: int = 201,
             extensions += 1
             mu_max *= 1.6
             mu_grid, cost_matrix = _coarse_grid(scenario, thetas, mu_max)
+            g_hist, f_hist = [], []
             continue
-        residual, measured = float(np.max(np.abs(br - mu))), mu
-        converged = residual <= tol
-        if converged:
+        f = br - mu
+        residual = float(np.max(np.abs(f)))
+        if residual < best_residual:
+            best_residual, best_mu, stalled = residual, mu, 0
+        else:
+            stalled += 1
+        if residual <= tol or stalled >= _STALL_SWEEPS:
             break
-        mu = isotonic_projection((1.0 - damping) * mu + damping * br)
-    return StrategyProfile(scenario, thetas, measured, converged, iterations,
-                           residual)
+        if residual > last_residual:
+            g_hist, f_hist = [], []
+        last_residual = residual
+        g_hist = [*g_hist[-_ANDERSON_MEMORY:], br]
+        f_hist = [*f_hist[-_ANDERSON_MEMORY:], f]
+        if len(g_hist) == 1:
+            step = (1.0 - damping) * mu + damping * br
+        else:
+            d_g = np.diff(np.array(g_hist), axis=0).T
+            d_f = np.diff(np.array(f_hist), axis=0).T
+            gamma = np.linalg.lstsq(d_f, f, rcond=None)[0]
+            step = br - d_g @ gamma
+        mu = isotonic_projection(np.maximum(step, floor))
+    return StrategyProfile(scenario, base, best_mu, best_residual <= tol,
+                           iterations, best_residual)

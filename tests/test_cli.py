@@ -209,12 +209,26 @@ class TestExitCodes:
         assert run_cli("cost", "--scenario", "example1") == EXIT_USAGE
         capsys.readouterr()
 
-    def test_exhausted_iteration_budget_is_exit_three(self, tmp_path):
-        # tol 0 can never be met, so the solver must stop at max_iter
+    def test_exhausted_iteration_budget_is_exit_three(self, tmp_path, monkeypatch):
+        # tol 0 can never be met; four sweeps are too few for a stall, so
+        # the solver stops at max_iter
+        def four_iterations(scenario, **kwargs):
+            return solve_equilibrium(scenario, **kwargs, max_iter=4)
+
+        monkeypatch.setattr(contestlab.cli, "solve_equilibrium", four_iterations)
+        out = tmp_path / "nc"
         code = run_cli("equilibrium", "--scenario", "example1",
-                       "--grid", "21", "--tol", "0",
-                       "--out", tmp_path / "nc")
+                       "--grid", "21", "--tol", "0", "--out", out)
         assert code == EXIT_NO_CONVERGENCE
+        assert json.loads((out / "equilibrium.json").read_text())["iterations"] == 4
+
+    def test_unreachable_tolerance_is_exit_three(self, tmp_path):
+        # tol 0 can never be met, so the solver stops on a stalled residual
+        out = tmp_path / "nc"
+        code = run_cli("equilibrium", "--scenario", "example1",
+                       "--grid", "21", "--tol", "0", "--out", out)
+        assert code == EXIT_NO_CONVERGENCE
+        assert json.loads((out / "equilibrium.json").read_text())["iterations"] < 500
 
     @pytest.mark.parametrize("argv", [
         ["equilibrium"], ["hacking"], ["sweep", "--prizes", "1,0;2,0"],
@@ -247,6 +261,13 @@ class TestExitCodes:
             "cost-points-negative"])
     def test_bad_count_is_input_error(self, tmp_path, capsys, argv):
         code = run_cli(*argv, "--scenario", "example1", "--out", tmp_path / "n")
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_bad_tolerance_is_input_error(self, tmp_path, capsys, tol):
+        code = run_cli("equilibrium", "--scenario", "example1", "--tol", tol,
+                       "--out", tmp_path / "t")
         assert code == EXIT_INPUT
         assert capsys.readouterr().err.startswith("error: ")
 

@@ -27,6 +27,7 @@ from contestlab import (
     rank_probabilities,
     solve_equilibrium,
 )
+from contestlab import equilibrium
 from contestlab.costmin import allocate_grid
 from contestlab.equilibrium import _mu_upper_bound
 
@@ -44,8 +45,8 @@ def point_mass_profile(mu_opp: float, players: int = 2,
         types={"kind": "uniform", "support": [theta, theta]},
         noise={"kind": "normal", "dispersion": dispersion},
     )
-    return StrategyProfile(scn, np.array([theta]), np.array([float(mu_opp)]),
-                           True, 0, 0.0)
+    return StrategyProfile(scn, baseline_grid(scn, [theta]),
+                           np.array([float(mu_opp)]), True, 0, 0.0)
 
 
 class TestRankProbabilities:
@@ -129,7 +130,7 @@ class TestGainTable:
         noisy = example_scenario("example1", players=scn.players,
                                  prizes=list(scn.prizes.values),
                                  noise={"kind": noise_kind, "dispersion": 1.0})
-        replay = StrategyProfile(noisy, profile.theta_grid, profile.mu_star.copy(),
+        replay = StrategyProfile(noisy, profile.baseline, profile.mu_star.copy(),
                                  True, 0, 0.0)
         return GainTable(replay, mu_max=12.0)
 
@@ -243,9 +244,14 @@ class TestSolveEquilibrium:
             types={"kind": "uniform", "support": [0.5, 1.5]},
             noise={"kind": "normal", "dispersion": 3.0},
         )
-        profile = solve_equilibrium(scn, max_iter=150)
-        assert profile.converged
-        assert profile.residual <= 1e-5
+        base = baseline_grid(scn, np.linspace(0.5, 1.5, 201))
+        # an undamped first step makes plain iteration oscillate here
+        for damping in (0.5, 1.0):
+            profile = solve_equilibrium(scn, damping=damping, max_iter=150)
+            assert profile.converged
+            assert profile.residual <= 1e-5
+            assert np.all(np.diff(profile.mu_star) >= 0.0)
+            assert np.all(profile.mu_star >= base.mu - 1e-9)
 
     def test_zero_prizes_equal_baseline(self):
         scn = example_scenario("example1")
@@ -262,6 +268,50 @@ class TestSolveEquilibrium:
     def test_bad_damping_rejected(self):
         with pytest.raises(DomainError):
             solve_equilibrium(example_scenario("example1"), damping=0.0)
+
+    @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+    def test_bad_tolerance_rejected(self, tol):
+        with pytest.raises(DomainError, match="tol"):
+            solve_equilibrium(example_scenario("example1"), tol=tol)
+
+    @pytest.mark.parametrize("name", ["example1", "example2", "example3", "example4"])
+    def test_few_iterations(self, equilibria, name):
+        # plain damped iteration needs 17-19 here; Anderson mixing needs 6
+        profile = equilibria(name)
+        assert profile.converged
+        assert profile.iterations <= 10
+
+    def test_unreachable_tolerance_stops_on_a_stall(self):
+        profile = solve_equilibrium(example_scenario("example1"), grid_size=21,
+                                    tol=0.0, max_iter=500)
+        assert not profile.converged
+        assert profile.iterations < 50
+        # the residual belongs to the schedule returned
+        br = best_response_grid(profile, profile.theta_grid)
+        assert profile.residual == pytest.approx(
+            float(np.max(np.abs(br - profile.mu_star))), rel=1e-12)
+
+    def test_extended_bracket_still_converges(self, monkeypatch):
+        # start from a target bracket the best responses escape, so the
+        # solver must widen it (and restart its history) on the way
+        scn = example_scenario("example1")
+        reference = solve_equilibrium(scn, grid_size=51)
+        brackets = []
+        coarse_grid = equilibrium._coarse_grid
+
+        def recorded(scenario, thetas, mu_max):
+            brackets.append(mu_max)
+            return coarse_grid(scenario, thetas, mu_max)
+
+        monkeypatch.setattr(equilibrium, "_coarse_grid", recorded)
+        monkeypatch.setattr(equilibrium, "_mu_upper_bound",
+                            lambda scenario, base: 0.5 * float(np.max(base.mu)))
+        profile = solve_equilibrium(scn, grid_size=51)
+        assert len(brackets) >= 3
+        assert profile.converged and profile.residual <= 1e-5
+        assert np.all(np.diff(profile.mu_star) >= 0.0)
+        assert np.all(profile.mu_star >= profile.baseline.mu - 1e-9)
+        np.testing.assert_allclose(profile.mu_star, reference.mu_star, atol=1e-4)
 
     def test_degenerate_types_single_node(self):
         scn = example_scenario(
@@ -311,3 +361,9 @@ class TestSolveEquilibrium:
         mid = 0.5 * (grid[10] + grid[11])
         want = 0.5 * (profile.mu_star[10] + profile.mu_star[11])
         assert profile.mu_at(mid) == pytest.approx(want, abs=1e-12)
+
+    def test_schedule_must_match_the_baseline_grid(self):
+        scn = example_scenario("example1")
+        base = baseline_grid(scn, np.linspace(*scn.support, 5))
+        with pytest.raises(DomainError, match="type grid"):
+            StrategyProfile(scn, base, np.ones(4), True, 0, 0.0)
