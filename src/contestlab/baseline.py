@@ -136,9 +136,10 @@ def baseline_grid(scenario: Scenario, thetas) -> BaselineGrid:
 
     Each type's target is the root of dC/dmu - 1 on [0, expand_upper]; a
     type whose marginal cost already reaches 1 at mu = 0 stays there.
-    Region labels come from the thresholds.
+    Region labels come from the thresholds.  The grid keeps a copy of
+    ``thetas``, so the caller's array stays its own.
     """
-    thetas = np.asarray(thetas, dtype=float)
+    thetas = np.array(thetas, dtype=float)
     for t in (thetas.min(), thetas.max()) if thetas.size else ():
         scenario.check_theta(float(t))
     thr = baseline_thresholds(scenario)

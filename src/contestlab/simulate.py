@@ -24,7 +24,7 @@ not converge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -81,11 +81,25 @@ CONTEST_COLUMNS = (
 )
 
 
-def _stream(seed: int, stream: int) -> np.random.Generator:
-    """One independent Philox stream per (seed, stream) pair."""
-    if seed < 0 or stream < 0:
+def _streams(seed: int, streams: Iterable[int]) -> Iterator[np.random.Generator]:
+    """The Philox streams (seed, j) for each j in ``streams``, in order.
+
+    One bit generator serves them all: its key is set to (seed, j) and its
+    counter and buffers to zero, so each stream draws exactly what a
+    fresh ``Philox(key=[seed, j])`` would.  The generator yielded for j
+    is the same object each time and is valid until the next is taken.
+    """
+    if seed < 0:
         raise DomainError("seed and stream index must be non-negative")
-    return np.random.Generator(np.random.Philox(key=[int(seed), int(stream)]))
+    bitgen = np.random.Philox(key=[int(seed), 0])
+    rng = np.random.Generator(bitgen)
+    fresh = bitgen.state
+    for j in streams:
+        if j < 0:
+            raise DomainError("seed and stream index must be non-negative")
+        fresh["state"]["key"] = np.array([seed, j], dtype=np.uint64)
+        bitgen.state = fresh
+        yield rng
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +236,7 @@ def _contest_batch(
     count = scenario.players
     u = np.empty((len(replications), count))
     z = np.empty_like(u)
-    for i, j in enumerate(replications):
-        rng = _stream(seed, j)
+    for i, rng in enumerate(_streams(seed, replications)):
         u[i] = rng.random(count)
         z[i] = scenario.noise._standard_draws(rng, count)
     theta = scenario.types.ppf(u)
@@ -333,76 +346,107 @@ class RegressionResult:
         }
 
 
-def _group_demean(values: Array, inverse: Array, counts: Array) -> Array:
-    sums = np.bincount(inverse, weights=values, minlength=counts.size)
-    return values - (sums / counts)[inverse]
+@dataclass(frozen=True)
+class _Within:
+    """Panel columns demeaned within groups, ready for any number of fits.
+
+    ``values`` (rows x columns, Fortran order) holds the demeaned columns
+    and ``means`` (columns x groups) the group means they lost.
+    """
+
+    names: tuple[str, ...]
+    labels: Array
+    means: Array
+    values: Array
+
+    @classmethod
+    def of(cls, panel: Mapping[str, Array], group: str, names: Sequence[str]) -> "_Within":
+        """Demean ``names`` within ``group``, one bincount per column."""
+        missing = [c for c in (*names, group) if c not in panel]
+        if missing:
+            raise DomainError(f"panel is missing columns {missing}")
+        names = tuple(dict.fromkeys(names))
+        labels, inverse = np.unique(np.asarray(panel[group]), return_inverse=True)
+        counts = np.bincount(inverse)
+        values = np.empty((inverse.size, len(names)), order="F")
+        means = np.empty((len(names), labels.size))
+        for j, name in enumerate(names):
+            col = values[:, j]
+            col[:] = panel[name]
+            if not np.all(np.isfinite(col)):
+                raise DomainError(f"panel column {name!r} holds non-finite values")
+            means[j] = np.bincount(inverse, weights=col, minlength=labels.size) / counts
+            col -= means[j][inverse]
+        return cls(names, labels, means, values)
+
+    def fit(self, outcome: str, regressors: Sequence[str]) -> RegressionResult:
+        """Least squares from one QR of the demeaned [X | y]."""
+        cols = [self.names.index(c) for c in (*regressors, outcome)]
+        nobs, k, n_groups = self.values.shape[0], len(regressors), self.labels.size
+        # "raw" skips forming Q; R is its leading (k+1) x (k+1) block
+        _, r_top = scipy.linalg.qr(self.values[:, cols], mode="raw",
+                                   overwrite_a=True, check_finite=False)
+        r = np.zeros((k + 1, k + 1))
+        r[:r_top.shape[0]] = r_top[:k + 1]
+        r11, z, rho = r[:k, :k], r[:k, k], r[k, k]
+
+        # a pivoted QR of R11 pivots as one of X would: same column norms
+        r_piv, pivots = scipy.linalg.qr(r11, mode="r", pivoting=True)
+        diag = np.abs(np.diag(r_piv))
+        tol = max(nobs, k) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
+        rank = int(np.sum(diag > tol))
+        if rank < k:
+            bad = sorted(regressors[p] for p in pivots[rank:])
+            raise SolverError(
+                f"design is rank deficient after demeaning; collinear columns: {bad}"
+            )
+
+        df_resid = nobs - n_groups - k
+        if df_resid < 1:
+            raise SolverError(
+                f"not enough observations: {nobs} rows, {n_groups} groups, {k} regressors"
+            )
+
+        beta = scipy.linalg.solve_triangular(r11, z)
+        rss = float(rho * rho)
+        y_dm = self.values[:, cols[-1]]
+        tss = float(y_dm @ y_dm)
+        r_squared = 1.0 if tss == 0.0 else 1.0 - rss / tss
+        # diag of (X'X)^-1 = R^-1 R^-T is the squared row norms of R^-1
+        r_inv = scipy.linalg.solve_triangular(r11, np.eye(k))
+        se = np.sqrt(rss / df_resid * np.einsum("ij,ij->i", r_inv, r_inv))
+        # group effects: group means of the outcome net of the slope part
+        effects = self.means[cols[-1]] - beta @ self.means[cols[:-1]]
+
+        return RegressionResult(
+            names=tuple(regressors),
+            coef=beta,
+            se=se,
+            r_squared=float(r_squared),
+            nobs=int(nobs),
+            n_groups=int(n_groups),
+            df_resid=int(df_resid),
+            group_labels=self.labels,
+            group_effects=effects,
+        )
 
 
 def fe_ols(panel: Mapping[str, Array], spec: PanelSpec) -> RegressionResult:
     """Within (fixed-effects) OLS: demean by group, then least squares.
 
-    Standard errors are homoskedastic with dof = N - G - k.  Raises
-    SolverError naming the collinear columns when the demeaned design is
-    rank deficient, and DomainError for missing columns.
+    Each column is demeaned with one bincount, and the fit takes one QR
+    of the demeaned [X | y]: beta = R11^-1 z, RSS = rho^2, and the standard
+    errors come from the row norms of R11^-1.  They are homoskedastic
+    with dof = N - G - k.  The rank rule is that of a pivoted QR of X
+    (taken on the small R11): a diagonal entry at or below
+    max(N, k) * eps * |R_00| means rank deficiency.  Raises SolverError
+    naming the collinear columns when the demeaned design is rank
+    deficient, and DomainError for missing or non-finite columns.
     """
-    missing = [c for c in (spec.outcome, spec.group, *spec.regressors) if c not in panel]
-    if missing:
-        raise DomainError(f"panel is missing columns {missing}")
     if not spec.regressors:
         raise DomainError("regression needs at least one regressor")
-
-    y = np.asarray(panel[spec.outcome], dtype=float)
-    nobs = y.size
-    labels, inverse = np.unique(np.asarray(panel[spec.group]), return_inverse=True)
-    counts = np.bincount(inverse)
-    n_groups = labels.size
-
-    design = np.column_stack([np.asarray(panel[c], dtype=float) for c in spec.regressors])
-    y_dm = _group_demean(y, inverse, counts)
-    x_dm = np.column_stack([_group_demean(design[:, k], inverse, counts) for k in range(design.shape[1])])
-
-    k = x_dm.shape[1]
-    _, r_mat, pivots = scipy.linalg.qr(x_dm, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r_mat))
-    tol = max(x_dm.shape) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
-    rank = int(np.sum(diag > tol))
-    if rank < k:
-        bad = sorted(spec.regressors[p] for p in pivots[rank:])
-        raise SolverError(
-            f"design is rank deficient after demeaning; collinear columns: {bad}"
-        )
-
-    df_resid = nobs - n_groups - k
-    if df_resid < 1:
-        raise SolverError(
-            f"not enough observations: {nobs} rows, {n_groups} groups, {k} regressors"
-        )
-
-    beta, _, _, _ = np.linalg.lstsq(x_dm, y_dm, rcond=None)
-    residuals = y_dm - x_dm @ beta
-    rss = float(residuals @ residuals)
-    tss = float(y_dm @ y_dm)
-    r_squared = 1.0 if tss == 0.0 else 1.0 - rss / tss
-
-    sigma2 = rss / df_resid
-    xtx_inv = np.linalg.inv(x_dm.T @ x_dm)
-    se = np.sqrt(np.clip(sigma2 * np.diag(xtx_inv), 0.0, None))
-
-    # group effects: group means of the outcome net of the slope part
-    raw_resid = y - design @ beta
-    effects = np.bincount(inverse, weights=raw_resid, minlength=n_groups) / counts
-
-    return RegressionResult(
-        names=spec.regressors,
-        coef=beta,
-        se=se,
-        r_squared=float(r_squared),
-        nobs=int(nobs),
-        n_groups=int(n_groups),
-        df_resid=int(df_resid),
-        group_labels=labels,
-        group_effects=effects,
-    )
+    within = _Within.of(panel, spec.group, (*spec.regressors, spec.outcome))
+    return within.fit(spec.outcome, spec.regressors)
 
 
 # ---------------------------------------------------------------------------
@@ -600,9 +644,8 @@ def synthetic_panel(
         contests["prize_skew"][rows] = cell.prize_skew
 
     eps = np.empty((total, traj_length))
-    for j in range(n_contests):
-        _stream(seed, n_contests + j).standard_normal(
-            out=eps[j * players:(j + 1) * players])
+    for j, rng in enumerate(_streams(seed, range(n_contests, 2 * n_contests))):
+        rng.standard_normal(out=eps[j * players:(j + 1) * players])
     trajectories = _trajectory_matrix(
         cols["a"],
         cols["b"],
@@ -627,7 +670,8 @@ def panel_regressions(
     Outcomes are the achieved fitness and the Mann-Kendall Z; each is
     regressed on type-bin dummies alone and again with type x prize
     value and type x skew interactions, always with contest fixed
-    effects.
+    effects.  The columns are demeaned once and shared by the four fits,
+    each as :func:`fe_ols` would make it.
     """
     edges = np.asarray(edges, dtype=float)
     data = add_type_bins(panel, edges)
@@ -635,8 +679,9 @@ def panel_regressions(
     data = add_interactions(data, dummies, {"PV": "prize_value", "PS": "prize_skew"})
     interactions = tuple(f"{d}x{alias}" for alias in ("PV", "PS") for d in dummies)
 
+    within = _Within.of(data, "contest_id", (*dummies, *interactions, "mu", "mk_Z"))
     out: dict[str, RegressionResult] = {}
     for label, outcome in (("fitness", "mu"), ("mk", "mk_Z")):
-        out[f"{label}_type"] = fe_ols(data, PanelSpec(outcome, dummies))
-        out[f"{label}_interactions"] = fe_ols(data, PanelSpec(outcome, dummies, interactions))
+        out[f"{label}_type"] = within.fit(outcome, dummies)
+        out[f"{label}_interactions"] = within.fit(outcome, dummies + interactions)
     return out

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from contestlab import (
+    StrategyProfile,
     baseline_grid,
     baseline_thresholds,
     example_scenario,
@@ -82,6 +83,21 @@ class TestClosedFormPoints:
         assert pt.region == ("mech-only",)
         assert pt.a[0] == 0.0
         assert pt.b[0] == pytest.approx(0.5 ** (2.0 / 3.0), abs=1e-8)
+
+
+    def test_grid_keeps_its_own_types(self):
+        # the grid copies the caller's array: a later write to it moves
+        # neither the grid nor a profile built on it, and the caller's
+        # array stays writable
+        scn = example_scenario("example2")
+        th = np.linspace(0.5, 3.0, 5)
+        grid = baseline_grid(scn, th)
+        before = {f: getattr(grid, f).copy() for f in ("theta", "a", "b", "mu", "payoff")}
+        StrategyProfile(scn, grid, grid.mu.copy(), True, 0, 0.0)
+        assert th.flags.writeable
+        th[0] = 99.0
+        for field, values in before.items():
+            np.testing.assert_array_equal(getattr(grid, field), values, err_msg=field)
 
 
 class TestGridInvariants:

@@ -36,7 +36,7 @@ from contestlab.simulate import (
     CONTEST_COLUMNS,
     _contest_batch,
     _mk_batch,
-    _stream,
+    _streams,
     _trajectory_matrix,
 )
 
@@ -151,7 +151,7 @@ class TestMannKendall:
 def trajectory(a, b, length, drift_scale=0.3, noise_scale=2.0, seed=0,
                *, base=75.0, stream=0):
     """One player's submission trajectory, drawn from Philox (seed, stream)."""
-    eps = _stream(seed, stream).standard_normal((1, length))
+    eps = np.random.Generator(np.random.Philox(key=[seed, stream])).standard_normal((1, length))
     return _trajectory_matrix(np.array([a]), np.array([b]), length,
                               drift_scale, noise_scale, np.array([base]), eps)[0]
 
@@ -201,6 +201,45 @@ class TestTrajectories:
             np.full(reps, 50.0), eps)
         z = _mk_batch(scores)[2]
         assert abs(float(z.mean())) < 0.05
+
+
+class TestStreams:
+    PAIRS = [(0, 0), (0, 1), (7, 3), (7, 0), (2**40 + 5, 123_456), (1, 2**63), (0, 1)]
+
+    @staticmethod
+    def draws(rng):
+        # every draw kind the simulator uses, plus 32-bit draws that leave
+        # half a word buffered in the bit generator
+        return np.concatenate([
+            rng.random(3),
+            rng.standard_normal(5),
+            rng.gumbel(0.0, 1.0, 2),
+            rng.standard_exponential(2),
+            rng.integers(0, 2**31, size=3, dtype=np.uint32).astype(float),
+        ])
+
+    def test_reused_generator_matches_fresh_philox(self):
+        by_seed = {}
+        for seed, stream in self.PAIRS:
+            by_seed.setdefault(seed, []).append(stream)
+        for seed, streams in by_seed.items():
+            for stream, rng in zip(streams, _streams(seed, streams)):
+                fresh = np.random.Generator(np.random.Philox(key=[seed, stream]))
+                np.testing.assert_array_equal(self.draws(rng), self.draws(fresh),
+                                              err_msg=f"seed {seed}, stream {stream}")
+
+    def test_partly_used_stream_does_not_leak_into_the_next(self):
+        gen = _streams(5, [1, 2])
+        next(gen).integers(0, 10, size=1, dtype=np.uint32)
+        fresh = np.random.Generator(np.random.Philox(key=[5, 2]))
+        np.testing.assert_array_equal(
+            next(gen).integers(0, 2**31, size=4, dtype=np.uint32),
+            fresh.integers(0, 2**31, size=4, dtype=np.uint32))
+
+    @pytest.mark.parametrize("seed, streams", [(-1, [0]), (0, [2, -1])])
+    def test_negative_key_rejected(self, seed, streams):
+        with pytest.raises(DomainError, match="non-negative"):
+            list(_streams(seed, streams))
 
 
 class TestRunContest:
@@ -365,6 +404,79 @@ class TestFixedEffectsOLS:
         panel, _ = self.toy_panel(rng)
         with pytest.raises(DomainError):
             fe_ols(panel, PanelSpec("y", (), group="g"))
+
+    @staticmethod
+    def reference_fit(panel, spec):
+        """Dummy-free within OLS from lstsq and inv(X'X), column by column."""
+        labels, inverse = np.unique(panel[spec.group], return_inverse=True)
+
+        def demean(v):
+            v = np.asarray(v, dtype=float)
+            means = np.array([v[inverse == g].mean() for g in range(labels.size)])
+            return v - means[inverse], means
+
+        y, y_means = demean(panel[spec.outcome])
+        pairs = [demean(panel[c]) for c in spec.regressors]
+        x = np.column_stack([p[0] for p in pairs])
+        x_means = np.column_stack([p[1] for p in pairs])
+        beta = np.linalg.lstsq(x, y, rcond=None)[0]
+        resid = y - x @ beta
+        df = y.size - labels.size - x.shape[1]
+        cov = (resid @ resid) / df * np.linalg.inv(x.T @ x)
+        r2 = 1.0 - (resid @ resid) / (y @ y)
+        return beta, np.sqrt(np.diag(cov)), r2, y_means - x_means @ beta
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 8, 12])
+    def test_matches_lstsq_oracle(self, k):
+        rng = np.random.default_rng(1000 + k)
+        sizes = rng.integers(2, 30, size=25)
+        g = rng.permutation(np.repeat(np.arange(sizes.size) * 7 + 3, sizes))
+        x = rng.normal(size=(g.size, k)) * rng.uniform(0.1, 10.0, size=k)
+        x[:, 0] = rng.random(g.size) < 0.3       # a dummy, like the type bins
+        y = x @ rng.normal(size=k) + rng.normal(size=g.size) + g * 0.1
+        panel = {"g": g, "y": y, **{f"x{j}": x[:, j] for j in range(k)}}
+        spec = PanelSpec("y", tuple(f"x{j}" for j in range(k)), group="g")
+        res = fe_ols(panel, spec)
+        beta, se, r2, effects = self.reference_fit(panel, spec)
+        np.testing.assert_allclose(res.coef, beta, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(res.se, se, rtol=1e-10, atol=0)
+        assert res.r_squared == pytest.approx(r2, rel=1e-10)
+        np.testing.assert_allclose(res.group_effects, effects, rtol=1e-10, atol=1e-12)
+        np.testing.assert_array_equal(res.group_labels, np.unique(g))
+        assert res.df_resid == g.size - sizes.size - k
+
+    def test_non_finite_column_rejected(self, rng):
+        panel, _ = self.toy_panel(rng)
+        panel["x2"] = panel["x2"].copy()
+        panel["x2"][5] = np.nan
+        with pytest.raises(DomainError, match="x2"):
+            fe_ols(panel, PanelSpec("y", ("x1", "x2"), group="g"))
+
+    def test_panel_regressions_equal_independent_fits(self, rng):
+        n_contests, players = 60, 12
+        cid = np.repeat(np.arange(n_contests), players)
+        panel = {
+            "contest_id": cid,
+            "type": rng.uniform(0.5, 1.5, cid.size),
+            "prize_value": np.array([2.0, 10.0, 40.0])[cid % 3],
+            "prize_skew": (cid % 2).astype(np.int64),
+            "mu": rng.normal(size=cid.size),
+            "mk_Z": rng.normal(size=cid.size),
+        }
+        edges = np.array([0.7, 0.9, 1.1, 1.3])
+        regs = panel_regressions(panel, edges)
+        dummies = ("T2", "T3", "T4", "T5")
+        data = add_interactions(add_type_bins(panel, edges), dummies,
+                                {"PV": "prize_value", "PS": "prize_skew"})
+        interactions = tuple(f"{d}x{a}" for a in ("PV", "PS") for d in dummies)
+        for label, outcome in (("fitness", "mu"), ("mk", "mk_Z")):
+            for suffix, regressors in (("type", dummies),
+                                       ("interactions", dummies + interactions)):
+                alone = fe_ols(data, PanelSpec(outcome, regressors))
+                shared = regs[f"{label}_{suffix}"]
+                assert shared.names == alone.names
+                assert shared.to_dict() == alone.to_dict()
+                np.testing.assert_array_equal(shared.group_effects, alone.group_effects)
 
 
 class TestPanelConstruction:
