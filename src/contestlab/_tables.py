@@ -88,8 +88,9 @@ def read_csv_columns(path) -> dict[str, np.ndarray]:
     file.  When that parse fails or sees fewer rows than the file has
     data lines, the file is read again row by row, which defines the
     result: text columns, blank lines, quoted fields and columns that
-    turn out not to be all-int or all-float take that path.  Every row
-    must have as many fields as the header.
+    turn out not to be all-int or all-float take that path.  So does an
+    integer column with a value beyond int64, which comes back as
+    float64.  Every row must have as many fields as the header.
     """
     typed = _read_typed(path)
     return typed if typed is not None else _read_rowwise(path)
@@ -152,7 +153,7 @@ def _read_rowwise(path) -> dict[str, np.ndarray]:
         try:
             out[name] = np.asarray([int(v) for v in raw], dtype=np.int64)
             continue
-        except ValueError:
+        except (ValueError, OverflowError):   # not all integers, or beyond int64
             pass
         try:
             out[name] = np.asarray([float(v) for v in raw], dtype=float)

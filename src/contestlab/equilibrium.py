@@ -37,9 +37,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from ._isotonic import isotonic_projection
 from ._quadrature import adaptive_simpson, gauss_legendre
@@ -134,10 +135,32 @@ def opponent_mixture(profile: StrategyProfile) -> OpponentMixture:
                            profile.scenario.noise)
 
 
+@cache
+def _log_choose(n: int) -> Array:
+    """log C(n, j) for j = 0..n, each the log of the exact integer."""
+    out = np.array([math.log(math.comb(n, j)) for j in range(n + 1)])
+    out.setflags(write=False)
+    return out
+
+
+def _binom_pmf(k: Array, n: int, p: Array) -> Array:
+    """Binomial pmf of ``k`` (integers in [0, n]) in ``n`` trials of ``p``.
+
+    The exp of a sum of logs: ``xlogy`` and ``xlog1py`` read 0 * log 0 as
+    0, so the result is exactly 1 at n = 0 and exactly 0 or 1 at p = 0 and
+    p = 1.
+    """
+    return np.exp(_log_choose(n)[k] + special.xlogy(k, p)
+                  + special.xlog1py(n - k, -p))
+
+
 def _rank_pmf(g: Array, players: int, ranks: Array) -> Array:
-    """P(exactly rank k) weights: binomial in the opponents beaten."""
-    # ranks are 1-based; k-1 opponents perform better
-    return stats.binom.pmf(ranks[None, :] - 1, players - 1, (1.0 - g)[:, None])
+    """P(exactly rank k) weights at opponent CDF values ``g``.
+
+    Rank k means k - 1 of the ``players - 1`` opponents score higher,
+    each independently with probability 1 - g: a binomial pmf.
+    """
+    return _binom_pmf(ranks[None, :] - 1, players - 1, (1.0 - g)[:, None])
 
 
 def rank_probabilities(mu: float, profile: StrategyProfile) -> Array:
@@ -211,8 +234,8 @@ class GainTable:
         drop = (paid[:-1] - paid[1:])[:ranks[-1]]
         dens = (mixture.noise.pdf(s_grid[:, None], mixture.mus[None, :])
                 @ mixture.weights)
-        beaten = stats.binom.pmf(np.arange(drop.size)[None, :], players - 2,
-                                 (1.0 - g)[:, None])
+        beaten = _binom_pmf(np.arange(drop.size)[None, :], players - 2,
+                            (1.0 - g)[:, None])
         m = h * (players - 1) * dens * (beaten @ drop)   # slope per unit t
         # cubic Hermite segments in t = (s - s_i) / h, Horner order c0..c3
         dw = np.diff(w)

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Any
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .errors import DomainError
 
@@ -220,7 +220,11 @@ class TypeDistribution:
     """Distribution of private types on a bounded support [lo, hi].
 
     ``uniform`` admits the degenerate case lo == hi (a point mass), used by
-    diagnostic oracles; ``truncated-normal`` requires a proper interval.
+    diagnostic oracles.  ``truncated-normal`` is N(loc, scale**2) cut to
+    [lo, hi]; it requires a proper interval that holds a normal float's
+    worth of probability.  Its pdf, cdf and ppf work on the lower normal
+    tail Phi(z), or on the upper tail Phi(-z) when the support lies above
+    ``loc``, so a support far out in either tail keeps its digits.
     """
 
     kind: str
@@ -243,24 +247,38 @@ class TypeDistribution:
                 raise DomainError("truncated-normal needs a positive scale")
             if self.loc is None:
                 raise DomainError("truncated-normal needs a loc")
+            _, f_lo, f_hi = self._tails()
+            if not abs(f_hi - f_lo) >= np.finfo(float).tiny:
+                raise DomainError("truncated-normal support holds no normal "
+                                  "probability at double precision")
 
     @property
     def degenerate(self) -> bool:
         return self.hi == self.lo
 
-    def _frozen(self):
-        a = (self.lo - self.loc) / self.scale
-        b = (self.hi - self.loc) / self.scale
-        return stats.truncnorm(a, b, loc=self.loc, scale=self.scale)
+    def _tails(self) -> tuple[float, float, float]:
+        """(sign, F(lo), F(hi)) of the truncated normal, F(x) = Phi(sign * z(x)).
+
+        ``sign`` is -1 when the support lies above ``loc``, making F the
+        upper tail Phi(-z): there Phi(z) would round towards 1 and lose the
+        digits that tell the support's points apart.
+        """
+        sign = -1.0 if self.lo > self.loc else 1.0
+        f_lo, f_hi = special.ndtr(sign * (np.array([self.lo, self.hi]) - self.loc)
+                                  / self.scale)
+        return sign, float(f_lo), float(f_hi)
 
     def pdf(self, theta: Array | float) -> Array:
         theta = np.asarray(theta, dtype=float)
         if self.degenerate:
             raise DomainError("degenerate type distribution has no density")
+        inside = (theta >= self.lo) & (theta <= self.hi)
         if self.kind == "uniform":
-            inside = (theta >= self.lo) & (theta <= self.hi)
             return np.where(inside, 1.0 / (self.hi - self.lo), 0.0)
-        return self._frozen().pdf(theta)
+        _, f_lo, f_hi = self._tails()
+        z = (theta - self.loc) / self.scale
+        norm = abs(f_hi - f_lo) * self.scale * math.sqrt(2.0 * math.pi)
+        return np.where(inside, np.exp(-0.5 * z * z) / norm, 0.0)
 
     def cdf(self, theta: Array | float) -> Array:
         theta = np.asarray(theta, dtype=float)
@@ -268,7 +286,9 @@ class TypeDistribution:
             return np.where(theta >= self.lo, 1.0, 0.0)
         if self.kind == "uniform":
             return np.clip((theta - self.lo) / (self.hi - self.lo), 0.0, 1.0)
-        return self._frozen().cdf(theta)
+        sign, f_lo, f_hi = self._tails()
+        z = (np.clip(theta, self.lo, self.hi) - self.loc) / self.scale
+        return (special.ndtr(sign * z) - f_lo) / (f_hi - f_lo)
 
     def ppf(self, q: Array | float) -> Array:
         q = np.asarray(q, dtype=float)
@@ -278,11 +298,16 @@ class TypeDistribution:
             return np.full_like(q, self.lo)
         if self.kind == "uniform":
             return self.lo + q * (self.hi - self.lo)
-        return self._frozen().ppf(q)
-
-    def sample(self, rng: np.random.Generator, size: int) -> Array:
-        # inverse-transform keeps sampling tied to the caller's stream
-        return self.ppf(rng.random(size))
+        sign, f_lo, f_hi = self._tails()
+        # count from the end where F is smaller, so that no level is the
+        # difference of two nearly equal tail probabilities
+        if sign > 0:
+            level = f_lo + q * (f_hi - f_lo)
+        else:
+            level = f_hi + (1.0 - q) * (f_lo - f_hi)
+        theta = np.clip(self.loc + self.scale * sign * special.ndtri(level),
+                        self.lo, self.hi)
+        return np.where(q == 0.0, self.lo, np.where(q == 1.0, self.hi, theta))
 
 
 _EULER = float(np.euler_gamma)
@@ -359,11 +384,6 @@ class NoiseFamily:
             raise DomainError("noise quantile level must lie in (0, 1)")
         loc, scale = self.loc_scale(mu)
         return loc + scale * self.z_ppf(q)
-
-    def sample(self, rng: np.random.Generator, mu: Array | float) -> Array:
-        mu = np.asarray(mu, dtype=float)
-        loc, scale = self.loc_scale(mu)
-        return loc + scale * self._standard_draws(rng, mu.shape)
 
     def _standard_draws(self, rng: np.random.Generator, shape) -> Array:
         """Draws of the base variate Z of ``loc_scale``, in stream order."""

@@ -36,6 +36,18 @@ def nan_at_fourth_point(gain):
     return patched
 
 
+def sample_types(types: TypeDistribution, rng: np.random.Generator, size) -> np.ndarray:
+    """Inverse-transform draws of a type distribution, in ``rng``'s stream order."""
+    return types.ppf(rng.random(size))
+
+
+def sample_noise(noise: NoiseFamily, rng: np.random.Generator, mu) -> np.ndarray:
+    """One performance draw per entry of ``mu``: loc + scale * Z."""
+    mu = np.asarray(mu, dtype=float)
+    loc, scale = noise.loc_scale(mu)
+    return loc + scale * noise._standard_draws(rng, mu.shape)
+
+
 def random_scenario(rng: np.random.Generator) -> Scenario:
     """A structurally valid scenario with randomly mixed primitive forms."""
     nu_kind = rng.choice(["linear", "power", "saturating"])

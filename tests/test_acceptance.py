@@ -20,6 +20,8 @@ from helpers import (
     cost_property_violations,
     effort_region_violations,
     random_cost_triple,
+    sample_noise,
+    sample_types,
 )
 
 from contestlab import (
@@ -90,10 +92,10 @@ def _mc_rank_frequencies(profile, theta0: float, n_draws: int,
     """Empirical rank distribution for a type-theta0 entrant."""
     scn = profile.scenario
     opponents = scn.players - 1
-    theta_opp = scn.types.sample(rng, n_draws * opponents).reshape(n_draws, opponents)
-    score_opp = scn.noise.sample(rng, profile.mu_at(theta_opp))
+    theta_opp = sample_types(scn.types, rng, n_draws * opponents).reshape(n_draws, opponents)
+    score_opp = sample_noise(scn.noise, rng, profile.mu_at(theta_opp))
     mu0 = float(profile.mu_at(theta0))
-    score_own = scn.noise.sample(rng, np.full(n_draws, mu0))
+    score_own = sample_noise(scn.noise, rng, np.full(n_draws, mu0))
     ranks = 1 + (score_opp > score_own[:, None]).sum(axis=1)
     return np.bincount(ranks, minlength=scn.players + 1)[1:] / n_draws
 

@@ -185,6 +185,13 @@ class TestExitCodes:
         assert run_cli("baseline", "--scenario", bad,
                        "--out", tmp_path / "y") == EXIT_INPUT
 
+    def test_mk_reads_integers_beyond_int64(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        path.write_text("x\n1\n99999999999999999999\n5\n")
+        assert run_cli("mk", "--input", path, "--column", "x",
+                       "--out", tmp_path / "m") == EXIT_OK
+        assert capsys.readouterr().err == ""
+
     def test_missing_column_is_input_error(self, tmp_path):
         assert run_cli("mk", "--input", TREND_CSV,
                        "--column", "nope", "--out", tmp_path / "z") == EXIT_INPUT

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import nan_at_fourth_point
+from helpers import nan_at_fourth_point, sample_types
 from scipy import integrate, optimize, special, stats
 
 from contestlab import (
@@ -49,13 +49,28 @@ def point_mass_profile(mu_opp: float, players: int = 2,
                            np.array([float(mu_opp)]), True, 0, 0.0)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 19, 199, 399])
+def test_binom_pmf_matches_scipy(n, rng):
+    p = np.concatenate([[0.0, 1e-300], rng.random(20), [1.0 - 1e-16, 1.0]])
+    k = np.arange(n + 1)
+    got = equilibrium._binom_pmf(k[None, :], n, p[:, None])
+    want = stats.binom.pmf(k[None, :], n, p[:, None])
+    big = want > 1e-200
+    np.testing.assert_allclose(got[big], want[big], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(got[~big], want[~big], rtol=0.0, atol=1e-200)
+    # exact at p = 0 and p = 1 (a one at k = 0 or k = n, zeros elsewhere)
+    np.testing.assert_array_equal(got[[0, -1]], want[[0, -1]])
+    if n == 0:
+        assert np.all(got == 1.0)
+
+
 class TestRankProbabilities:
     def test_sums_to_one(self, equilibria):
         profile = equilibria("example1", players=5, prizes=(1.0, 0.5, 0.0))
         for mu in (0.3, 1.0, 2.4, 5.0):
             p = rank_probabilities(mu, profile)
             assert p.size == 5
-            assert p.sum() == pytest.approx(1.0, abs=1e-8)
+            assert p.sum() == pytest.approx(1.0, abs=1e-9)
             assert np.all(p >= -1e-12)
 
     def test_two_player_closed_form(self):
@@ -91,7 +106,7 @@ class TestRankProbabilities:
         mu_probe = 2.0
         p = rank_probabilities(mu_probe, profile)
         n = 200_000
-        theta = profile.scenario.types.sample(rng, (4 * n)).reshape(n, 4)
+        theta = sample_types(profile.scenario.types, rng, 4 * n).reshape(n, 4)
         opp = rng.normal(profile.mu_at(theta), 1.0)
         own = rng.normal(mu_probe, 1.0, size=(n, 1))
         ranks = 1 + (opp > own).sum(axis=1)

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import sample_noise, sample_types
+from scipy import stats
 
 from contestlab import (
     EXAMPLE_CONFIGS,
@@ -143,7 +145,7 @@ class TestTypeDistribution:
         TypeDistribution("truncated-normal", 0.0, 3.0, loc=1.0, scale=0.8),
     ], ids=lambda d: d.kind)
     def test_samples_inside_support_and_match_cdf(self, dist, rng):
-        draws = dist.sample(rng, 40_000)
+        draws = sample_types(dist, rng, 40_000)
         assert np.all((draws >= dist.lo) & (draws <= dist.hi))
         # one-sample KS-style check at a handful of points, 4 sigma slack
         for q in (0.2, 0.5, 0.8):
@@ -165,7 +167,26 @@ class TestTypeDistribution:
         grid = np.linspace(0.0, 3.0, 20_001)
         assert np.trapezoid(dist.pdf(grid), grid) == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("lo, hi, loc, scale", [
+        (0.0, 3.0, 1.0, 0.8),
+        (0.5, 1.5, 1.0, 0.3),
+        (4.0, 6.0, 0.0, 1.0),
+        (-8.0, -5.0, 0.0, 1.0),
+    ], ids=["wide", "narrow", "upper-tail", "lower-tail"])
+    def test_truncated_normal_matches_scipy(self, lo, hi, loc, scale):
+        dist = TypeDistribution("truncated-normal", lo, hi, loc=loc, scale=scale)
+        ref = stats.truncnorm((lo - loc) / scale, (hi - loc) / scale,
+                              loc=loc, scale=scale)
+        pad = 0.1 * (hi - lo)
+        theta = np.concatenate([[lo - pad], np.linspace(lo, hi, 101), [hi + pad]])
+        q = np.linspace(0.0, 1.0, 101)
+        np.testing.assert_allclose(dist.pdf(theta), ref.pdf(theta), rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(dist.cdf(theta), ref.cdf(theta), rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(dist.ppf(q), ref.ppf(q), rtol=1e-12, atol=0.0)
+
     def test_invalid_configs(self):
+        with pytest.raises(DomainError):
+            TypeDistribution("truncated-normal", 40.0, 41.0, loc=0.0, scale=1.0)
         with pytest.raises(DomainError):
             TypeDistribution("uniform", 2.0, 1.0)
         with pytest.raises(DomainError):
@@ -178,7 +199,7 @@ class TestNoiseFamily:
     @pytest.mark.parametrize("noise", ALL_NOISE, ids=lambda f: f.kind)
     def test_mean_is_mu(self, noise, rng):
         mu = np.full(400_000, 1.7)
-        draws = noise.sample(rng, mu)
+        draws = sample_noise(noise, rng, mu)
         se = draws.std() / math.sqrt(draws.size)
         assert abs(draws.mean() - 1.7) < 4.0 * se
 
@@ -200,8 +221,8 @@ class TestNoiseFamily:
         # 1e5 seeded draws per mean; no CDF crossing beyond 0.01
         rng_hi = np.random.default_rng(7)
         rng_lo = np.random.default_rng(7)
-        hi = noise.sample(rng_hi, np.full(100_000, 2.0))
-        lo = noise.sample(rng_lo, np.full(100_000, 1.0))
+        hi = sample_noise(noise, rng_hi, np.full(100_000, 2.0))
+        lo = sample_noise(noise, rng_lo, np.full(100_000, 1.0))
         grid = np.linspace(min(lo.min(), hi.min()), max(lo.max(), hi.max()), 201)
         cdf_hi = np.searchsorted(np.sort(hi), grid) / hi.size
         cdf_lo = np.searchsorted(np.sort(lo), grid) / lo.size

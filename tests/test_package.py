@@ -1,10 +1,14 @@
-"""Tests that the hand-kept export lists name only what exists, and that
-the package holds no unused imports or nested functions."""
+"""Tests that the hand-kept export lists name only what exists, that
+the package holds no unused imports or nested functions, and that
+importing it leaves the slow scipy subpackages unloaded."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,3 +69,18 @@ def test_no_unused_imports_or_nested_functions():
              for path in sorted(package.glob("*.py"))
              for name in _unused_names(ast.parse(path.read_text(), str(path)))}
     assert found - UNUSED_ALLOWED == set()
+
+
+def test_import_leaves_slow_scipy_subpackages_unloaded():
+    # a fresh interpreter: this test process has imported scipy.stats itself
+    src = Path(importlib.import_module("contestlab").__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    code = ("import sys, contestlab, contestlab.cli; "
+            "print(*(m for m in ('scipy.stats', 'scipy.optimize', 'scipy.integrate') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

@@ -220,3 +220,18 @@ def test_written_tables_take_the_typed_path(tmp_path, rng):
     assert_same_columns(back, _read_rowwise(path))
     np.testing.assert_array_equal(back["x"], cols["x"])
     assert all(col.flags.c_contiguous for col in back.values())
+
+
+def test_integers_beyond_int64_read_as_floats(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text("x,i\n1,1\n99999999999999999999,2\n")
+    back = read_csv_columns(path)
+    assert back["x"].dtype == np.float64 and back["i"].dtype == np.int64
+    np.testing.assert_array_equal(back["x"], [1.0, 1e20])
+
+
+def test_uint64_above_int64_reads_back(tmp_path):
+    path = tmp_path / "u.csv"
+    u = np.array([0, 2**63, 2**64 - 1], dtype=np.uint64)
+    write_csv(path, {"u": u})
+    np.testing.assert_array_equal(read_csv_columns(path)["u"], u.astype(float))
