@@ -17,13 +17,22 @@ decreasing, so exactly one of three regimes applies:
 - create-only:  xi'(0)  <= nu_a(a_bar, theta)    (b = 0, nu alone reaches mu)
 - interior:     the single crossing psi(y) = nu_a(y, theta)
 
-Ties at the boundary tests resolve to the corner regimes.  The crossing
-is bracketed by construction and located to 1e-10 in y by the bracketed
-root finder of ``_rootfind``; the produced split satisfies the fitness
-constraint to 1e-8 because the mechanistic effort is recovered by exact
-inversion.  Input is validated once, on entry: every later argument is
-non-negative by construction, so the solver calls the forms' unchecked
-kernels.
+Ties at the boundary tests resolve to the corner regimes.  Where one
+channel's marginal product is constant, the crossing fixes the other
+channel's effort whatever the target, in closed form:
+
+- linear (or alpha = 1 power) nu, power xi: nu_a = theta, so
+  xi'(b) = theta fixes b and a = (mu - xi(b)) / theta;
+- linear xi with power or saturating nu: xi' = 1, so nu_a(a, theta) = 1
+  fixes a and b = mu - nu(a, theta).
+
+Linear nu against linear xi has no interior.  Only pairs where neither
+margin is constant (power or saturating nu against power xi) locate the
+crossing with the bracketed root finder of ``_rootfind``, to 1e-10 in y,
+and recover b by exact inversion.  Either way the split satisfies the
+fitness constraint to 1e-8.  Input is validated once, on entry: every
+later argument is non-negative by construction, so the solver calls the
+forms' unchecked kernels.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ import numpy as np
 
 from ._rootfind import bisect_vec, expand_upper
 from .errors import DomainError
-from .model import Scenario
+from .model import MechanizationForm, ProductionForm, Scenario
 
 Array = np.ndarray
 
@@ -63,8 +72,11 @@ def allocate_grid(scenario: Scenario, mu, theta) -> AllocationGrid:
     """Solve the allocation problem elementwise on broadcast arrays.
 
     One (mu, theta) point is the one-element call
-    ``allocate_grid(s, [mu], [theta])``.  Raises :class:`DomainError` on
-    negative or non-finite targets.
+    ``allocate_grid(s, [mu], [theta])``.  Interior elements are split in
+    closed form when nu or xi has a constant margin and by one bracketed
+    root over all of them otherwise (see the module docstring).  Raises
+    :class:`DomainError` on negative or non-finite targets and on
+    non-finite types.
     """
     mu_in = np.asarray(mu, dtype=float)
     th_in = np.asarray(theta, dtype=float)
@@ -72,6 +84,8 @@ def allocate_grid(scenario: Scenario, mu, theta) -> AllocationGrid:
         raise DomainError("fitness targets must be finite")
     if np.any(mu_in < 0):
         raise DomainError("fitness targets must be non-negative")
+    if not np.all(np.isfinite(th_in)):
+        raise DomainError("types must be finite")
     mu_b, th_b = np.broadcast_arrays(mu_in, th_in)
     mu_f = np.ascontiguousarray(mu_b, dtype=float).ravel()
     th_f = np.ascontiguousarray(th_b, dtype=float).ravel()
@@ -96,24 +110,7 @@ def allocate_grid(scenario: Scenario, mu, theta) -> AllocationGrid:
 
     if np.any(interior):
         idx = np.nonzero(interior)[0]
-        mu_i, th_i = mu_f[idx], th_f[idx]
-
-        def margin_gap(y: Array) -> Array:
-            remainder = np.maximum(mu_i - nu_form._value(y, th_i), 0.0)
-            psi = xi._deriv(xi._invert(remainder))
-            return psi - nu_form._deriv_a(y, th_i)
-
-        hi = a_bar[idx]
-        unbounded = ~np.isfinite(hi)
-        if np.any(unbounded):
-            start = np.where(unbounded, 1.0, hi)
-            hi = np.where(unbounded,
-                          expand_upper(lambda y: np.where(unbounded, margin_gap(y), 0.0),
-                                       start, what="interior allocation"),
-                          hi)
-        y_star = bisect_vec(margin_gap, np.zeros_like(hi), hi, tol=1e-10)
-        a[idx] = y_star
-        b[idx] = xi._invert(np.maximum(mu_i - nu_form._value(y_star, th_i), 0.0))
+        a[idx], b[idx] = _interior_split(nu_form, xi, mu_f[idx], th_f[idx], a_bar[idx])
 
     with np.errstate(divide="ignore"):
         lam_mech = 1.0 / xi._deriv(b)
@@ -134,3 +131,41 @@ def allocate_grid(scenario: Scenario, mu, theta) -> AllocationGrid:
         marginal_cost=(cost._deriv(effort) * lam).reshape(mu_b.shape),
     )
     return grid
+
+
+def _interior_split(nu_form: ProductionForm, xi: MechanizationForm, mu: Array,
+                    theta: Array, a_bar: Array) -> tuple[Array, Array]:
+    """Split (a, b) of interior targets, where nu_a(a, theta) = xi'(b)."""
+    if nu_form._constant_margin:
+        # nu_a = theta: the mechanistic margin alone must reach theta
+        b = xi._inv_deriv(theta)
+        a = (mu - xi._value(b)) / theta
+    elif xi.kind == "linear":
+        # xi' = 1: the creative margin alone must fall to 1
+        a = nu_form._inv_deriv_a(np.ones_like(mu), theta)
+        b = mu - nu_form._value(a, theta)
+    else:
+        a = _interior_root(nu_form, xi, mu, theta, a_bar)
+        b = xi._invert(np.maximum(mu - nu_form._value(a, theta), 0.0))
+    # a rounding step at a regime boundary must not give a negative effort
+    return np.maximum(a, 0.0), np.maximum(b, 0.0)
+
+
+def _interior_root(nu_form: ProductionForm, xi: MechanizationForm, mu: Array,
+                   theta: Array, a_bar: Array) -> Array:
+    """Creative effort at the crossing psi(y) = nu_a(y, theta), to 1e-10 in y."""
+
+    def margin_gap(y: Array) -> Array:
+        remainder = np.maximum(mu - nu_form._value(y, theta), 0.0)
+        psi = xi._deriv(xi._invert(remainder))
+        return psi - nu_form._deriv_a(y, theta)
+
+    hi = a_bar
+    unbounded = ~np.isfinite(hi)
+    if np.any(unbounded):
+        start = np.where(unbounded, 1.0, hi)
+        hi = np.where(unbounded,
+                      expand_upper(lambda y: np.where(unbounded, margin_gap(y), 0.0),
+                                   start, what="interior allocation"),
+                      hi)
+    return bisect_vec(margin_gap, np.zeros_like(hi), hi, tol=1e-10)

@@ -88,16 +88,29 @@ class ProductionForm:
             return theta * np.power(a, self.alpha)
         return theta * (-np.expm1(-a))
 
+    @property
+    def _constant_margin(self) -> bool:
+        """Whether nu_a(a, theta) = theta at every effort (alpha = 1 included)."""
+        return self.kind == "linear" or self.alpha == 1.0
+
     def _deriv_a(self, a: Array, theta: Array) -> Array:
-        if self.kind == "linear":
+        if self._constant_margin:
             return theta * np.ones_like(a)
         if self.kind == "power":
-            if self.alpha == 1.0:
-                return theta * np.ones_like(a)
             with np.errstate(divide="ignore", invalid="ignore"):
                 raw = self.alpha * np.power(a, self.alpha - 1.0)  # inf at a=0
                 return np.where(theta > 0, theta * raw, 0.0)
         return theta * np.exp(-a)
+
+    def _inv_deriv_a(self, m: Array, theta: Array) -> Array:
+        """Creative effort whose marginal product is ``m``.
+
+        Only for kinds whose margin decays (not ``_constant_margin``);
+        m, theta > 0 guaranteed by the caller.
+        """
+        if self.kind == "power":
+            return np.power(m / (self.alpha * theta), 1.0 / (self.alpha - 1.0))
+        return np.log(theta / m)
 
     def sup(self, theta: Array | float) -> Array:
         """Least upper bound of nu(., theta)."""
@@ -178,6 +191,10 @@ class MechanizationForm:
         if self.kind == "linear":
             return target.copy()
         return np.power(target, 1.0 / self.alpha)
+
+    def _inv_deriv(self, m: Array) -> Array:
+        """Mechanistic effort whose marginal product is ``m`` (power kind, m > 0)."""
+        return np.power(m / self.alpha, 1.0 / (self.alpha - 1.0))
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from ._tables import write_csv
 from .costmin import allocate_grid
@@ -381,6 +380,7 @@ class _Within:
 
     def fit(self, outcome: str, regressors: Sequence[str]) -> RegressionResult:
         """Least squares from one QR of the demeaned [X | y]."""
+        import scipy.linalg  # here, so importing contestlab does not load it
         cols = [self.names.index(c) for c in (*regressors, outcome)]
         nobs, k, n_groups = self.values.shape[0], len(regressors), self.labels.size
         # "raw" skips forming Q; R is its leading (k+1) x (k+1) block

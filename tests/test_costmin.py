@@ -14,6 +14,7 @@ from contestlab import (
     MECH_ONLY,
     DomainError,
     allocate_grid,
+    costmin,
     example_scenario,
 )
 
@@ -42,6 +43,12 @@ class TestInvertProduction:
     def test_non_finite_target_rejected(self, target):
         with pytest.raises(DomainError):
             allocate_grid(example_scenario("example1"), [target], [1.0])
+
+    @pytest.mark.parametrize("name", ["example1", "example3"])
+    @pytest.mark.parametrize("theta", [math.inf, math.nan])
+    def test_non_finite_type_rejected(self, name, theta):
+        with pytest.raises(DomainError, match="types must be finite"):
+            allocate_grid(example_scenario(name), [1.0], [theta])
 
 
 class TestClosedFormAllocations:
@@ -165,3 +172,121 @@ class TestPropertySuite:
         pt = allocate_grid(scn, [2.0], [0.0])
         assert pt.case[0] == MECH_ONLY
         assert pt.b[0] == pytest.approx(2.0, abs=1e-10)
+
+
+# every kind of pair with a constant margin: (scenario, target at the
+# interior's boundary as a function of theta, from the pair's own
+# first-order condition)
+CONSTANT_MARGIN_PAIRS = {
+    # nu_a = theta meets xi'(b) = 1 / (2 sqrt b) at b = 1 / (4 theta^2)
+    "linear-nu x power-xi": (
+        lambda: example_scenario("example3"), lambda th: 1.0 / (2.0 * th)),
+    # nu_a = theta / (2 sqrt a) = 1 at a = theta^2 / 4
+    "power-nu x linear-xi": (
+        lambda: example_scenario("example2", xi={"kind": "linear"}),
+        lambda th: th * th / 2.0),
+    # nu_a = theta exp(-a) = 1 at a = log(theta)
+    "saturating-nu x linear-xi": (
+        lambda: example_scenario("example4"), lambda th: th - 1.0),
+    # alpha = 1 is linear: the same boundary as example3
+    "power-nu(alpha=1) x power-xi": (
+        lambda: example_scenario("example2", nu={"kind": "power", "alpha": 1.0}),
+        lambda th: 1.0 / (2.0 * th)),
+}
+
+
+def _oracle_split(scn, mu, theta):
+    """Interior split by the bracketed root the closed forms replace."""
+    a_bar = scn.nu._invert(mu, theta)
+    a = costmin._interior_root(scn.nu, scn.xi, mu, theta, a_bar)
+    b = scn.xi._invert(np.maximum(mu - scn.nu._value(a, theta), 0.0))
+    return a, b
+
+
+def _no_root(*args, **kwargs):
+    raise AssertionError("interior split reached the bracketed root")
+
+
+class TestInteriorClosedForm:
+    @pytest.mark.parametrize("pair", sorted(CONSTANT_MARGIN_PAIRS))
+    def test_matches_bracketed_root(self, pair):
+        make, boundary = CONSTANT_MARGIN_PAIRS[pair]
+        scn = make()
+        rng = np.random.default_rng(17)
+        lo, hi = scn.types.lo, scn.types.hi
+        theta = np.concatenate([rng.uniform(lo, hi, 2000), np.repeat([lo, hi], 5)])
+        mu = rng.uniform(0.0, 1.5 * hi, theta.size)
+        # targets straddling the boundary between interior and corner,
+        # down to a few ulps, where a and b may round to either side of 0
+        rel = np.array([-1e-6, -1e-12, -4.4e-16, -2.2e-16, 0.0, 2.2e-16, 4.4e-16,
+                        1e-12, 1e-9, 1e-6, 1e-3])
+        edge = np.repeat(np.array([0.7, 1.3, 2.9, hi]), rel.size)
+        rel = np.tile(rel, 4)
+        theta = np.concatenate([theta, edge])
+        mu = np.concatenate([mu, np.maximum(boundary(edge) * (1.0 + rel), 0.0)])
+        if scn.nu.kind == "saturating":
+            # targets near theta: a_bar is infinite from theta - 1e-6 up
+            th_sat = rng.uniform(1.5, hi, 200)
+            theta = np.concatenate([theta, th_sat])
+            mu = np.concatenate([mu, th_sat + rng.uniform(-3e-6, 3e-6, 200)])
+
+        grid = allocate_grid(scn, mu, theta)
+        assert np.all(grid.a >= 0.0) and np.all(grid.b >= 0.0)
+        inner = grid.case == INTERIOR
+        assert inner.sum() > 500
+        a_ref, b_ref = _oracle_split(scn, mu[inner], theta[inner])
+        np.testing.assert_allclose(grid.a[inner], a_ref, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(grid.b[inner], b_ref, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(grid.cost[inner], scn.cost.value(a_ref + b_ref),
+                                   rtol=0, atol=1e-9)
+        reached = scn.nu.value(grid.a, theta) + scn.xi.value(grid.b)
+        np.testing.assert_allclose(reached, mu, rtol=0, atol=1e-8)
+
+    def test_fast_path_skips_the_root(self, monkeypatch):
+        monkeypatch.setattr(costmin, "bisect_vec", _no_root)
+        mu = np.linspace(0.0, 8.0, 161)[:, None]
+        panel = example_scenario("example3",
+                                 types={"kind": "uniform", "support": [0.5, 1.5]})
+        for scn in (example_scenario("example3"), example_scenario("example4"), panel):
+            theta = np.linspace(scn.types.lo, scn.types.hi, 201)[None, :]
+            grid = allocate_grid(scn, mu, theta)
+            assert np.mean(grid.case == INTERIOR) > 0.3
+            assert np.all(np.isfinite(grid.cost))
+
+    @pytest.mark.parametrize("scn", [
+        example_scenario("example2"),
+        example_scenario("example4", xi={"kind": "power", "alpha": 0.5}),
+    ], ids=["power x power", "saturating x power"])
+    def test_other_pairs_still_take_the_root(self, scn, monkeypatch):
+        monkeypatch.setattr(costmin, "bisect_vec", _no_root)
+        with pytest.raises(AssertionError, match="bracketed root"):
+            allocate_grid(scn, np.linspace(0.5, 6.0, 12), 2.0)
+
+    def test_alpha_one_power_is_linear(self, monkeypatch):
+        monkeypatch.setattr(costmin, "bisect_vec", _no_root)
+        mu = np.linspace(0.0, 6.0, 61)[:, None]
+        theta = np.linspace(0.0, 3.0, 31)[None, :]
+        with np.errstate(all="raise"):
+            unit = allocate_grid(example_scenario(
+                "example3", nu={"kind": "power", "alpha": 1.0}), mu, theta)
+        linear = allocate_grid(example_scenario("example3"), mu, theta)
+        assert np.any(unit.case == INTERIOR)
+        np.testing.assert_array_equal(unit.case, linear.case)
+        np.testing.assert_allclose(unit.a, linear.a, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(unit.b, linear.b, rtol=0, atol=1e-12)
+
+    def test_linear_pair_has_no_interior(self):
+        scn = example_scenario("example1")
+        theta = np.concatenate([np.linspace(0.0, 3.0, 301), [1.0 - 1e-15, 1.0 + 1e-15]])
+        grid = allocate_grid(scn, np.linspace(0.0, 5.0, 101)[:, None], theta[None, :])
+        assert not np.any(grid.case == INTERIOR)
+
+    def test_zero_type_under_linear_nu_is_mech_only(self):
+        for name in ("example1", "example3"):
+            mu = np.linspace(0.0, 4.0, 41)
+            with np.errstate(all="raise"):
+                grid = allocate_grid(example_scenario(name), mu, 0.0)
+            assert np.all(grid.case == MECH_ONLY)
+            assert np.all(grid.a == 0.0)
+            np.testing.assert_allclose(example_scenario(name).xi.value(grid.b), mu,
+                                       rtol=0, atol=1e-12)

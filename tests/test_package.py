@@ -78,8 +78,8 @@ def test_import_leaves_slow_scipy_subpackages_unloaded():
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(src), env.get("PYTHONPATH")) if p)
     code = ("import sys, contestlab, contestlab.cli; "
-            "print(*(m for m in ('scipy.stats', 'scipy.optimize', 'scipy.integrate') "
-            "if m in sys.modules))")
+            "print(*(m for m in ('scipy.stats', 'scipy.optimize', 'scipy.integrate', "
+            "'scipy.linalg') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
