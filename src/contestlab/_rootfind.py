@@ -27,6 +27,8 @@ def bisect_vec(
     hi: Array,
     *,
     tol: float = 1e-10,
+    f_lo: Array | None = None,
+    f_hi: Array | None = None,
 ) -> Array:
     """Elementwise bracketed root of ``func`` on ``[lo, hi]``.
 
@@ -34,7 +36,10 @@ def bisect_vec(
     (callers arrange signs so the target crosses from negative to positive).
     Returns the midpoint of a bracket no wider than ``tol``.  Endpoints are
     never evaluated, so infinite limits at the bracket edges are harmless.
-    Elements with ``lo == hi`` pass through unchanged.
+    A caller that knows finite end values passes them as ``f_lo`` and
+    ``f_hi``; the first step is then a secant, and a root near one end is
+    reached without halving down to it.  Elements with ``lo == hi`` pass
+    through unchanged.
 
     Steps are Illinois regula falsi: the secant through the bracket's end
     values, with the value at an end that survives twice running halved.
@@ -48,8 +53,8 @@ def bisect_vec(
     """
     lo = np.array(lo, dtype=float, copy=True)
     hi = np.array(hi, dtype=float, copy=True)
-    f_lo = np.full_like(lo, np.nan)
-    f_hi = np.full_like(hi, np.nan)
+    f_lo = np.full_like(lo, np.nan) if f_lo is None else np.array(f_lo, dtype=float)
+    f_hi = np.full_like(hi, np.nan) if f_hi is None else np.array(f_hi, dtype=float)
     moved = np.zeros(lo.shape, dtype=np.int8)   # end replaced last: -1 lo, +1 hi
     ref = hi - lo                               # width at the last halving
     stall = np.zeros(lo.shape, dtype=np.int8)   # steps since then, capped

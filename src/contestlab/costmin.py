@@ -17,22 +17,28 @@ decreasing, so exactly one of three regimes applies:
 - create-only:  xi'(0)  <= nu_a(a_bar, theta)    (b = 0, nu alone reaches mu)
 - interior:     the single crossing psi(y) = nu_a(y, theta)
 
-Ties at the boundary tests resolve to the corner regimes.  Where one
-channel's marginal product is constant, the crossing fixes the other
-channel's effort whatever the target, in closed form:
+Ties at the boundary tests resolve to the corner regimes.  An interior
+split has one common marginal product m = nu_a(a, theta) = xi'(b), and
+given m both efforts follow from the forms' inverse-marginal kernels,
+a = nu_a^{-1}(m; theta) and b = xi'^{-1}(m).  The target they reach,
+mu(m) = nu(a(m), theta) + xi(b(m)), falls as m rises, so finding the
+split means finding m.  Three pairs give m, or the split, in closed form:
 
-- linear (or alpha = 1 power) nu, power xi: nu_a = theta, so
-  xi'(b) = theta fixes b and a = (mu - xi(b)) / theta;
-- linear xi with power or saturating nu: xi' = 1, so nu_a(a, theta) = 1
-  fixes a and b = mu - nu(a, theta).
+- linear (or alpha = 1 power) nu, power xi: m = theta, so b = xi'^{-1}(theta)
+  and a = (mu - xi(b)) / theta;
+- linear xi with power or saturating nu: m = 1, so a = nu_a^{-1}(1; theta)
+  and b = mu - nu(a, theta);
+- power nu and power xi with one exponent alpha:
+  mu = (m/alpha)^q (theta^(1-q) + 1) with q = alpha/(alpha-1), so
+  b = (mu / (theta^(1-q) + 1))^(1/alpha) and a = b theta^(1/(1-alpha)).
 
-Linear nu against linear xi has no interior.  Only pairs where neither
-margin is constant (power or saturating nu against power xi) locate the
-crossing with the bracketed root finder of ``_rootfind``, to 1e-10 in y,
-and recover b by exact inversion.  Either way the split satisfies the
-fitness constraint to 1e-8.  Input is validated once, on entry: every
-later argument is non-negative by construction, so the solver calls the
-forms' unchecked kernels.
+Linear nu against linear xi has no interior.  Every other pair (unequal
+exponents, saturating nu against power xi) solves mu(m) = mu with the
+bracketed root finder of ``_rootfind`` in x = log m, to 1e-13 in x, on a
+closed-form bracket, and recovers b by exact inversion.  Either way the
+split satisfies the fitness constraint to 1e-8.  Input is validated once,
+on entry: every later argument is non-negative by construction, so the
+solver calls the forms' unchecked kernels.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rootfind import bisect_vec, expand_upper
+from ._rootfind import bisect_vec
 from .errors import DomainError
 from .model import MechanizationForm, ProductionForm, Scenario
 
@@ -49,6 +55,10 @@ Array = np.ndarray
 
 MECH_ONLY, INTERIOR, CREATE_ONLY = 1, 2, 3
 CASE_NAMES = {MECH_ONLY: "mech-only", INTERIOR: "interior", CREATE_ONLY: "create-only"}
+
+# bracket width in log m at which the interior root stops: about 3e-10
+# in an effort of 1000 when nu's exponent is 0.7
+_LOG_MARGIN_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -72,9 +82,10 @@ def allocate_grid(scenario: Scenario, mu, theta) -> AllocationGrid:
     """Solve the allocation problem elementwise on broadcast arrays.
 
     One (mu, theta) point is the one-element call
-    ``allocate_grid(s, [mu], [theta])``.  Interior elements are split in
-    closed form when nu or xi has a constant margin and by one bracketed
-    root over all of them otherwise (see the module docstring).  Raises
+    ``allocate_grid(s, [mu], [theta])``.  Interior elements are split at
+    their common margin, in closed form for constant margins and equal
+    power exponents and by one bracketed root in log m over all of them
+    otherwise (see the module docstring).  Raises
     :class:`DomainError` on negative or non-finite targets and on
     non-finite types.
     """
@@ -110,7 +121,10 @@ def allocate_grid(scenario: Scenario, mu, theta) -> AllocationGrid:
 
     if np.any(interior):
         idx = np.nonzero(interior)[0]
-        a[idx], b[idx] = _interior_split(nu_form, xi, mu_f[idx], th_f[idx], a_bar[idx])
+        # neither channel works up to the effort that reaches mu alone, so
+        # the common margin exceeds both channels' margins there
+        m_lo = np.maximum(psi0[idx], nua_full[idx])
+        a[idx], b[idx] = _interior_split(nu_form, xi, mu_f[idx], th_f[idx], m_lo)
 
     with np.errstate(divide="ignore"):
         lam_mech = 1.0 / xi._deriv(b)
@@ -134,38 +148,48 @@ def allocate_grid(scenario: Scenario, mu, theta) -> AllocationGrid:
 
 
 def _interior_split(nu_form: ProductionForm, xi: MechanizationForm, mu: Array,
-                    theta: Array, a_bar: Array) -> tuple[Array, Array]:
-    """Split (a, b) of interior targets, where nu_a(a, theta) = xi'(b)."""
+                    theta: Array, m_lo: Array) -> tuple[Array, Array]:
+    """Split (a, b) of interior targets at their common margin
+    m = nu_a(a, theta) = xi'(b), which exceeds ``m_lo``."""
     if nu_form._constant_margin:
-        # nu_a = theta: the mechanistic margin alone must reach theta
+        # m = theta: the mechanistic margin alone must reach theta
         b = xi._inv_deriv(theta)
         a = (mu - xi._value(b)) / theta
     elif xi.kind == "linear":
-        # xi' = 1: the creative margin alone must fall to 1
+        # m = 1: the creative margin alone must fall to 1
         a = nu_form._inv_deriv_a(np.ones_like(mu), theta)
         b = mu - nu_form._value(a, theta)
+    elif nu_form.kind == "power" and nu_form.alpha == xi.alpha:
+        # mu = (m/alpha)^q (theta^(1-q) + 1) with q = alpha/(alpha-1), and
+        # the efforts keep the ratio a/b = theta^(1-q) = theta^(1/(1-alpha))
+        ratio = np.power(theta, 1.0 / (1.0 - xi.alpha))
+        b = np.power(mu / (ratio + 1.0), 1.0 / xi.alpha)
+        a = b * ratio
     else:
-        a = _interior_root(nu_form, xi, mu, theta, a_bar)
+        m = np.exp(_log_margin(nu_form, xi, mu, theta, m_lo))
+        a = nu_form._inv_deriv_a(m, theta)
         b = xi._invert(np.maximum(mu - nu_form._value(a, theta), 0.0))
     # a rounding step at a regime boundary must not give a negative effort
     return np.maximum(a, 0.0), np.maximum(b, 0.0)
 
 
-def _interior_root(nu_form: ProductionForm, xi: MechanizationForm, mu: Array,
-                   theta: Array, a_bar: Array) -> Array:
-    """Creative effort at the crossing psi(y) = nu_a(y, theta), to 1e-10 in y."""
+def _log_margin(nu_form: ProductionForm, xi: MechanizationForm, mu: Array,
+                theta: Array, m_lo: Array) -> Array:
+    """log m where the efforts of margin m reach mu, to _LOG_MARGIN_TOL."""
+    # one channel makes at least half the target, so its margin, and
+    # hence m, is at most that channel's margin at half the target
+    half = 0.5 * mu
+    m_hi = np.maximum(nu_form._deriv_a(nu_form._invert(half, theta), theta),
+                      xi._deriv(xi._invert(half)))
+    # and a > 0 caps m below nu_a(0, theta), which is theta when saturating
+    m_hi = np.minimum(m_hi, nu_form._deriv_a(np.zeros_like(mu), theta))
 
-    def margin_gap(y: Array) -> Array:
-        remainder = np.maximum(mu - nu_form._value(y, theta), 0.0)
-        psi = xi._deriv(xi._invert(remainder))
-        return psi - nu_form._deriv_a(y, theta)
+    def shortfall(x: Array) -> Array:
+        m = np.exp(x)
+        reached = nu_form._value(nu_form._inv_deriv_a(m, theta), theta) \
+            + xi._value(xi._inv_deriv(m))
+        return mu - reached
 
-    hi = a_bar
-    unbounded = ~np.isfinite(hi)
-    if np.any(unbounded):
-        start = np.where(unbounded, 1.0, hi)
-        hi = np.where(unbounded,
-                      expand_upper(lambda y: np.where(unbounded, margin_gap(y), 0.0),
-                                   start, what="interior allocation"),
-                      hi)
-    return bisect_vec(margin_gap, np.zeros_like(hi), hi, tol=1e-10)
+    lo, hi = np.log(m_lo), np.log(m_hi)
+    return bisect_vec(shortfall, lo, hi, tol=_LOG_MARGIN_TOL,
+                      f_lo=shortfall(lo), f_hi=shortfall(hi))

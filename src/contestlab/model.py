@@ -386,8 +386,9 @@ class NoiseFamily:
         s = np.asarray(s, dtype=float)
         loc, scale = self.loc_scale(mu)
         if self.kind == "exponential":
-            with np.errstate(divide="ignore", invalid="ignore"):
-                lam = np.where(scale > 0, 1.0 / np.where(scale > 0, scale, 1.0), np.inf)
+            # a zero mean is a point mass at 0: no density off it, and no
+            # infinite rate to multiply by a zero score
+            lam = 1.0 / np.where(scale > 0, scale, 1.0)
             out = lam * np.exp(-lam * np.maximum(s, 0.0))
             return np.where((s < 0) | (scale <= 0), 0.0, out)
         z = (s - loc) / scale

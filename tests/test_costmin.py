@@ -17,6 +17,7 @@ from contestlab import (
     costmin,
     example_scenario,
 )
+from contestlab._rootfind import bisect_vec, expand_upper
 
 
 class TestInvertProduction:
@@ -174,10 +175,17 @@ class TestPropertySuite:
         assert pt.b[0] == pytest.approx(2.0, abs=1e-10)
 
 
-# every kind of pair with a constant margin: (scenario, target at the
-# interior's boundary as a function of theta, from the pair's own
-# first-order condition)
-CONSTANT_MARGIN_PAIRS = {
+def _power_pair(nu_alpha, xi_alpha):
+    return example_scenario("example2", nu={"kind": "power", "alpha": nu_alpha},
+                            xi={"kind": "power", "alpha": xi_alpha})
+
+
+# every kind of pair with an interior: (scenario, target at the interior's
+# boundary as a function of theta, from the pair's own first-order
+# condition, or None where every positive target at a positive type is
+# interior)
+INTERIOR_PAIRS = {
+    # constant margins
     # nu_a = theta meets xi'(b) = 1 / (2 sqrt b) at b = 1 / (4 theta^2)
     "linear-nu x power-xi": (
         lambda: example_scenario("example3"), lambda th: 1.0 / (2.0 * th)),
@@ -192,13 +200,51 @@ CONSTANT_MARGIN_PAIRS = {
     "power-nu(alpha=1) x power-xi": (
         lambda: example_scenario("example2", nu={"kind": "power", "alpha": 1.0}),
         lambda th: 1.0 / (2.0 * th)),
+    # equal exponents: the closed form a/b = theta^(1/(1-alpha))
+    "power x power(alpha=0.3)": (lambda: _power_pair(0.3, 0.3), None),
+    "power x power(alpha=0.5)": (lambda: example_scenario("example2"), None),
+    "power x power(alpha=0.8)": (lambda: _power_pair(0.8, 0.8), None),
+    # the root in log m
+    "power(0.3) x power(0.7)": (lambda: _power_pair(0.3, 0.7), None),
+    "power(0.7) x power(0.3)": (lambda: _power_pair(0.7, 0.3), None),
+    # nu_a(0) = theta meets xi'(b) = 1 / (2 sqrt b) as for example3
+    "saturating-nu x power-xi": (
+        lambda: example_scenario("example4", xi={"kind": "power", "alpha": 0.5}),
+        lambda th: 1.0 / (2.0 * th)),
 }
 
 
+def _interior_root(nu_form, xi, mu, theta, a_bar):
+    """Creative effort at the crossing psi(y) = nu_a(y, theta), where
+    psi(y) = xi'(xi^{-1}(mu - nu(y, theta))) is the mechanistic margin left
+    after committing y, bracketed on [0, a_bar] (doubled where a_bar is
+    infinite).
+
+    Its tolerance is 0, so each bracket closes to adjacent floats or runs
+    out of steps: at an absolute 1e-10 in y, a creative effort of 7e-11 at
+    theta = 9 under nu alpha = 0.3 would leave b off by 9e-5.
+    """
+
+    def margin_gap(y):
+        remainder = np.maximum(mu - nu_form._value(y, theta), 0.0)
+        psi = xi._deriv(xi._invert(remainder))
+        return psi - nu_form._deriv_a(y, theta)
+
+    hi = a_bar
+    unbounded = ~np.isfinite(hi)
+    if np.any(unbounded):
+        start = np.where(unbounded, 1.0, hi)
+        hi = np.where(unbounded,
+                      expand_upper(lambda y: np.where(unbounded, margin_gap(y), 0.0),
+                                   start, what="interior allocation"),
+                      hi)
+    return bisect_vec(margin_gap, np.zeros_like(hi), hi, tol=0.0)
+
+
 def _oracle_split(scn, mu, theta):
-    """Interior split by the bracketed root the closed forms replace."""
+    """Interior split by a bracketed root in creative effort."""
     a_bar = scn.nu._invert(mu, theta)
-    a = costmin._interior_root(scn.nu, scn.xi, mu, theta, a_bar)
+    a = _interior_root(scn.nu, scn.xi, mu, theta, a_bar)
     b = scn.xi._invert(np.maximum(mu - scn.nu._value(a, theta), 0.0))
     return a, b
 
@@ -208,22 +254,28 @@ def _no_root(*args, **kwargs):
 
 
 class TestInteriorClosedForm:
-    @pytest.mark.parametrize("pair", sorted(CONSTANT_MARGIN_PAIRS))
+    @pytest.mark.parametrize("pair", sorted(INTERIOR_PAIRS))
     def test_matches_bracketed_root(self, pair):
-        make, boundary = CONSTANT_MARGIN_PAIRS[pair]
+        make, boundary = INTERIOR_PAIRS[pair]
         scn = make()
         rng = np.random.default_rng(17)
         lo, hi = scn.types.lo, scn.types.hi
         theta = np.concatenate([rng.uniform(lo, hi, 2000), np.repeat([lo, hi], 5)])
         mu = rng.uniform(0.0, 1.5 * hi, theta.size)
-        # targets straddling the boundary between interior and corner,
-        # down to a few ulps, where a and b may round to either side of 0
-        rel = np.array([-1e-6, -1e-12, -4.4e-16, -2.2e-16, 0.0, 2.2e-16, 4.4e-16,
-                        1e-12, 1e-9, 1e-6, 1e-3])
-        edge = np.repeat(np.array([0.7, 1.3, 2.9, hi]), rel.size)
-        rel = np.tile(rel, 4)
-        theta = np.concatenate([theta, edge])
-        mu = np.concatenate([mu, np.maximum(boundary(edge) * (1.0 + rel), 0.0)])
+        if boundary is not None:
+            # targets straddling the boundary between interior and corner,
+            # down to a few ulps, where a and b may round to either side of 0
+            rel = np.array([-1e-6, -1e-12, -4.4e-16, -2.2e-16, 0.0, 2.2e-16, 4.4e-16,
+                            1e-12, 1e-9, 1e-6, 1e-3])
+            edge = np.repeat(np.array([0.7, 1.3, 2.9, hi]), rel.size)
+            rel = np.tile(rel, 4)
+            theta = np.concatenate([theta, edge])
+            mu = np.concatenate([mu, np.maximum(boundary(edge) * (1.0 + rel), 0.0)])
+        else:
+            # the interior reaches down to zero targets and zero types
+            tiny = np.array([1e-12, 1e-9, 1e-6, 1e-3])
+            theta = np.concatenate([theta, np.repeat(tiny, 4), np.tile([0.7, 2.9], 4)])
+            mu = np.concatenate([mu, np.tile(tiny, 4), np.repeat(tiny, 2)])
         if scn.nu.kind == "saturating":
             # targets near theta: a_bar is infinite from theta - 1e-6 up
             th_sat = rng.uniform(1.5, hi, 200)
@@ -247,14 +299,15 @@ class TestInteriorClosedForm:
         mu = np.linspace(0.0, 8.0, 161)[:, None]
         panel = example_scenario("example3",
                                  types={"kind": "uniform", "support": [0.5, 1.5]})
-        for scn in (example_scenario("example3"), example_scenario("example4"), panel):
+        for scn in (example_scenario("example2"), example_scenario("example3"),
+                    example_scenario("example4"), panel):
             theta = np.linspace(scn.types.lo, scn.types.hi, 201)[None, :]
             grid = allocate_grid(scn, mu, theta)
             assert np.mean(grid.case == INTERIOR) > 0.3
             assert np.all(np.isfinite(grid.cost))
 
     @pytest.mark.parametrize("scn", [
-        example_scenario("example2"),
+        _power_pair(0.3, 0.7),
         example_scenario("example4", xi={"kind": "power", "alpha": 0.5}),
     ], ids=["power x power", "saturating x power"])
     def test_other_pairs_still_take_the_root(self, scn, monkeypatch):

@@ -233,6 +233,17 @@ class TestNoiseFamily:
         s = np.linspace(0.0, 6.0, 201)
         assert np.all(noise.cdf(s, 2.0) <= noise.cdf(s, 1.0) + 1e-12)
 
+    def test_exponential_pdf_at_zero_mean_is_quiet(self):
+        noise = NoiseFamily("exponential")
+        with np.errstate(all="raise"):
+            pdf = noise.pdf([0.0, 1.0], [0.0, 1.0])
+            grid = noise.pdf(np.linspace(-1.0, 3.0, 9)[:, None], [0.0, 0.5, 2.0])
+        np.testing.assert_array_equal(pdf, [0.0, math.exp(-1.0)])
+        assert np.all(grid[:, 0] == 0.0)
+        s = np.linspace(0.0, 3.0, 7)[:, None]
+        np.testing.assert_allclose(grid[2:, 1:], np.exp(-s / [0.5, 2.0]) / [0.5, 2.0])
+        assert np.all(grid[:2] == 0.0)
+
     def test_exponential_rejects_negative_mean(self):
         with pytest.raises(DomainError):
             NoiseFamily("exponential").ppf(0.5, -1.0)

@@ -159,6 +159,24 @@ class TestRootfind:
         assert abs(root[0] - 2.0 ** (1.0 / 3.0)) <= 0.5e-12 + 1e-15
         assert len(calls) == 10
 
+    def test_bisect_vec_end_values_skip_the_halving(self):
+        # a root 1e-9 above the lower end: without end values every probe
+        # lands above it until the bracket has halved down to it
+        def count(f_lo=None, f_hi=None):
+            calls = []
+
+            def func(x):
+                calls.append(x)
+                return np.expm1(x) - 1e-9
+
+            root = bisect_vec(func, np.zeros(1), np.full(1, 4.0), tol=1e-13,
+                              f_lo=f_lo, f_hi=f_hi)
+            assert abs(root[0] - np.log1p(1e-9)) <= 0.5e-13
+            return len(calls)
+
+        assert count() >= 30
+        assert count(f_lo=[-1e-9], f_hi=[np.expm1(4.0) - 1e-9]) <= 15
+
     def test_expand_upper_finds_bracket(self):
         hi = expand_upper(lambda x: x - 1000.0, np.array([1.0]))
         assert hi[0] >= 1000.0

@@ -1,12 +1,14 @@
 """Tests that the hand-kept export lists name only what exists, that
-the package holds no unused imports or nested functions, and that
-importing it leaves the slow scipy subpackages unloaded."""
+the package holds no unused imports or nested functions, that every
+name the benchmark's layer hooks wrap exists, and that importing it
+leaves the slow scipy subpackages unloaded."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -69,6 +71,38 @@ def test_no_unused_imports_or_nested_functions():
              for path in sorted(package.glob("*.py"))
              for name in _unused_names(ast.parse(path.read_text(), str(path)))}
     assert found - UNUSED_ALLOWED == set()
+
+
+# hook targets of perfbench/layers.py that name nothing: `cli.py` no
+# longer calls `run_contests`; ROADMAP item 4 drops it from the hooks
+HOOKS_MISSING_ALLOWED = {"contestlab.cli:run_contests"}
+
+
+def _resolves(target: str) -> bool:
+    """Whether ``module:attr`` (or ``module:Class.attr``) names something,
+    looked up as the benchmark's tracer looks it up."""
+    module_name, _, path = target.partition(":")
+    try:
+        owner = importlib.import_module(module_name)
+        for part in path.split("."):
+            owner = getattr(owner, part)
+    except (ImportError, AttributeError):
+        return False
+    return True
+
+
+def test_benchmark_hook_targets_resolve(monkeypatch):
+    # the tracer reads a whole layer as missing when one of its targets
+    # is gone, so a renamed name in src/ would null that layer silently
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    monkeypatch.delitem(sys.modules, "tracer", raising=False)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)   # leave perfbench/ as it is
+    hooks = runpy.run_path(str(perfbench / "layers.py"))["HOOKS"]
+    targets = {target for _, names in hooks.values() for target in names}
+    assert len(targets) > 20
+    missing = {target for target in targets if not _resolves(target)}
+    assert missing - HOOKS_MISSING_ALLOWED == set()
 
 
 def test_import_leaves_slow_scipy_subpackages_unloaded():
