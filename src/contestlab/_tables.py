@@ -81,7 +81,7 @@ def write_csv(path, columns: Mapping[str, np.ndarray], order: Sequence[str] | No
 
 
 def read_csv_columns(path) -> dict[str, np.ndarray]:
-    """Read a CSV into named arrays; integer-looking columns become int64.
+    """Read a CSV into named arrays; integer columns become int64 or uint64.
 
     Each column's type comes from the first data row (int64 if ``int``
     parses it, else float), and one typed ``np.loadtxt`` parses the whole
@@ -89,8 +89,10 @@ def read_csv_columns(path) -> dict[str, np.ndarray]:
     data lines, the file is read again row by row, which defines the
     result: text columns, blank lines, quoted fields and columns that
     turn out not to be all-int or all-float take that path.  So does an
-    integer column with a value beyond int64, which comes back as
-    float64.  Every row must have as many fields as the header.
+    integer column with a value beyond int64: it comes back as uint64
+    when every value lies in [0, 2**64), so a written uint64 column reads
+    back exactly, and as float64 otherwise.  Every row must have as many
+    fields as the header.
     """
     typed = _read_typed(path)
     return typed if typed is not None else _read_rowwise(path)
@@ -150,13 +152,25 @@ def _read_rowwise(path) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     for j, name in enumerate(header):
         raw = [row[j] for row in rows]
-        try:
-            out[name] = np.asarray([int(v) for v in raw], dtype=np.int64)
-            continue
-        except (ValueError, OverflowError):   # not all integers, or beyond int64
-            pass
-        try:
-            out[name] = np.asarray([float(v) for v in raw], dtype=float)
-        except ValueError:
-            out[name] = np.asarray(raw, dtype=object)
+        col = _int_column(raw)
+        if col is None:
+            try:
+                col = np.asarray([float(v) for v in raw], dtype=float)
+            except ValueError:
+                col = np.asarray(raw, dtype=object)
+        out[name] = col
     return out
+
+
+def _int_column(raw: list[str]) -> np.ndarray | None:
+    """int64, else uint64, of all-integer cells; None if neither holds them."""
+    try:
+        ints = [int(v) for v in raw]
+    except ValueError:
+        return None
+    for dtype in (np.int64, np.uint64):
+        try:
+            return np.asarray(ints, dtype=dtype)
+        except OverflowError:   # beyond this dtype's range
+            pass
+    return None

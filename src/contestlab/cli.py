@@ -167,8 +167,7 @@ def _case_column(grid) -> np.ndarray:
 
 
 def _solve(args, scenario):
-    return solve_equilibrium(scenario, grid_size=args.grid, tol=args.tol,
-                             damping=args.damping)
+    return solve_equilibrium(scenario, grid_size=args.grid, tol=args.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +242,7 @@ def _cmd_equilibrium(args) -> int:
     _write_json(run.path("equilibrium.json"), {
         "converged": profile.converged, "iterations": profile.iterations,
         "residual": profile.residual, "grid": args.grid, "tol": args.tol,
-        "damping": args.damping, "scenario_id": scenario.scenario_id,
+        "scenario_id": scenario.scenario_id,
     })
     run.finish()
     profile.require_converged()   # after the artifacts, which record the failure
@@ -280,8 +279,7 @@ def _cmd_hacking(args) -> int:
 def _cmd_sweep(args) -> int:
     scenario, args.scenario = _load_scenario_arg(args.scenario)
     vectors = _parse_prize_list(args.prizes)
-    result = skewness_sweep(scenario, vectors, grid_size=args.grid,
-                            tol=args.tol, damping=args.damping)
+    result = skewness_sweep(scenario, vectors, grid_size=args.grid, tol=args.tol)
     run = _Run(args)
     rows = result.rows()
     write_csv(run.path("sweep.csv"),
@@ -308,7 +306,7 @@ def _cmd_simulate(args) -> int:
     scenario, args.scenario = _load_scenario_arg(args.scenario)
     if args.panel_cells:
         cells = panel_cells(scenario, players=scenario.players, grid_size=args.grid,
-                            tol=args.tol, damping=args.damping)
+                            tol=args.tol)
     else:   # the scenario's own prizes as one cell; few prizes mean skewed
         skew = 1 if len(scenario.prizes) <= 3 else 0
         cells = (PanelCell(scenario.prizes.total, skew, _solve(args, scenario)),)
@@ -421,9 +419,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--grid", type=int, default=201, help="type grid size")
             p.add_argument("--tol", type=float, default=1e-5,
                            help="fixed-point tolerance (finite, >= 0)")
-            p.add_argument("--damping", type=float, default=0.5,
-                           help="best-response weight of the first fixed-point "
-                                "step and of each restart, in (0, 1]")
         return p
 
     add("validate", _cmd_validate, "check model assumptions on a scenario")

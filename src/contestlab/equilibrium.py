@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from scipy import special
 
 from ._isotonic import isotonic_projection
 from ._quadrature import adaptive_simpson, gauss_legendre
@@ -59,6 +58,7 @@ _RANK_TOL = 1e-9         # total quadrature error of a rank distribution
 _GAIN_NODES = 96
 _WEIGHT_GRID = 1025
 _ANDERSON_MEMORY = 3     # residual differences mixed in each fixed-point step
+_DAMPING = 0.5           # best-response weight of the first step after a restart
 _STALL_SWEEPS = 10       # sweeps without a new best residual before giving up
 
 
@@ -146,12 +146,14 @@ def _log_choose(n: int) -> Array:
 def _binom_pmf(k: Array, n: int, p: Array) -> Array:
     """Binomial pmf of ``k`` (integers in [0, n]) in ``n`` trials of ``p``.
 
-    The exp of a sum of logs: ``xlogy`` and ``xlog1py`` read 0 * log 0 as
-    0, so the result is exactly 1 at n = 0 and exactly 0 or 1 at p = 0 and
-    p = 1.
+    The exp of a sum of logs, where a zero count contributes 0 in place of
+    0 * log 0: the result is exactly 1 at n = 0 and exactly 0 or 1 at
+    p = 0 and p = 1.
     """
-    return np.exp(_log_choose(n)[k] + special.xlogy(k, p)
-                  + special.xlog1py(n - k, -p))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hits = np.where(k > 0, k * np.log(p), 0.0)
+        misses = np.where(n - k > 0, (n - k) * np.log1p(-p), 0.0)
+    return np.exp(_log_choose(n)[k] + hits + misses)
 
 
 def _rank_pmf(g: Array, players: int, ranks: Array) -> Array:
@@ -358,8 +360,7 @@ def best_response_grid(profile: StrategyProfile, thetas) -> Array:
 
 
 def solve_equilibrium(scenario: Scenario, *, grid_size: int = 201,
-                      tol: float = 1e-5, damping: float = 0.5,
-                      max_iter: int = 500) -> StrategyProfile:
+                      tol: float = 1e-5, max_iter: int = 500) -> StrategyProfile:
     """Anderson-accelerated fixed point for the symmetric equilibrium schedule.
 
     Iterates on the best-response map g from the no-contest schedule.
@@ -368,7 +369,7 @@ def solve_equilibrium(scenario: Scenario, *, grid_size: int = 201,
     the next iterate is g_k - dG gamma, where gamma is the least-squares
     solution of dF gamma = f_k.  The history restarts when the residual
     rises and when the target bracket ``mu_max`` is extended; the first
-    step after each restart is the best response damped by ``damping``.
+    step after each restart is the best response damped by ``_DAMPING``.
     Every iterate is clipped from below at the starting schedule and
     projected onto non-decreasing schedules, which keeps it above the
     no-contest schedule.
@@ -380,8 +381,6 @@ def solve_equilibrium(scenario: Scenario, *, grid_size: int = 201,
     its residual; ``converged`` (never raised here) says whether it is at
     most ``tol``.
     """
-    if not 0.0 < damping <= 1.0:
-        raise DomainError("damping must lie in (0, 1]")
     if grid_size < 2:
         raise DomainError(f"grid_size must be at least 2, got {grid_size}")
     if not (math.isfinite(tol) and tol >= 0.0):
@@ -433,7 +432,7 @@ def solve_equilibrium(scenario: Scenario, *, grid_size: int = 201,
         g_hist = [*g_hist[-_ANDERSON_MEMORY:], br]
         f_hist = [*f_hist[-_ANDERSON_MEMORY:], f]
         if len(g_hist) == 1:
-            step = (1.0 - damping) * mu + damping * br
+            step = (1.0 - _DAMPING) * mu + _DAMPING * br
         else:
             d_g = np.diff(np.array(g_hist), axis=0).T
             d_f = np.diff(np.array(f_hist), axis=0).T

@@ -204,7 +204,7 @@ class SweepResult:
 
 
 def skewness_sweep(scenario: Scenario, prize_vectors, *, grid_size: int = 201,
-                   tol: float = 1e-5, damping: float = 0.5) -> SweepResult:
+                   tol: float = 1e-5) -> SweepResult:
     """Solve the contest under each prize vector and compare outcomes.
 
     All vectors must be pairwise comparable under the gap order; the
@@ -229,7 +229,7 @@ def skewness_sweep(scenario: Scenario, prize_vectors, *, grid_size: int = 201,
     verdicts = []
     for pv in pvs:
         prof = solve_equilibrium(scenario.with_prizes(pv), grid_size=grid_size,
-                                 tol=tol, damping=damping)
+                                 tol=tol)
         profiles.append(prof)
         verdicts.append(hacking_verdicts(prof))
     return SweepResult(tuple(pvs), tuple(relations), tuple(profiles),

@@ -21,8 +21,8 @@ from pathlib import Path
 from typing import Any
 
 import numpy as np
-from scipy import special
 
+from ._normal import ndtr, ndtri
 from .errors import DomainError
 
 Array = np.ndarray
@@ -281,8 +281,8 @@ class TypeDistribution:
         digits that tell the support's points apart.
         """
         sign = -1.0 if self.lo > self.loc else 1.0
-        f_lo, f_hi = special.ndtr(sign * (np.array([self.lo, self.hi]) - self.loc)
-                                  / self.scale)
+        f_lo, f_hi = ndtr(sign * (np.array([self.lo, self.hi]) - self.loc)
+                          / self.scale)
         return sign, float(f_lo), float(f_hi)
 
     def pdf(self, theta: Array | float) -> Array:
@@ -305,7 +305,7 @@ class TypeDistribution:
             return np.clip((theta - self.lo) / (self.hi - self.lo), 0.0, 1.0)
         sign, f_lo, f_hi = self._tails()
         z = (np.clip(theta, self.lo, self.hi) - self.loc) / self.scale
-        return (special.ndtr(sign * z) - f_lo) / (f_hi - f_lo)
+        return (ndtr(sign * z) - f_lo) / (f_hi - f_lo)
 
     def ppf(self, q: Array | float) -> Array:
         q = np.asarray(q, dtype=float)
@@ -322,7 +322,7 @@ class TypeDistribution:
             level = f_lo + q * (f_hi - f_lo)
         else:
             level = f_hi + (1.0 - q) * (f_lo - f_hi)
-        theta = np.clip(self.loc + self.scale * sign * special.ndtri(level),
+        theta = np.clip(self.loc + self.scale * sign * ndtri(level),
                         self.lo, self.hi)
         return np.where(q == 0.0, self.lo, np.where(q == 1.0, self.hi, theta))
 
@@ -364,7 +364,7 @@ class NoiseFamily:
         """Quantile of the standardized base variate Z."""
         q = np.asarray(q, dtype=float)
         if self.kind == "normal":
-            return special.ndtri(q)
+            return ndtri(q)
         if self.kind == "gumbel":
             return -np.log(-np.log(q))
         return -np.log1p(-q)
@@ -379,7 +379,7 @@ class NoiseFamily:
             return np.where(s < 0, 0.0, np.where(scale > 0, out, (s >= 0) * 1.0))
         z = (s - loc) / scale
         if self.kind == "normal":
-            return special.ndtr(z)
+            return ndtr(z)
         return np.exp(-np.exp(-z))
 
     def pdf(self, s: Array | float, mu: Array | float) -> Array:

@@ -541,7 +541,6 @@ def panel_cells(
     skew_weights: Sequence[float] = (0.5, 0.3, 0.2),
     grid_size: int = 201,
     tol: float = 1e-5,
-    damping: float = 0.5,
 ) -> tuple[PanelCell, ...]:
     """Solve the equilibrium for each prize-value x skew cell.
 
@@ -570,7 +569,6 @@ def panel_cells(
                 base.with_prizes(prizes),
                 grid_size=grid_size,
                 tol=tol,
-                damping=damping,
             )
             cells.append(PanelCell(prize_value=value, prize_skew=skew, profile=profile))
     return tuple(cells)

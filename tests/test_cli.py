@@ -148,7 +148,7 @@ MANIFEST_ARGV = {
     "cost": ["--scenario", "example3", "--theta", "1.0", "--mu-max", "2.5"],
     "baseline": ["--scenario", "example4", "--grid", "41"],
     "equilibrium": ["--scenario", "example1", "--tol", "1e-4"],
-    "hacking": ["--scenario", "example3", "--damping", "0.25"],
+    "hacking": ["--scenario", "example3", "--grid", "41"],
     "sweep": ["--scenario", "example3", "--prizes", "1,0;2,0"],
     "simulate": ["--scenario", "example1", "--seed", "7", "--panel-cells"],
     "mk": ["--input", "trend.csv", "--column", "score"],

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import statistics
+
 import numpy as np
 import pytest
 from scipy import integrate
 
 from contestlab._isotonic import isotonic_projection
+from contestlab._normal import ndtr, ndtri
 from contestlab._quadrature import adaptive_simpson, gauss_legendre
 from contestlab._rootfind import bisect_vec, expand_upper
 from contestlab.errors import SolverError
@@ -199,3 +202,47 @@ class TestRootfind:
     def test_expand_upper_raises_when_hopeless(self):
         with pytest.raises(SolverError, match="bracket"):
             expand_upper(lambda x: -np.ones_like(x), np.array([1.0]))
+
+
+class TestNdtr:
+    @pytest.mark.parametrize("lo, hi, rtol", [(-8.0, 8.3, 2e-14), (-37.5, -8.0, 5e-13)],
+                             ids=["body", "lower-tail"])
+    def test_matches_mpmath(self, lo, hi, rtol, rng):
+        mpmath = pytest.importorskip("mpmath")
+        z = np.concatenate([np.linspace(lo, hi, 1001)[:-1], rng.uniform(lo, hi, 1000)])
+        got = ndtr(z)
+        with mpmath.workdps(40):
+            err = [abs((mpmath.mpf(float(g)) - want) / want)
+                   for g, want in zip(got, map(mpmath.ncdf, z.tolist()))]
+        assert max(err) <= rtol
+
+    def test_exact_values(self):
+        one = np.array([8.3, np.nextafter(8.3, 9.0), 9.0, 37.5, 1e300, np.inf])
+        assert np.all(ndtr(one) == 1.0)
+        assert ndtr(0.0) == 0.5 and ndtr(-0.0) == 0.5
+        assert ndtr(-np.inf) == 0.0 and ndtr(-1e300) == 0.0
+        assert np.isnan(ndtr(np.nan))
+        assert np.isnan(ndtr(np.array([1.0, np.nan, -1.0]))[1])
+        assert isinstance(ndtr(0.5), float)   # a scalar for a scalar
+        assert ndtr(np.zeros((3, 2))).shape == (3, 2)
+
+    def test_monotone_and_symmetric(self):
+        z = np.linspace(-40.0, 10.0, 400_001)
+        assert np.all(np.diff(ndtr(z)) >= 0.0)
+        z = np.linspace(0.0, 8.3, 100_001)
+        assert np.max(np.abs(ndtr(z) + ndtr(-z) - 1.0)) <= 2 * np.spacing(1.0)
+
+
+class TestNdtri:
+    def test_matches_statistics_bit_for_bit(self):
+        p = np.concatenate([np.linspace(0.0, 1.0, 20_001)[1:-1],
+                            np.logspace(-300, -1, 301), 1.0 - np.logspace(-16, -1, 300)])
+        inv_cdf = statistics.NormalDist().inv_cdf
+        want = np.array([inv_cdf(v) for v in p.tolist()])
+        assert ndtri(p).tobytes() == want.tobytes()
+
+    def test_edges(self):
+        got = ndtri(np.array([0.0, 1.0, -0.1, 1.1, -np.inf, np.nan]))
+        assert got[0] == -np.inf and got[1] == np.inf
+        assert np.all(np.isnan(got[2:]))
+        assert ndtri(0.5) == 0.0 and isinstance(ndtri(0.5), float)

@@ -234,4 +234,14 @@ def test_uint64_above_int64_reads_back(tmp_path):
     path = tmp_path / "u.csv"
     u = np.array([0, 2**63, 2**64 - 1], dtype=np.uint64)
     write_csv(path, {"u": u})
-    np.testing.assert_array_equal(read_csv_columns(path)["u"], u.astype(float))
+    back = read_csv_columns(path)["u"]
+    assert back.dtype == np.uint64
+    np.testing.assert_array_equal(back, u)
+
+
+def test_integers_of_both_signs_beyond_int64_read_as_floats(tmp_path):
+    path = tmp_path / "mixed.csv"
+    path.write_text(f"x\n-1\n{2**64 - 1}\n")
+    back = read_csv_columns(path)["x"]
+    assert back.dtype == np.float64
+    np.testing.assert_array_equal(back, [-1.0, 2.0**64])
