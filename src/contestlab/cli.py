@@ -201,7 +201,7 @@ def _cmd_cost(args) -> int:
         "mu": grid.mu, "theta": grid.theta, "a": grid.a, "b": grid.b,
         "case": _case_column(grid), "cost": grid.cost,
         "shadow_price": grid.shadow_price, "marginal_cost": grid.marginal_cost,
-    }, order=["mu", "theta", "a", "b", "case", "cost", "shadow_price", "marginal_cost"])
+    })
     run.finish()
     print(f"wrote cost curve for theta={args.theta} ({args.points} points)")
     return EXIT_OK
@@ -218,7 +218,7 @@ def _cmd_baseline(args) -> int:
     write_csv(run.path("baseline.csv"), {
         "theta": grid.theta, "a": grid.a, "b": grid.b, "mu": grid.mu,
         "region": np.asarray(grid.region, dtype=object), "payoff": grid.payoff,
-    }, order=["theta", "a", "b", "mu", "region", "payoff"])
+    })
     th = grid.thresholds
     _write_json(run.path("baseline.json"), {
         "mech_upper": th.mech_upper, "create_lower": th.create_lower,
@@ -238,7 +238,7 @@ def _cmd_equilibrium(args) -> int:
         "theta": profile.theta_grid, "mu_star": profile.mu_star,
         "a": alloc.a, "b": alloc.b, "case": _case_column(alloc),
         "mu_baseline": profile.baseline.mu,
-    }, order=["theta", "mu_star", "a", "b", "case", "mu_baseline"])
+    })
     _write_json(run.path("equilibrium.json"), {
         "converged": profile.converged, "iterations": profile.iterations,
         "residual": profile.residual, "grid": args.grid, "tol": args.tol,
@@ -261,8 +261,7 @@ def _cmd_hacking(args) -> int:
         "a_star": verdicts.a_star, "b_star": verdicts.b_star,
         "a_baseline": verdicts.a_base, "b_baseline": verdicts.b_base,
         "mu_star": verdicts.mu_star, "mu_baseline": verdicts.mu_base,
-    }, order=["theta", "hacks", "band", "a_star", "b_star",
-              "a_baseline", "b_baseline", "mu_star", "mu_baseline"])
+    })
     _write_json(run.path("hacking.json"), {
         "theta_star": verdicts.theta_star,
         "mech_upper": verdicts.thresholds.mech_upper,
@@ -286,8 +285,7 @@ def _cmd_sweep(args) -> int:
               {key: np.asarray([r[key] for r in rows],
                                dtype=object if key == "region" else None)
                for key in ("prizes", "theta", "mu_star", "a_star", "b_star",
-                           "hacks", "region")},
-              order=["prizes", "theta", "mu_star", "a_star", "b_star", "hacks", "region"])
+                           "hacks", "region")})
     _write_json(run.path("sweep.json"), {
         "prize_vectors": [list(pv.values) for pv in result.prize_vectors],
         "relations": [list(r) for r in result.relations],

@@ -30,7 +30,8 @@ is solved by a bracketed root finder: ``GainTable.gain_and_slope``
 supplies the exact slope of the tabulated gain and the allocation
 supplies the marginal cost.  The table is C1 (cubic Hermite in the
 score, on the exact derivative of the prize weight), so the gap is
-continuous and the root finder converges superlinearly.
+continuous and the root finder converges superlinearly.  That root is
+the best response unless the coarse cell pays strictly more.
 """
 
 from __future__ import annotations
@@ -278,7 +279,8 @@ class GainTable:
         w = np.where(below, self.w_lo, np.where(above, self.w_hi, w))
         slope = np.where(below | above, 0.0, slope)
         ds = self.dloc + self.dscale * self.z_nodes
-        return w @ self.z_weights, slope @ (self.z_weights * ds)
+        # row sums, not BLAS, whose summation order depends on the row count
+        return (w * self.z_weights).sum(1), (slope * (self.z_weights * ds)).sum(1)
 
 
 def _mu_upper_bound(scenario: Scenario, base: BaselineGrid) -> float:
@@ -314,46 +316,39 @@ def _best_response_grid(scenario: Scenario, table: GainTable, thetas: Array,
     """Best responses for every type against a fixed gain table.
 
     ``cost_matrix`` holds C(mu_grid[i], thetas[j]).  The coarse sweep
-    picks the best cell, which also guards against multimodal payoffs;
-    inside its two neighbouring cells, the first-order condition
-    gain'(mu) + 1 = dC/dmu is solved to ``_FOC_TOL`` by the bracketed root
-    finder.  Each probe takes cost and marginal cost from one allocation.
-    The target of the best payoff ever evaluated is returned, so it
-    dominates every coarse grid point by construction.  A non-finite
-    coarse payoff raises :class:`SolverError`, since ``argmax`` would pick it.
+    picks the best cell; inside its two neighbouring cells, the
+    first-order condition gain'(mu) + 1 = dC/dmu is solved to ``_FOC_TOL``
+    by the bracketed root finder.  That root is returned unless the cell
+    pays strictly more (a corner optimum).  A non-finite coarse payoff
+    raises :class:`SolverError`, since ``argmax`` would pick it.
     """
     gains = table.gain(mu_grid)
     payoff_matrix = gains[:, None] + mu_grid[:, None] - cost_matrix
     if not np.all(np.isfinite(payoff_matrix)):
         raise SolverError("best-response payoff is not finite on the coarse grid")
     idx = np.argmax(payoff_matrix, axis=0)
-    best_x = mu_grid[idx]
-    best_f = payoff_matrix[idx, np.arange(thetas.size)]
     lo = mu_grid[np.maximum(idx - 1, 0)]
     hi = mu_grid[np.minimum(idx + 1, mu_grid.size - 1)]
 
     def foc_gap(mu: Array) -> Array:
-        nonlocal best_x, best_f
-        alloc = allocate_grid(scenario, mu, thetas)
-        gain, slope = table.gain_and_slope(mu)
-        f = gain + mu - alloc.cost
-        better = f > best_f
-        best_x = np.where(better, mu, best_x)
-        best_f = np.where(better, f, best_f)
-        return alloc.marginal_cost - 1.0 - slope
+        slope = table.gain_and_slope(mu)[1]
+        return allocate_grid(scenario, mu, thetas).marginal_cost - 1.0 - slope
 
-    bisect_vec(foc_gap, lo, hi, tol=_FOC_TOL)
-    return best_x
+    root = bisect_vec(foc_gap, lo, hi, tol=_FOC_TOL)
+    root_payoff = table.gain(root) + root - allocate_grid(scenario, root, thetas).cost
+    cell_payoff = payoff_matrix[idx, np.arange(thetas.size)]
+    return np.where(cell_payoff > root_payoff, mu_grid[idx], root)
 
 
 def best_response_grid(profile: StrategyProfile, thetas) -> Array:
     """Best responses of many types against a profile, sharing one gain table.
 
-    One type's best response is ``best_response_grid(profile, [theta])[0]``.
+    The bracket comes from ``profile.baseline``, so one type's best
+    response ``best_response_grid(profile, [theta])[0]`` is its grid value.
     """
     scenario = profile.scenario
     thetas = np.asarray(thetas, dtype=float)
-    mu_max = _mu_upper_bound(scenario, baseline_grid(scenario, thetas))
+    mu_max = _mu_upper_bound(scenario, profile.baseline)
     mu_grid, cost_matrix = _coarse_grid(scenario, thetas, mu_max)
     return _best_response_grid(scenario, GainTable(profile, mu_max), thetas,
                                mu_grid, cost_matrix)

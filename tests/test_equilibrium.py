@@ -210,6 +210,31 @@ class TestSolveEquilibrium:
         for theta in (0.3, 1.2, 2.7):
             br = best_response_grid(profile, [theta])[0]
             assert br == pytest.approx(float(profile.mu_at(theta)), abs=1e-4)
+        # the bracket comes from the profile, not from the types asked for,
+        # so a one-type call returns the grid call's value for that type
+        thetas = profile.theta_grid
+        grid_br = best_response_grid(profile, thetas)
+        for j in (0, 37, 100, 163, thetas.size - 1):
+            one = best_response_grid(profile, [thetas[j]])[0]
+            assert one == pytest.approx(grid_br[j], abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["example1", "example2", "example3", "example4"])
+    def test_best_response_ignores_bracket_stretch(self, equilibria, name):
+        # the best response is the first-order root, a function of the
+        # schedule: stretching the target bracket by 1e-6 relative moves
+        # the coarse grid but not the root it brackets
+        profile = equilibria(name)
+        scn, thetas = profile.scenario, profile.theta_grid
+        mu_max = _mu_upper_bound(scn, profile.baseline)
+        table = GainTable(profile, mu_max)
+
+        def best_response(top):
+            mu_grid, cost_matrix = equilibrium._coarse_grid(scn, thetas, top)
+            return equilibrium._best_response_grid(scn, table, thetas,
+                                                   mu_grid, cost_matrix)
+
+        stretched = best_response(mu_max * (1.0 + 1e-6))
+        assert np.max(np.abs(stretched - best_response(mu_max))) <= 5e-9
 
     @pytest.mark.parametrize("name", ["example1", "example2", "example3", "example4"])
     def test_best_response_beats_fine_grid(self, equilibria, name):
@@ -298,6 +323,9 @@ class TestSolveEquilibrium:
                                     tol=0.0, max_iter=500)
         assert not profile.converged
         assert profile.iterations < 50
+        # best responses free of rounding-level ties let the fixed point
+        # go far below the default tolerance before it stalls
+        assert profile.residual < 1e-9
         # the residual belongs to the schedule returned
         br = best_response_grid(profile, profile.theta_grid)
         assert profile.residual == pytest.approx(

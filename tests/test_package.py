@@ -1,7 +1,7 @@
 """Tests that the hand-kept export lists name only what exists, that
 the package holds no unused imports or nested functions, that every
-name the benchmark's layer hooks wrap exists, and that importing it
-loads no scipy module."""
+name the benchmark's layer hooks wrap exists, that importing it loads
+no scipy module, and that the README's layout names every module."""
 
 from __future__ import annotations
 
@@ -118,3 +118,13 @@ def test_import_loads_no_scipy():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def test_readme_layout_names_every_module():
+    package = Path(importlib.import_module("contestlab").__file__).parent
+    readme = (package.parent.parent / "README.md").read_text()
+    layout = readme.split("## Layout", 1)[1].split("```")[1]
+    listed = {words[0] for words in map(str.split, layout.splitlines())
+              if words and words[0].endswith(".py")}
+    public = {path.name for path in package.glob("*.py") if not path.name.startswith("_")}
+    assert public - listed == set(), "README's Layout block misses modules"
