@@ -26,8 +26,8 @@ neighbours the first-order condition
 
     gain'(mu) + 1 = dC/dmu
 
-is solved by a bracketed root finder: ``GainTable.gain_and_slope``
-supplies the exact slope of the tabulated gain and the allocation
+is solved by a bracketed root finder: ``GainTable.slope`` supplies the
+exact slope of the tabulated gain ``GainTable.gain`` and the allocation
 supplies the marginal cost.  The table is C1 (cubic Hermite in the
 score, on the exact derivative of the prize weight), so the gap is
 continuous and the root finder converges superlinearly.  That root is
@@ -116,7 +116,8 @@ class OpponentMixture:
     def cdf(self, s) -> Array:
         s = np.asarray(s, dtype=float)
         flat = np.atleast_1d(s)
-        out = self.noise.cdf(flat[:, None], self.mus[None, :]) @ self.weights
+        out = np.einsum("ij,j->i", self.noise.cdf(flat[:, None], self.mus[None, :]),
+                        self.weights)
         # the weighted sum can round an ulp above 1, where the binomial
         # rank weights in 1 - G are NaN
         out = np.minimum(out, 1.0)
@@ -207,9 +208,15 @@ class GainTable:
     Tabulates the conditional prize weight W(s) = E[prize | own score s]
     and its exact derivative on a uniform score grid, and interpolates W
     by cubic Hermite segments, so the gain is C1 and its slope continuous.
-    The expectation over own noise uses a fixed Gauss-Legendre rule in
-    quantile space.  Shared by the solver and the public best response so
-    both optimise the identical payoff.
+    One constant segment below the grid (everyone ahead) and one above it
+    (nobody ahead) extend W to every score.  The expectation over own
+    noise uses a fixed Gauss-Legendre rule in quantile space.  loc and
+    scale are affine in mu for every noise kind, so each node's grid
+    position is affine in mu too.  ``gain`` and ``slope`` are the two
+    evaluators; each row of a call is summed on its own, so a one-target
+    call equals the same target's value in a longer call bit for bit.
+    Shared by the solver and the public best response so both optimise
+    the identical payoff.
     """
 
     def __init__(self, profile: StrategyProfile, mu_max: float):
@@ -230,57 +237,66 @@ class GainTable:
                    float(np.min(noise.loc_scale(mus)[0])))
         s_hi = float(lo1 + sc1 * z_hi)
         s_grid, h = np.linspace(s_lo, s_hi, _WEIGHT_GRID, retstep=True)
-        self.s_lo, self.s_step = s_lo, h
         g = mixture.cdf(s_grid)
         w = _rank_pmf(g, players, ranks) @ paid[ranks - 1]
         # dW/ds = (n-1) G'(s) sum_j binom(j; n-2, 1-G) (paid_{j+1} - paid_{j+2})
         drop = (paid[:-1] - paid[1:])[:ranks[-1]]
-        dens = (mixture.noise.pdf(s_grid[:, None], mixture.mus[None, :])
-                @ mixture.weights)
+        dens = np.einsum("ij,j->i", mixture.noise.pdf(s_grid[:, None],
+                                                      mixture.mus[None, :]),
+                         mixture.weights)
         beaten = _binom_pmf(np.arange(drop.size)[None, :], players - 2,
                             (1.0 - g)[:, None])
         m = h * (players - 1) * dens * (beaten @ drop)   # slope per unit t
-        # cubic Hermite segments in t = (s - s_i) / h, Horner order c0..c3
+        # cubic Hermite segments in t = (s - s_i) / h, Horner order c0..c3,
+        # between a constant segment at each end
         dw = np.diff(w)
-        self.coef = np.stack([w[:-1], m[:-1], 3.0 * dw - 2.0 * m[:-1] - m[1:],
-                              m[:-1] + m[1:] - 2.0 * dw])
-        # loc and scale are affine in mu, so a unit step gives their slopes
-        lo_unit, sc_unit = noise.loc_scale(np.array(1.0))
-        self.dloc, self.dscale = float(lo_unit - lo0), float(sc_unit - sc0)
-        self.w_lo = float(paid[players - 1])   # everyone ahead
-        self.w_hi = float(paid[0])             # nobody ahead
+        below = [paid[players - 1], 0.0, 0.0, 0.0]   # everyone ahead
+        above = [paid[0], 0.0, 0.0, 0.0]             # nobody ahead
+        self.coef = np.column_stack([below, np.stack(
+            [w[:-1], m[:-1], 3.0 * dw - 2.0 * m[:-1] - m[1:],
+             m[:-1] + m[1:] - 2.0 * dw]), above])
+        # dW/dt in Horner order: c1, 2 c2, 3 c3
+        self.dcoef = self.coef[1:] * np.array([[1.0], [2.0], [3.0]])
         u, wu = gauss_legendre(_GAIN_NODES, 0.0, 1.0)
-        self.z_nodes = noise.z_ppf(u)
+        z = noise.z_ppf(u)
+        # a unit step in mu gives the slopes of loc and scale; a node's
+        # position counts segments from the constant one below the grid
+        lo_unit, sc_unit = noise.loc_scale(np.array(1.0))
+        self.pos_base = (lo0 + sc0 * z - s_lo) / h + 1.0
+        self.pos_rate = ((lo_unit - lo0) + (sc_unit - sc0) * z) / h
         self.z_weights = wu
+        self.slope_weights = wu * self.pos_rate
 
     def gain(self, mu) -> Array:
-        return self.gain_and_slope(mu)[0]
-
-    def gain_and_slope(self, mu) -> tuple[Array, Array]:
-        """Expected prize at each ``mu`` and its exact derivative in ``mu``.
-
-        W is a cubic Hermite spline on the uniform score grid, so each
-        node's segment comes from index arithmetic and its slope is the
-        derivative of that cubic times ds/dmu = dloc/dmu + z * dscale/dmu
-        (loc and scale are affine in mu for every noise kind).
-        """
+        """Expected prize at each target ``mu``."""
         mu = np.atleast_1d(np.asarray(mu, dtype=float))
         if self.zero:
-            return np.zeros_like(mu), np.zeros_like(mu)
-        loc, scale = self.noise.loc_scale(mu)
-        s = loc[:, None] + scale[:, None] * self.z_nodes[None, :]
-        pos = (s - self.s_lo) / self.s_step
-        seg = np.clip(np.floor(pos), 0, _WEIGHT_GRID - 2).astype(np.intp)
-        t = pos - seg
-        c0, c1, c2, c3 = np.take(self.coef, seg, axis=1)
-        w = ((c3 * t + c2) * t + c1) * t + c0
-        slope = ((3.0 * c3 * t + 2.0 * c2) * t + c1) / self.s_step
-        below, above = pos < 0.0, pos > _WEIGHT_GRID - 1
-        w = np.where(below, self.w_lo, np.where(above, self.w_hi, w))
-        slope = np.where(below | above, 0.0, slope)
-        ds = self.dloc + self.dscale * self.z_nodes
-        # row sums, not BLAS, whose summation order depends on the row count
-        return (w * self.z_weights).sum(1), (slope * (self.z_weights * ds)).sum(1)
+            return np.zeros_like(mu)
+        return self._integrate(mu, self.coef, self.z_weights)
+
+    def slope(self, mu) -> Array:
+        """Exact derivative in ``mu`` of :meth:`gain` at each target."""
+        mu = np.atleast_1d(np.asarray(mu, dtype=float))
+        if self.zero:
+            return np.zeros_like(mu)
+        return self._integrate(mu, self.dcoef, self.slope_weights)
+
+    def _integrate(self, mu: Array, coef: Array, weights: Array) -> Array:
+        """Weighted node sum, at each ``mu``, of the segment polynomials
+        ``coef`` (Horner order, lowest degree first)."""
+        if self.noise.kind == "exponential" and np.any(mu < 0):
+            raise DomainError("exponential noise needs non-negative mean")
+        pos = mu[:, None] * self.pos_rate
+        pos += self.pos_base
+        seg = np.clip(pos, 0.0, _WEIGHT_GRID).astype(np.intp)
+        t = np.subtract(pos, seg, out=pos)
+        c = np.take(coef, seg, axis=1)
+        acc = c[-1]
+        for ck in c[-2::-1]:
+            acc *= t
+            acc += ck
+        # einsum, not BLAS, whose summation order depends on the row count
+        return np.einsum("ij,j->i", acc, weights)
 
 
 def _mu_upper_bound(scenario: Scenario, base: BaselineGrid) -> float:
@@ -331,8 +347,8 @@ def _best_response_grid(scenario: Scenario, table: GainTable, thetas: Array,
     hi = mu_grid[np.minimum(idx + 1, mu_grid.size - 1)]
 
     def foc_gap(mu: Array) -> Array:
-        slope = table.gain_and_slope(mu)[1]
-        return allocate_grid(scenario, mu, thetas).marginal_cost - 1.0 - slope
+        return (allocate_grid(scenario, mu, thetas).marginal_cost - 1.0
+                - table.slope(mu))
 
     root = bisect_vec(foc_gap, lo, hi, tol=_FOC_TOL)
     root_payoff = table.gain(root) + root - allocate_grid(scenario, root, thetas).cost

@@ -139,12 +139,14 @@ class TestGainTable:
         assert np.all(np.diff(gains) >= -1e-10)
 
     @staticmethod
-    def _table(profile, noise_kind):
-        """The profile's schedule, replayed under another noise family."""
+    def _table(profile, noise_kind, players=None, prizes=None):
+        """The profile's schedule, replayed under another noise family
+        (and, if given, another number of players and prize vector)."""
         scn = profile.scenario
-        noisy = example_scenario("example1", players=scn.players,
-                                 prizes=list(scn.prizes.values),
-                                 noise={"kind": noise_kind, "dispersion": 1.0})
+        noisy = example_scenario(
+            "example1", players=players or scn.players,
+            prizes=list(prizes or scn.prizes.values),
+            noise={"kind": noise_kind, "dispersion": 1.0})
         replay = StrategyProfile(noisy, profile.baseline, profile.mu_star.copy(),
                                  True, 0, 0.0)
         return GainTable(replay, mu_max=12.0)
@@ -152,20 +154,52 @@ class TestGainTable:
     @pytest.mark.parametrize("noise_kind", NOISE_KINDS)
     @pytest.mark.parametrize("players, prizes", [(2, (1.0, 0.0)), (5, (1.0, 0.5, 0.0))])
     def test_gain_and_slope_oracles(self, equilibria, noise_kind, players, prizes):
-        # the gain is gain() itself; the slope is the exact derivative of
-        # that C1 piecewise-cubic gain, so a central difference with a step
-        # far below the W grid spacing matches it to rounding everywhere
+        # the slope is the exact derivative of the C1 piecewise-cubic
+        # gain, so a central difference with a step far below the W grid
+        # spacing matches it to rounding everywhere
         table = self._table(equilibria("example1", players=players, prizes=prizes),
                             noise_kind)
         mu = np.linspace(0.05, 8.0, 400)
-        gain, slope = table.gain_and_slope(mu)
-        np.testing.assert_array_equal(gain, table.gain(mu))
+        slope = table.slope(mu)
         h = 1e-7
         central = (table.gain(mu + h) - table.gain(mu - h)) / (2.0 * h)
         err = np.abs(slope - central)
         assert float(np.max(err)) < 1e-8
         assert float(np.median(err)) < 1e-8
         assert float(np.max(np.abs(slope))) > 0.1
+
+    @pytest.mark.parametrize("noise_kind", ["normal", "gumbel"])
+    def test_constant_beyond_the_grid(self, equilibria, noise_kind):
+        # under a location family every node of a target far past either
+        # end of the score grid lands on the constant end segment: nobody
+        # ahead above, everyone ahead below.  The gain is then the same
+        # for every such target, with slope exactly 0, and it is that
+        # prize up to the rounding of the quadrature weights' sum
+        paid = (1.0, 0.5, 0.25)
+        table = self._table(equilibria("example1"), noise_kind, players=3,
+                            prizes=paid)
+        for far, prize in (([1e3, 1e6], paid[0]), ([-1e3, -1e6], paid[-1])):
+            gain = table.gain(far)
+            assert gain[0] == gain[1]
+            assert gain[0] == pytest.approx(prize, rel=5e-16, abs=0.0)
+            np.testing.assert_array_equal(table.slope(far), [0.0, 0.0])
+
+    @pytest.mark.parametrize("noise_kind", NOISE_KINDS)
+    def test_one_target_equals_grid_call(self, equilibria, noise_kind):
+        # each row is summed on its own, so a target's gain and slope do
+        # not depend on the other targets in the call
+        table = self._table(equilibria("example1"), noise_kind)
+        mu = np.linspace(0.0, 12.0, 201)
+        gains, slopes = table.gain(mu), table.slope(mu)
+        for j, m in enumerate(mu):
+            assert table.gain([m])[0] == gains[j]
+            assert table.slope([m])[0] == slopes[j]
+
+    def test_exponential_negative_target_rejected(self, equilibria):
+        table = self._table(equilibria("example1"), "exponential")
+        for evaluate in (table.gain, table.slope):
+            with pytest.raises(DomainError, match="non-negative mean"):
+                evaluate([0.5, -0.5])
 
     def test_zero_prizes_zero_gain(self, equilibria):
         profile = equilibria("example1")
@@ -186,6 +220,14 @@ class TestOpponentMixture:
         cdf = mix.cdf(s)
         assert np.all(np.diff(cdf) >= -1e-12)
         assert cdf[0] < 1e-4 and cdf[-1] > 1.0 - 1e-4
+
+    def test_cdf_independent_of_batch(self, equilibria):
+        # G at a point must not depend on the batch it is evaluated in:
+        # adaptive quadrature calls it on batches of every size
+        mix = opponent_mixture(equilibria("example1"))
+        s = np.linspace(-6.0, 16.0, 301)
+        batch = mix.cdf(s)
+        np.testing.assert_array_equal(batch, [mix.cdf(x) for x in s])
 
 
 class TestSolveEquilibrium:
