@@ -44,11 +44,11 @@ def bisect_vec(
     Steps are Illinois regula falsi: the secant through the bracket's end
     values, with the value at an end that survives twice running halved.
     A step bisects instead while an end value is unknown or not finite,
-    and when the bracket has not halved within ``_STALL_STEPS`` steps.  A
-    secant point stays ``min(tol, width/2)/2`` inside the bracket, so a
-    bracket that closes in on the root from one side still shrinks to
-    ``tol``.  An element stops moving once its own bracket is within
-    ``tol``, after at most ``_MAX_BISECTIONS`` steps, so its result does
+    where the secant overflows, and when the bracket has not halved within
+    ``_STALL_STEPS`` steps.  A secant point stays ``min(tol, width/2)/2``
+    inside the bracket, so a bracket that closes in on the root from one
+    side still shrinks to ``tol``.  An element stops moving once its own
+    bracket is within ``tol``, after at most ``_MAX_BISECTIONS`` steps, so its result does
     not depend on the other elements of the call.
     """
     lo = np.array(lo, dtype=float, copy=True)
@@ -88,8 +88,10 @@ def _probe(lo: Array, hi: Array, f_lo: Array, f_hi: Array, stall: Array,
     margin = 0.5 * np.minimum(tol, 0.5 * width)
     with np.errstate(invalid="ignore", over="ignore"):
         secant = hi - f_hi * (width / (f_hi - f_lo))
+    # end values a few subnormals apart overflow the secant to 0 * inf
+    use_mid = ~(np.isfinite(f_lo) & np.isfinite(f_hi) & np.isfinite(secant))
+    use_mid |= stall >= _STALL_STEPS
     secant = np.clip(secant, lo + margin, hi - margin)
-    use_mid = ~(np.isfinite(f_lo) & np.isfinite(f_hi)) | (stall >= _STALL_STEPS)
     return np.where(use_mid, 0.5 * (lo + hi), secant)
 
 

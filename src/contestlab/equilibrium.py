@@ -300,24 +300,29 @@ class GainTable:
 
 
 def _mu_upper_bound(scenario: Scenario, base: BaselineGrid) -> float:
-    """Bracket above every best response, doubled for slack."""
-    lo, hi = scenario.support
-    top = scenario.prizes.top
-    base_cap = float(np.max(base.mu)) if base.mu.size else 1.0
-    if scenario.nu.kind == "saturating":
-        cap = float(scenario.nu.sup(hi)) + float(scenario.xi.invert(top)) + 1.0
-        return max(cap, 2.0 * base_cap + 1.0)
-    h_max = scenario.noise.max_density(max(base_cap, 1e-2))
-    target = 1.0 + top * h_max
+    """Bracket above the best response of every type, doubled for slack.
 
-    def mc_gap(mu: Array) -> Array:
-        return allocate_grid(scenario, mu, np.array([hi])).marginal_cost - target
+    A target mu pays at most R_1 + mu - C(mu, theta) and the no-contest
+    target pays at least s(theta), the no-contest payoff, so the top type
+    responds below the root of C(mu, theta_hi) - mu + s - R_1 above its
+    no-contest target, and lower types no higher (increasing
+    differences; Milgrom & Shannon 1994).  The crossing needs marginal
+    cost above 1: where it is exactly 1, mu - C is flat and the response
+    runs away, so ``expand_upper`` raises :class:`SolverError`.
+    """
+    hi = np.array([scenario.support[1]])
+    floor = float(np.max(base.payoff)) - scenario.prizes.top
+    mu_lo = np.array([float(np.max(base.mu))])
 
-    probe = expand_upper(mc_gap, np.array([max(base_cap, 1.0)]),
-                         what="the best response: marginal cost never reaches "
-                              "the contest-gain bound")
-    root = float(bisect_vec(mc_gap, np.zeros(1), probe, tol=1e-6 * probe[0])[0])
-    return max(2.0 * root, 2.0 * base_cap + 1.0, 1e-6)
+    def surplus_gap(mu: Array) -> Array:
+        alloc = allocate_grid(scenario, mu, hi)
+        return np.where(alloc.marginal_cost > 1.0, alloc.cost - mu + floor, -np.inf)
+
+    probe = expand_upper(surplus_gap, np.maximum(mu_lo, 1.0),
+                         what="the best response: the top prize can buy back "
+                              "any target of the top type")
+    root = float(bisect_vec(surplus_gap, mu_lo, probe, tol=1e-6 * probe[0])[0])
+    return 2.0 * root
 
 
 def _coarse_grid(scenario: Scenario, thetas: Array,
@@ -361,9 +366,12 @@ def best_response_grid(profile: StrategyProfile, thetas) -> Array:
 
     The bracket comes from ``profile.baseline``, so one type's best
     response ``best_response_grid(profile, [theta])[0]`` is its grid value.
+    It holds for types in the support only; others raise DomainError.
     """
     scenario = profile.scenario
     thetas = np.asarray(thetas, dtype=float)
+    for t in (thetas.min(), thetas.max()) if thetas.size else ():
+        scenario.check_theta(float(t))
     mu_max = _mu_upper_bound(scenario, profile.baseline)
     mu_grid, cost_matrix = _coarse_grid(scenario, thetas, mu_max)
     return _best_response_grid(scenario, GainTable(profile, mu_max), thetas,
@@ -379,8 +387,9 @@ def solve_equilibrium(scenario: Scenario, *, grid_size: int = 201,
     2011) over the last ``_ANDERSON_MEMORY`` differences: with f = g - x,
     the next iterate is g_k - dG gamma, where gamma is the least-squares
     solution of dF gamma = f_k.  The history restarts when the residual
-    rises and when the target bracket ``mu_max`` is extended; the first
-    step after each restart is the best response damped by ``_DAMPING``.
+    rises; the first step after each restart is the best response damped
+    by ``_DAMPING``.  The target bracket is ``_mu_upper_bound``, proven to
+    hold every best response, so it never widens.
     Every iterate is clipped from below at the starting schedule and
     projected onto non-decreasing schedules, which keeps it above the
     no-contest schedule.
@@ -413,22 +422,12 @@ def solve_equilibrium(scenario: Scenario, *, grid_size: int = 201,
     g_hist: list[Array] = []   # best responses since the last restart
     f_hist: list[Array] = []   # their residuals g - x
     iterations = 0
-    extensions = 0
     while iterations < max_iter:
         iterations += 1
         profile = StrategyProfile(scenario, base, mu.copy(), False, iterations,
                                   math.inf)
         br = _best_response_grid(scenario, GainTable(profile, mu_max), thetas,
                                  mu_grid, cost_matrix)
-        if float(np.max(br)) > mu_max - 2.0 * mu_grid[1]:
-            if extensions >= 12:
-                raise SolverError(
-                    f"best responses keep escaping the bracket (mu_max={mu_max:.4g})")
-            extensions += 1
-            mu_max *= 1.6
-            mu_grid, cost_matrix = _coarse_grid(scenario, thetas, mu_max)
-            g_hist, f_hist = [], []
-            continue
         f = br - mu
         residual = float(np.max(np.abs(f)))
         if residual < best_residual:

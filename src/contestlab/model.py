@@ -411,14 +411,6 @@ class NoiseFamily:
             return rng.gumbel(0.0, 1.0, shape)
         return rng.standard_exponential(shape)
 
-    def max_density(self, mu: float) -> float:
-        """Peak of the density of H_mu; used for search-bracket heuristics."""
-        if self.kind == "normal":
-            return 1.0 / (self.dispersion * math.sqrt(2.0 * math.pi))
-        if self.kind == "gumbel":
-            return math.exp(-1.0) / self.dispersion
-        return 1.0 / max(float(mu), 1e-2)
-
 
 @dataclass(frozen=True)
 class PrizeVector:

@@ -603,6 +603,10 @@ def synthetic_panel(
         raise DomainError(f"need at least one contest, got {n_contests}")
     if traj_length < 2:
         raise DomainError(f"trajectory length must be >= 2, got {traj_length}")
+    for name, value in dict(drift_scale=drift_scale, noise_scale=noise_scale,
+                            score_base=score_base, score_gain=score_gain).items():
+        if not np.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value!r}")
     cells = tuple(cells)
     if not cells:
         raise DomainError("no panel cells")

@@ -120,6 +120,12 @@ class TestArtifactsAndReplay:
         assert "--threads" not in manifest["replay_argv"]
         assert_replay_identical(out, tmp_path)
 
+    @pytest.mark.parametrize("flag", ["--drift-scale", "--noise-scale"])
+    def test_simulate_rejects_non_finite_scales(self, tmp_path, capsys, flag):
+        assert run_cli("simulate", "--scenario", "example1", "--contests", "2",
+                       flag, "nan", "--out", tmp_path / "s") == EXIT_INPUT
+        assert "must be finite" in capsys.readouterr().err
+
     def test_simulate_panel_cells_needs_three_players(self, tmp_path, capsys):
         assert run_cli("simulate", "--scenario", "example1", "--panel-cells",
                        "--out", tmp_path / "pc2") == EXIT_INPUT

@@ -230,6 +230,30 @@ class TestOpponentMixture:
         np.testing.assert_array_equal(batch, [mix.cdf(x) for x in s])
 
 
+@pytest.mark.parametrize("players, prizes", [
+    (2, [1.0]), (5, [3.0, 1.0]), (20, [1.0, 0.6, 0.3]), (2, [8.0])])
+@pytest.mark.parametrize("name", ["example1", "example2", "example3", "example4"])
+@pytest.mark.parametrize("noise_kind", NOISE_KINDS)
+def test_target_bracket_holds_every_best_response(noise_kind, name, players,
+                                                  prizes):
+    # the bound holds against any schedule; against the no-contest one,
+    # the global best response on a sweep over twice the bracket stays
+    # in the bracket's lower half, the slack the solver keeps
+    noise = {"kind": noise_kind}
+    if noise_kind != "exponential":
+        noise["dispersion"] = 1.0
+    scn = example_scenario(name, players=players, prizes=prizes, noise=noise)
+    thetas = np.linspace(*scn.support, 21)
+    base = baseline_grid(scn, thetas)
+    profile = StrategyProfile(scn, base, base.mu.copy(), False, 0, math.inf)
+    mu_max = _mu_upper_bound(scn, base)
+    table = GainTable(profile, 2.0 * mu_max)
+    mus = np.linspace(0.0, 2.0 * mu_max, 4001)
+    payoff = (table.gain(mus)[:, None] + mus[:, None]
+              - allocate_grid(scn, mus[:, None], thetas[None, :]).cost)
+    assert np.max(mus[np.argmax(payoff, axis=0)]) <= 0.5 * mu_max
+
+
 class TestSolveEquilibrium:
     def test_example1_basic_properties(self, equilibria):
         profile = equilibria("example1")
@@ -295,6 +319,12 @@ class TestSolveEquilibrium:
         fine = np.linspace(0.0, mu_max, 2000)
         fine_best = np.max(payoff(fine[:, None], thetas[None, :]), axis=0)
         assert np.all(payoff(br, thetas) >= fine_best - 1e-9)
+
+    def test_types_outside_the_support_rejected(self, equilibria):
+        profile = equilibria("example1", grid_size=51)
+        for theta in (5.0, 100.0, -1.0, math.nan):
+            with pytest.raises(DomainError, match="outside support"):
+                best_response_grid(profile, [1.0, theta])
 
     def test_example1_best_response_matches_exact_foc(self, equilibria):
         # two players, N(0, 1) noise and one unit prize: the gain against
@@ -373,27 +403,24 @@ class TestSolveEquilibrium:
         assert profile.residual == pytest.approx(
             float(np.max(np.abs(br - profile.mu_star))), rel=1e-12)
 
-    def test_extended_bracket_still_converges(self, monkeypatch):
-        # start from a target bracket the best responses escape, so the
-        # solver must widen it (and restart its history) on the way
-        scn = example_scenario("example1")
-        reference = solve_equilibrium(scn, grid_size=51)
-        brackets = []
-        coarse_grid = equilibrium._coarse_grid
-
-        def recorded(scenario, thetas, mu_max):
-            brackets.append(mu_max)
-            return coarse_grid(scenario, thetas, mu_max)
-
-        monkeypatch.setattr(equilibrium, "_coarse_grid", recorded)
-        monkeypatch.setattr(equilibrium, "_mu_upper_bound",
-                            lambda scenario, base: 0.5 * float(np.max(base.mu)))
-        profile = solve_equilibrium(scn, grid_size=51)
-        assert len(brackets) >= 3
+    def test_flat_marginal_cost_above_one_converges(self):
+        # linear cost kappa 1.2 with linear nu: the top type's marginal
+        # cost is flat at 1.2, yet mu - C still falls without bound
+        scn = example_scenario(
+            "example1", nu={"kind": "linear"},
+            xi={"kind": "power", "alpha": 0.5},
+            cost={"kind": "linear", "kappa": 1.2},
+            types={"kind": "uniform", "support": [0.0, 1.0]})
+        profile = solve_equilibrium(scn)
         assert profile.converged and profile.residual <= 1e-5
-        assert np.all(np.diff(profile.mu_star) >= 0.0)
-        assert np.all(profile.mu_star >= profile.baseline.mu - 1e-9)
-        np.testing.assert_allclose(profile.mu_star, reference.mu_star, atol=1e-4)
+
+    def test_runaway_best_response_raises(self):
+        # linear cost kappa 1 against linear xi: mu - C is flat above the
+        # baseline and marginal cost reads exactly 1, so nothing bounds
+        # the best response
+        scn = example_scenario("example4", cost={"kind": "linear", "kappa": 1.0})
+        with pytest.raises(SolverError, match="could not bracket the best response"):
+            solve_equilibrium(scn, grid_size=21)
 
     def test_degenerate_types_single_node(self):
         scn = example_scenario(

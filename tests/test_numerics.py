@@ -150,6 +150,19 @@ class TestRootfind:
         root = bisect_vec(step, np.zeros(1), np.full(1, 4.0), tol=1e-12)
         assert abs(root[0] - 1.5) <= 0.5e-12
 
+    def test_bisect_vec_overflowing_secant_bisects(self):
+        # end values a few subnormals apart: width / (f_hi - f_lo)
+        # overflows and 0 * inf would make the secant point NaN
+        probes = []
+
+        def func(x):
+            probes.append(x.copy())
+            return x - 0.5
+
+        root = bisect_vec(func, [0.0], [1.0], f_lo=[-2.1e-322], f_hi=[0.0])
+        assert np.all(np.isfinite(np.concatenate(probes)))
+        assert root[0] == pytest.approx(0.5, abs=1e-10)
+
     def test_bisect_vec_fewer_evaluations_than_bisection(self):
         # halving [0, 4] to 1e-12 takes 42 evaluations
         calls = []

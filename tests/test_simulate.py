@@ -525,6 +525,15 @@ class TestSyntheticPanel:
                 assert cell.profile.iterations == 1
                 assert cell.profile.converged
 
+    @pytest.mark.parametrize("name", ["drift_scale", "noise_scale",
+                                      "score_base", "score_gain"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_scales_rejected(self, small_cells, name, value):
+        scn, cells = small_cells
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            synthetic_panel(scn, n_contests=2, players=8, cells=cells,
+                            **{name: value})
+
     def test_panel_shape_and_determinism(self, small_cells):
         scn, cells = small_cells
         kwargs = dict(n_contests=6, players=8, cells=cells, traj_length=6)
