@@ -27,7 +27,7 @@ import numpy as np
 
 from ._rootfind import bisect_vec, expand_upper
 from .costmin import CASE_NAMES, CREATE_ONLY, INTERIOR, MECH_ONLY, allocate_grid
-from .errors import SolverError
+from .errors import DomainError, SolverError
 from .model import Scenario
 
 Array = np.ndarray
@@ -90,7 +90,13 @@ def _creative_optimum(scenario: Scenario, thetas: Array) -> Array:
 
 
 def baseline_thresholds(scenario: Scenario) -> BaselineThresholds:
-    """Region cutoffs; -inf / +inf when a region fills the whole support."""
+    """Region cutoffs; -inf / +inf when a region fills the whole support.
+
+    Raises :class:`DomainError` for a flat or unbounded no-contest optimum.
+    """
+    reason = scenario.unbounded_reason()
+    if reason is not None:
+        raise DomainError(reason)
     lo, hi = scenario.support
     nu, xi, cost = scenario.nu, scenario.xi, scenario.cost
     b_mech = _mech_optimum(scenario)

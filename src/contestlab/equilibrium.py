@@ -306,17 +306,14 @@ def _mu_upper_bound(scenario: Scenario, base: BaselineGrid) -> float:
     target pays at least s(theta), the no-contest payoff, so the top type
     responds below the root of C(mu, theta_hi) - mu + s - R_1 above its
     no-contest target, and lower types no higher (increasing
-    differences; Milgrom & Shannon 1994).  The crossing needs marginal
-    cost above 1: where it is exactly 1, mu - C is flat and the response
-    runs away, so ``expand_upper`` raises :class:`SolverError`.
+    differences; Milgrom & Shannon 1994).
     """
     hi = np.array([scenario.support[1]])
     floor = float(np.max(base.payoff)) - scenario.prizes.top
     mu_lo = np.array([float(np.max(base.mu))])
 
     def surplus_gap(mu: Array) -> Array:
-        alloc = allocate_grid(scenario, mu, hi)
-        return np.where(alloc.marginal_cost > 1.0, alloc.cost - mu + floor, -np.inf)
+        return allocate_grid(scenario, mu, hi).cost - mu + floor
 
     probe = expand_upper(surplus_gap, np.maximum(mu_lo, 1.0),
                          what="the best response: the top prize can buy back "

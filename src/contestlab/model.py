@@ -36,9 +36,6 @@ _NOISE_KINDS = ("normal", "gumbel", "exponential")
 # fitness this close to a saturating supremum counts as unreachable
 SATURATION_MARGIN = 1e-6
 
-# points per axis of the assumption checks' sample grids
-_CHECK_GRID = 25
-
 
 def _check_nonneg(name: str, x: Array | float) -> Array:
     arr = np.asarray(x, dtype=float)
@@ -210,8 +207,8 @@ class CostForm:
     def __post_init__(self) -> None:
         if self.kind not in _COST_KINDS:
             raise DomainError(f"unknown cost kind {self.kind!r}")
-        if not self.kappa > 0:
-            raise DomainError("cost scale kappa must be positive")
+        if not 0.0 < self.kappa < math.inf:
+            raise DomainError(f"cost kappa must be positive and finite, got {self.kappa!r}")
 
     def value(self, e: Array | float) -> Array:
         return self._value(_check_nonneg("total effort", e))
@@ -234,7 +231,7 @@ class CostForm:
 
 @dataclass(frozen=True)
 class TypeDistribution:
-    """Distribution of private types on a bounded support [lo, hi].
+    """Distribution of private types on a bounded support [lo, hi], lo >= 0.
 
     ``uniform`` admits the degenerate case lo == hi (a point mass), used by
     diagnostic oracles.  ``truncated-normal`` is N(loc, scale**2) cut to
@@ -255,15 +252,17 @@ class TypeDistribution:
             raise DomainError(f"unknown type distribution {self.kind!r}")
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise DomainError("type support must be finite")
+        if self.lo < 0:
+            raise DomainError(f"types must be non-negative, got support lower bound {self.lo!r}")
         if self.hi < self.lo:
             raise DomainError("type support upper bound below lower bound")
         if self.kind == "truncated-normal":
             if self.hi == self.lo:
                 raise DomainError("truncated-normal needs a proper interval")
-            if self.scale is None or self.scale <= 0:
-                raise DomainError("truncated-normal needs a positive scale")
-            if self.loc is None:
-                raise DomainError("truncated-normal needs a loc")
+            if self.scale is None or not 0.0 < self.scale < math.inf:
+                raise DomainError("truncated-normal needs a positive finite scale")
+            if self.loc is None or not math.isfinite(self.loc):
+                raise DomainError("truncated-normal needs a finite loc")
             _, f_lo, f_hi = self._tails()
             if not abs(f_hi - f_lo) >= np.finfo(float).tiny:
                 raise DomainError("truncated-normal support holds no normal "
@@ -346,8 +345,10 @@ class NoiseFamily:
     def __post_init__(self) -> None:
         if self.kind not in _NOISE_KINDS:
             raise DomainError(f"unknown noise kind {self.kind!r}")
-        if self.kind != "exponential" and not self.dispersion > 0:
-            raise DomainError("noise dispersion must be positive")
+        if not (math.isfinite(self.dispersion)
+                and (self.kind == "exponential" or self.dispersion > 0)):
+            raise DomainError(f"noise dispersion must be positive and finite, "
+                              f"got {self.dispersion!r}")
 
     def loc_scale(self, mu: Array | float) -> tuple[Array, Array]:
         """Decompose H_mu as loc + scale * Z with Z a fixed base variate."""
@@ -421,6 +422,8 @@ class PrizeVector:
     def __post_init__(self) -> None:
         vals = tuple(float(v) for v in self.values)
         object.__setattr__(self, "values", vals)
+        if not all(math.isfinite(v) for v in vals):
+            raise DomainError(f"prizes must be finite, got {list(vals)!r}")
         if any(v < 0 for v in vals):
             raise DomainError("prizes must be non-negative")
         if any(a < b for a, b in zip(vals, vals[1:])):
@@ -476,6 +479,27 @@ class Scenario:
     @property
     def support(self) -> tuple[float, float]:
         return (self.types.lo, self.types.hi)
+
+    def unbounded_reason(self) -> str | None:
+        """Why mu - C(mu, theta) has no bounded maximiser, or None if it has one.
+
+        Marginal cost outgrows every marginal product unless the cost is
+        linear and a channel's margin never decays: linear xi (margin 1)
+        or a constant-margin nu (margin theta, largest at the top type).
+        A kappa at or below that margin makes the no-contest optimum flat
+        (equal) or unbounded (below).
+        """
+        if self.cost.kind != "linear":
+            return None
+        kappa, hi = self.cost.kappa, self.types.hi
+        if self.xi.kind == "linear" and kappa <= 1.0:
+            margin = "the linear mechanistic margin 1"
+        elif self.nu._constant_margin and kappa <= hi:
+            margin = f"the top type's constant creative margin {hi:g}"
+        else:
+            return None
+        return (f"no bounded no-contest optimum: linear cost kappa={kappa:g} "
+                f"does not exceed {margin}")
 
     def check_theta(self, theta: float) -> float:
         lo, hi = self.support
@@ -623,13 +647,12 @@ class AssumptionCheck:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of the structural assumption checks for one scenario.
+    """Outcome of the assumption checks for one scenario.
 
-    Substantive violations (supermodularity, the stochastic performance
-    order) are failures; regularity conditions that canonical
-    configurations deliberately relax (a linear mechanistic channel, say)
-    only warn.  Nothing here raises: the solvers decide for themselves
-    what they can handle.
+    An unbounded no-contest optimum is a failure; regularity conditions
+    that canonical configurations deliberately relax (a linear
+    mechanistic channel, say) only warn.  Nothing here raises: the
+    solvers decide for themselves what they can handle.
     """
 
     scenario_id: str
@@ -661,64 +684,32 @@ class ValidationReport:
 
 
 def validate_assumptions(scenario: Scenario) -> ValidationReport:
-    """Check the structural assumptions on a sample grid.
+    """Check the assumptions that can differ between accepted scenarios.
 
-    Four checks, one entry each: supermodularity of the creative
-    technology, stochastic ordering of the noise family, the boundary
-    condition (mechanistic marginal product at zero beats marginal cost),
-    and the vanishing-marginal-product limit of the mechanistic channel.
+    The paper's structural assumptions hold for every accepted form, so
+    they are not sampled: with types non-negative, nu_a(a, theta) rises
+    in theta (increasing differences, hence monotone best responses;
+    Milgrom & Shannon 1994), and each noise family is a location or
+    scale family in mu, ordered by first-order stochastic dominance.
+    Three checks, one entry each: a bounded no-contest optimum (the one
+    that can fail; :meth:`Scenario.unbounded_reason`), the boundary
+    condition (xi'(0) beats c'(0)) and the vanishing limit of xi'.
     """
     lo, hi = scenario.support
-    grid = _CHECK_GRID
-    checks: list[AssumptionCheck] = []
-
-    # supermodularity: marginal product of a strictly increasing in theta
-    a_grid = np.linspace(0.05, 5.0, grid)
-    th_lo = lo if hi > lo else lo - 0.5
-    th_hi = hi if hi > lo else lo + 0.5
-    thetas = np.linspace(th_lo, th_hi, grid)
-    margins = scenario.nu.deriv_a(a_grid[None, :], thetas[:, None])
-    grown = np.diff(margins, axis=0)
-    if np.all(grown > 0):
-        status, detail = "pass", (
-            "marginal creative product strictly increasing in type "
-            f"on a {grid}x{grid} (type, effort) grid"
-        )
-    else:
-        status, detail = "fail", (
-            "marginal creative product not strictly increasing in type "
-            "somewhere on the sample grid"
-        )
-    checks.append(AssumptionCheck("supermodularity", status, detail))
-
-    # stochastic ordering of performance in mean fitness
-    mu_grid = np.linspace(0.0 if scenario.noise.kind == "exponential" else -1.0,
-                          4.0, grid)
-    s_lo = float(scenario.noise.ppf(1e-6, mu_grid[0]))
-    s_hi = float(scenario.noise.ppf(1.0 - 1e-6, mu_grid[-1]))
-    s_grid = np.linspace(s_lo, s_hi, 4 * grid)
-    cdfs = scenario.noise.cdf(s_grid[None, :], mu_grid[:, None])
-    violation = float(np.max(np.diff(cdfs, axis=0)))
-    support_note = ("support is the whole real line"
-                    if scenario.noise.kind in ("normal", "gumbel")
-                    else "support is the non-negative half line")
-    if violation <= 1e-12:
-        checks.append(AssumptionCheck(
-            "performance-order", "pass",
-            f"CDFs pointwise non-increasing in mean fitness ({support_note})"))
-    else:
-        checks.append(AssumptionCheck(
-            "performance-order", "fail",
-            f"stochastic-order violation up to {violation:.2e} ({support_note})"))
+    reason = scenario.unbounded_reason()
+    checks = [AssumptionCheck(
+        "bounded-optimum", "pass" if reason is None else "fail",
+        reason or "marginal cost outgrows every marginal product: the "
+                  "no-contest optimum is bounded")]
 
     # boundary condition: xi'(0) > c'(0); endpoint creation margins noted
     xi0 = float(scenario.xi.deriv(0.0))
     c0 = float(scenario.cost.deriv(0.0))
-    nu_lo = float(scenario.nu.deriv_a(0.0, max(lo, 0.0)))
+    nu_lo = float(scenario.nu.deriv_a(0.0, lo))
     nu_hi = float(scenario.nu.deriv_a(0.0, hi))
     note = (f"xi'(0)={xi0:.4g}, c'(0)={c0:.4g}; creation margin at zero effort "
             f"runs from {nu_lo:.4g} (lowest type) to {nu_hi:.4g} (highest type) "
-            f"on the truncated support [{lo:g}, {hi:g}]")
+            f"on the support [{lo:g}, {hi:g}]")
     if xi0 > c0:
         checks.append(AssumptionCheck("boundary", "pass", note))
     else:
@@ -735,7 +726,7 @@ def validate_assumptions(scenario: Scenario) -> ValidationReport:
     else:
         checks.append(AssumptionCheck(
             "mechanization-limit", "warn",
-            f"xi' does not vanish: xi'(1e12) = {tail:.4g}; "
-            "mechanistic effort stays profitable without bound"))
+            f"xi' does not vanish: xi'(1e12) = {tail:.4g}; linear xi relaxes "
+            "the paper's vanishing-margin assumption"))
 
     return ValidationReport(scenario.scenario_id, tuple(checks))

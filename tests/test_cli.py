@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import os
 import subprocess
@@ -15,7 +16,7 @@ from helpers import assert_replay_identical, nan_at_fourth_point
 
 import contestlab
 import contestlab.hacking
-from contestlab import solve_equilibrium
+from contestlab import EXAMPLE_CONFIGS, example_scenario, solve_equilibrium
 from contestlab._tables import read_csv_columns, write_csv
 from contestlab.cli import (
     EXIT_INPUT,
@@ -190,6 +191,43 @@ class TestExitCodes:
         bad.write_text("{not json")
         assert run_cli("baseline", "--scenario", bad,
                        "--out", tmp_path / "y") == EXIT_INPUT
+
+    @pytest.mark.parametrize("command", ["validate", "baseline", "equilibrium"])
+    @pytest.mark.parametrize("section, key, value, field", [
+        (None, "prizes", [float("nan"), 0.0], "prizes"),
+        (None, "prizes", [float("inf"), 0.0], "prizes"),
+        ("noise", "dispersion", float("inf"), "dispersion"),
+        ("cost", "kappa", float("inf"), "kappa"),
+    ], ids=["prize-nan", "prize-inf", "dispersion-inf", "kappa-inf"])
+    def test_non_finite_scenario_number_is_input_error(self, tmp_path, capsys, command,
+                                                       section, key, value, field):
+        config = copy.deepcopy(EXAMPLE_CONFIGS["example1"])
+        (config[section] if section else config)[key] = value
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(config))  # NaN / Infinity literals
+        code = run_cli(command, "--scenario", path, "--out", tmp_path / "o")
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert f"{field} must be" in err[0] and "finite" in err[0]
+
+    @pytest.mark.parametrize("command", ["validate", "baseline", "equilibrium", "hacking"])
+    @pytest.mark.parametrize("name, kappa", [("example4", 1.0), ("example3", 2.0),
+                                             ("example3", 3.0)])
+    def test_unbounded_scenario_is_input_error(self, tmp_path, capsys, command,
+                                               name, kappa):
+        config = copy.deepcopy(EXAMPLE_CONFIGS[name])
+        config["cost"] = {"kind": "linear", "kappa": kappa}
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(config))
+        reason = example_scenario(name, cost=config["cost"]).unbounded_reason()
+        code = run_cli(command, "--scenario", path, "--out", tmp_path / "o")
+        assert code == EXIT_INPUT
+        out, err = capsys.readouterr()
+        if command == "validate":
+            assert f"[FAIL] bounded-optimum: {reason}" in out
+        else:
+            assert err == f"error: {reason}\n"
 
     def test_mk_reads_integers_beyond_int64(self, tmp_path, capsys):
         path = tmp_path / "big.csv"

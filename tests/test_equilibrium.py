@@ -415,12 +415,13 @@ class TestSolveEquilibrium:
         assert profile.converged and profile.residual <= 1e-5
 
     def test_runaway_best_response_raises(self):
-        # linear cost kappa 1 against linear xi: mu - C is flat above the
-        # baseline and marginal cost reads exactly 1, so nothing bounds
-        # the best response
-        scn = example_scenario("example4", cost={"kind": "linear", "kappa": 1.0})
-        with pytest.raises(SolverError, match="could not bracket the best response"):
-            solve_equilibrium(scn, grid_size=21)
+        # linear cost at or below a margin that never decays (linear xi,
+        # or linear nu at the top type 3): mu - C is flat or rising, so
+        # nothing bounds the no-contest optimum or the best response
+        for name, kappa in (("example4", 1.0), ("example3", 2.0), ("example3", 3.0)):
+            scn = example_scenario(name, cost={"kind": "linear", "kappa": kappa})
+            with pytest.raises(DomainError, match="no bounded no-contest optimum"):
+                solve_equilibrium(scn, grid_size=21)
 
     def test_degenerate_types_single_node(self):
         scn = example_scenario(

@@ -59,6 +59,15 @@ class TestProductionForm:
         assert np.all(cross > 0)
 
     @pytest.mark.parametrize("nu", ALL_NU, ids=lambda f: f"{f.kind}-{f.alpha}")
+    def test_margin_strictly_increasing_in_type(self, nu):
+        # the supermodularity that validate_assumptions no longer samples:
+        # it holds on the whole accepted type range, theta = 0 included
+        a = np.linspace(0.05, 5.0, 25)
+        th = np.linspace(0.0, 3.0, 61)
+        margins = nu.deriv_a(a[None, :], th[:, None])
+        assert np.all(np.diff(margins, axis=0) > 0)
+
+    @pytest.mark.parametrize("nu", ALL_NU, ids=lambda f: f"{f.kind}-{f.alpha}")
     def test_deriv_matches_finite_difference(self, nu, rng):
         h = 1e-6
         a = rng.uniform(0.1, 4.0, size=100)
@@ -171,7 +180,7 @@ class TestTypeDistribution:
         (0.0, 3.0, 1.0, 0.8),
         (0.5, 1.5, 1.0, 0.3),
         (4.0, 6.0, 0.0, 1.0),
-        (-8.0, -5.0, 0.0, 1.0),
+        (3.0, 6.0, 11.0, 1.0),
     ], ids=["wide", "narrow", "upper-tail", "lower-tail"])
     def test_truncated_normal_matches_scipy(self, lo, hi, loc, scale):
         dist = TypeDistribution("truncated-normal", lo, hi, loc=loc, scale=scale)
@@ -193,6 +202,11 @@ class TestTypeDistribution:
             TypeDistribution("uniform", 0.0, math.inf)
         with pytest.raises(DomainError):
             TypeDistribution("truncated-normal", 0.0, 1.0, loc=0.5, scale=0.0)
+        with pytest.raises(DomainError, match="non-negative"):
+            TypeDistribution("uniform", -0.5, 1.0)
+        for loc, scale in ((math.nan, 1.0), (0.5, math.inf), (0.5, math.nan)):
+            with pytest.raises(DomainError, match="finite"):
+                TypeDistribution("truncated-normal", 0.0, 1.0, loc=loc, scale=scale)
 
 
 class TestNoiseFamily:
@@ -230,8 +244,12 @@ class TestNoiseFamily:
 
     @pytest.mark.parametrize("noise", ALL_NOISE, ids=lambda f: f.kind)
     def test_fosd_analytic(self, noise):
-        s = np.linspace(0.0, 6.0, 201)
-        assert np.all(noise.cdf(s, 2.0) <= noise.cdf(s, 1.0) + 1e-12)
+        # the performance order that validate_assumptions no longer
+        # samples: the CDF is non-increasing in the mean at every score
+        mu = np.linspace(0.0 if noise.kind == "exponential" else -2.0, 6.0, 41)
+        s = np.linspace(-8.0, 16.0, 481)
+        cdfs = noise.cdf(s[None, :], mu[:, None])
+        assert np.all(np.diff(cdfs, axis=0) <= 0.0)
 
     def test_exponential_pdf_at_zero_mean_is_quiet(self):
         noise = NoiseFamily("exponential")
@@ -328,13 +346,34 @@ class TestValidation:
         report = validate_assumptions(example_scenario("example1"))
         assert any(c.status == "warn" for c in report.checks)
 
-    def test_all_noise_kinds_pass_stochastic_order(self):
-        for noise in ("normal", "gumbel", "exponential"):
-            scn = example_scenario("example3",
-                                   noise={"kind": noise, "dispersion": 1.0})
-            report = validate_assumptions(scn)
-            byid = {c.check_id: c for c in report.checks}
-            assert byid["performance-order"].status == "pass"
+    @pytest.mark.parametrize("theta", [0.3, 0.0])
+    def test_point_mass_passes(self, theta):
+        scn = example_scenario("example1", nu={"kind": "power", "alpha": 0.5},
+                               types={"kind": "uniform", "support": [theta, theta]})
+        report = validate_assumptions(scn)
+        assert report.ok, report.summary()
+
+    @pytest.mark.parametrize("name, kappa", [("example4", 1.0), ("example3", 2.0),
+                                             ("example3", 3.0)])
+    def test_unbounded_optimum_fails(self, name, kappa):
+        scn = example_scenario(name, cost={"kind": "linear", "kappa": kappa})
+        report = validate_assumptions(scn)
+        assert [(c.check_id, c.detail) for c in report.failures] == [
+            ("bounded-optimum", scn.unbounded_reason())]
+        assert scn.unbounded_reason().startswith("no bounded no-contest optimum")
+
+    def test_bounded_optimum_rule(self):
+        # bounded just above each constant margin, and whenever the cost
+        # is convex or no channel's margin stays constant
+        assert example_scenario("example4", cost={"kind": "linear", "kappa": 1.01}
+                                ).unbounded_reason() is None
+        assert example_scenario("example3", cost={"kind": "linear", "kappa": 3.01}
+                                ).unbounded_reason() is None
+        for name in EXAMPLE_CONFIGS:
+            assert example_scenario(name).unbounded_reason() is None
+        alpha_one = example_scenario("example3", nu={"kind": "power", "alpha": 1.0},
+                                     cost={"kind": "linear", "kappa": 3.0})
+        assert alpha_one.unbounded_reason() is not None
 
     def test_report_serialises(self):
         report = validate_assumptions(example_scenario("example4"))
