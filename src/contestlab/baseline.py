@@ -5,18 +5,26 @@ mu - C(mu, theta) over the target alone: it is the best response to a
 contest that pays nothing.  ``baseline_grid`` solves that first-order
 condition, dC/dmu = 1, with the least-cost split of ``costmin`` (the
 same solver that splits equilibrium targets), so both sides of a
-hacking verdict come from one allocation rule.
+hacking verdict come from one allocation rule.  Each type's region is
+the case of that allocation, so labels follow ``costmin``'s tie rule:
+a type on a boundary takes the corner case.
 
-The type space splits into three regions separated by two thresholds.
-Below ``mech_upper`` even the first unit of creative effort earns less
-than the mechanistic margin at the one-channel optimum, so only b is
-used; above ``create_lower`` the creative margin at the one-channel
-optimum still beats xi'(0), so only a is used; in between both channels
-are active and share a common marginal product equal to marginal cost.
+Two cutoffs summarise the regions.  Below ``mech_upper`` even the first
+unit of creative effort earns less than the mechanistic margin at the
+one-channel optimum, so only b is used; above ``create_lower`` the
+creative margin at the one-channel optimum still beats xi'(0), so only
+a is used; in between both channels share a common marginal product.
+Every production kind scales its margin with the type,
+nu_a(a, theta) = theta * nu_a(a, 1), so each cutoff is a margin over a
+creative slope:
 
-Thresholds solve single-crossing equations in theta and are reported as
--inf/+inf when the defining equation has no root inside the support.
-Types exactly on a threshold resolve to the interior region.
+- ``mech_upper`` = xi'(b_m) / nu_a(0, 1), with b_m solving xi'(b) = c'(b);
+- ``create_lower`` = xi'(0) / nu_a(a_0, 1), with a_0 the least effort
+  whose marginal cost reaches xi'(0) (0 when c'(0) already does).
+
+Concavity orders them, since xi'(b_m) <= xi'(0) and nu_a(a_0, 1) <=
+nu_a(0, 1).  A cutoff outside the support, read off the sign of its
+margin gap at the support's ends, is reported as -inf or +inf.
 """
 
 from __future__ import annotations
@@ -26,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rootfind import bisect_vec, expand_upper
-from .costmin import CASE_NAMES, CREATE_ONLY, INTERIOR, MECH_ONLY, allocate_grid
-from .errors import DomainError, SolverError
+from .costmin import CASE_NAMES, allocate_grid
+from .errors import DomainError
 from .model import Scenario
 
 Array = np.ndarray
@@ -43,16 +51,6 @@ class BaselineThresholds:
 
     mech_upper: float
     create_lower: float
-
-    def region(self, theta: float) -> str:
-        return CASE_NAMES[int(_region_codes(self, theta))]
-
-
-def _region_codes(thr: BaselineThresholds, thetas) -> Array:
-    """Region codes (``costmin.CASE_NAMES``) of types, elementwise."""
-    thetas = np.asarray(thetas, dtype=float)
-    return np.where(thetas < thr.mech_upper, MECH_ONLY,
-                    np.where(thetas > thr.create_lower, CREATE_ONLY, INTERIOR))
 
 
 @dataclass(frozen=True)
@@ -82,13 +80,6 @@ def _mech_optimum(scenario: Scenario) -> float:
                                  "mechanistic one-channel optimum", 1e-12)[0])
 
 
-def _creative_optimum(scenario: Scenario, thetas: Array) -> Array:
-    """Efforts a solving nu_a(a, theta) = c'(a), elementwise (0 at corner)."""
-    nu, cost = scenario.nu, scenario.cost
-    return _root_from_zero(lambda a: cost.deriv(a) - nu.deriv_a(a, thetas), thetas,
-                           "creative one-channel optimum", 1e-12)
-
-
 def baseline_thresholds(scenario: Scenario) -> BaselineThresholds:
     """Region cutoffs; -inf / +inf when a region fills the whole support.
 
@@ -97,43 +88,28 @@ def baseline_thresholds(scenario: Scenario) -> BaselineThresholds:
     reason = scenario.unbounded_reason()
     if reason is not None:
         raise DomainError(reason)
-    lo, hi = scenario.support
+    ends = np.array(scenario.support)
     nu, xi, cost = scenario.nu, scenario.xi, scenario.cost
-    b_mech = _mech_optimum(scenario)
-    mech_margin = float(xi.deriv(b_mech))
 
-    def low_gap(theta):
-        return nu.deriv_a(0.0, theta) - mech_margin
-
-    if low_gap(lo) >= 0:
+    mech_margin = float(xi.deriv(_mech_optimum(scenario)))
+    low_gap = nu.deriv_a(0.0, ends) - mech_margin
+    if low_gap[0] >= 0:
         mech_upper = -np.inf
-    elif low_gap(hi) < 0:
+    elif low_gap[1] < 0:
         mech_upper = np.inf
     else:
-        mech_upper = bisect_vec(low_gap, np.array([lo]), np.array([hi]), tol=1e-11)[0]
+        mech_upper = mech_margin / float(nu.deriv_a(0.0, 1.0))
 
     xi0 = float(xi.deriv(0.0))
-    if not np.isfinite(xi0):
-        create_lower = np.inf
-    else:
-        def high_gap(theta):
-            theta = np.atleast_1d(theta)
-            a_dag = _creative_optimum(scenario, theta)
-            margin = nu.deriv_a(a_dag, theta)
-            return np.where(np.isfinite(margin), margin, cost.deriv(a_dag)) - xi0
-
-        if high_gap(hi)[0] <= 0:
-            create_lower = np.inf
-        elif high_gap(lo)[0] > 0:
+    create_lower = np.inf
+    if np.isfinite(xi0):
+        a_0 = float(_root_from_zero(lambda a: cost.deriv(a) - xi0, np.zeros(1),
+                                    "creative cutoff effort", 1e-12)[0])
+        high_gap = nu.deriv_a(a_0, ends) - xi0
+        if high_gap[0] > 0:
             create_lower = -np.inf
-        else:
-            create_lower = bisect_vec(high_gap, np.array([lo]), np.array([hi]),
-                                      tol=1e-11)[0]
-
-    if mech_upper > create_lower:  # pragma: no cover - guarded by concavity
-        raise SolverError(
-            f"inconsistent thresholds: mech_upper={mech_upper!r} "
-            f"exceeds create_lower={create_lower!r}")
+        elif high_gap[1] > 0:
+            create_lower = xi0 / float(nu.deriv_a(a_0, 1.0))
     return BaselineThresholds(float(mech_upper), float(create_lower))
 
 
@@ -142,14 +118,13 @@ def baseline_grid(scenario: Scenario, thetas) -> BaselineGrid:
 
     Each type's target is the root of dC/dmu - 1 on [0, expand_upper]; a
     type whose marginal cost already reaches 1 at mu = 0 stays there.
-    Region labels come from the thresholds.  The grid keeps a copy of
-    ``thetas``, so the caller's array stays its own.
+    Region labels are the cases of those allocations.  The grid keeps a
+    copy of ``thetas``, so the caller's array stays its own.
     """
     thetas = np.array(thetas, dtype=float)
     for t in (thetas.min(), thetas.max()) if thetas.size else ():
         scenario.check_theta(float(t))
     thr = baseline_thresholds(scenario)
-    codes = _region_codes(thr, thetas)
 
     def gap(mu: Array) -> Array:
         return allocate_grid(scenario, mu, thetas).marginal_cost - 1.0
@@ -159,5 +134,5 @@ def baseline_grid(scenario: Scenario, thetas) -> BaselineGrid:
     a, b = alloc.a, alloc.b
     mu = scenario.nu.value(a, thetas) + scenario.xi.value(b)
     payoff = mu - scenario.cost.value(a + b)
-    regions = tuple(CASE_NAMES[c] for c in codes.tolist())
+    regions = tuple(CASE_NAMES[c] for c in alloc.case.tolist())
     return BaselineGrid(thetas, a, b, mu, payoff, regions, thr)

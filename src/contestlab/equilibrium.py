@@ -61,6 +61,7 @@ _WEIGHT_GRID = 1025
 _ANDERSON_MEMORY = 3     # residual differences mixed in each fixed-point step
 _DAMPING = 0.5           # best-response weight of the first step after a restart
 _STALL_SWEEPS = 10       # sweeps without a new best residual before giving up
+_MAX_ITER = 500          # iterations before an unconverged solve stops
 
 
 @dataclass(frozen=True)
@@ -376,7 +377,7 @@ def best_response_grid(profile: StrategyProfile, thetas) -> Array:
 
 
 def solve_equilibrium(scenario: Scenario, *, grid_size: int = 201,
-                      tol: float = 1e-5, max_iter: int = 500) -> StrategyProfile:
+                      tol: float = 1e-5) -> StrategyProfile:
     """Anderson-accelerated fixed point for the symmetric equilibrium schedule.
 
     Iterates on the best-response map g from the no-contest schedule.
@@ -393,7 +394,7 @@ def solve_equilibrium(scenario: Scenario, *, grid_size: int = 201,
 
     Stops when the sup-norm best-response residual is at most ``tol``,
     when ``_STALL_SWEEPS`` sweeps in a row fail to improve on the best
-    residual, or after ``max_iter`` iterations.  The returned schedule is
+    residual, or after ``_MAX_ITER`` iterations.  The returned schedule is
     the iterate with the smallest measured residual and ``residual`` is
     its residual; ``converged`` (never raised here) says whether it is at
     most ``tol``.
@@ -419,7 +420,7 @@ def solve_equilibrium(scenario: Scenario, *, grid_size: int = 201,
     g_hist: list[Array] = []   # best responses since the last restart
     f_hist: list[Array] = []   # their residuals g - x
     iterations = 0
-    while iterations < max_iter:
+    while iterations < _MAX_ITER:
         iterations += 1
         profile = StrategyProfile(scenario, base, mu.copy(), False, iterations,
                                   math.inf)

@@ -1,12 +1,13 @@
 """Benchmark-hacking verdicts and prize-structure comparative statics.
 
 A type "hacks" when the contest pushes it to raise mechanistic effort
-above its no-contest level without raising creative effort.  The type
-space splits into four bands: below ``theta_star`` players mechanise
-only; between ``theta_star`` and the no-contest mech threshold they
-create only because of the contest while still over-mechanising; in the
-middle band both efforts rise; at the top the contest only adds creative
-effort.
+above its no-contest level without raising creative effort.  Each type's
+band is read off its two allocations: a type whose equilibrium
+allocation is mech-only is a pure mechanizer; otherwise its no-contest
+case names the band, mech-only giving a contest creator (it creates only
+because of the contest), interior a dual-channel type (both efforts
+rise) and create-only a pure creator.  ``theta_star`` and the baseline
+cutoffs locate the band edges as numbers.
 
 Prize vectors are ordered by adjacent gaps: R dominates R' when every
 gap R_k - R_{k+1} is at least the corresponding gap of R'.  Under that
@@ -25,7 +26,7 @@ import numpy as np
 
 from ._rootfind import bisect_vec
 from .baseline import BaselineThresholds, baseline_grid
-from .costmin import allocate_grid
+from .costmin import CASE_NAMES, CREATE_ONLY, INTERIOR, MECH_ONLY, allocate_grid
 from .equilibrium import StrategyProfile, solve_equilibrium
 from .errors import DomainError
 from .model import PrizeVector, Scenario, TypeDistribution
@@ -44,6 +45,10 @@ PURE_MECHANIZER = "pure-mechanizer"
 CONTEST_CREATOR = "contest-creator"
 DUAL_CHANNEL = "dual-channel"
 PURE_CREATOR = "pure-creator"
+# band of a type that does not mechanise only in equilibrium, by its no-contest case
+_BAND_OF_BASELINE = {CASE_NAMES[MECH_ONLY]: CONTEST_CREATOR,
+                     CASE_NAMES[INTERIOR]: DUAL_CHANNEL,
+                     CASE_NAMES[CREATE_ONLY]: PURE_CREATOR}
 
 
 def compare_prize_vectors(r1: PrizeVector, r2: PrizeVector, players: int) -> str:
@@ -109,12 +114,10 @@ def hacking_threshold(profile: StrategyProfile) -> float:
     return float(bisect_vec(gap, np.array([lo]), np.array([hi]), tol=1e-11)[0])
 
 
-def _bands(thetas: Array, theta_star: float, thr: BaselineThresholds) -> np.ndarray:
-    out = np.where(thetas < theta_star, PURE_MECHANIZER,
-                   np.where(thetas < thr.mech_upper, CONTEST_CREATOR,
-                            np.where(thetas <= thr.create_lower, DUAL_CHANNEL,
-                                     PURE_CREATOR)))
-    return out
+def _bands(contest_case: Array, base_region: tuple[str, ...]) -> tuple[str, ...]:
+    """Band of each type from its equilibrium case and no-contest region."""
+    return tuple(PURE_MECHANIZER if case == MECH_ONLY else _BAND_OF_BASELINE[region]
+                 for case, region in zip(contest_case.tolist(), base_region))
 
 
 def _type_mass(types: TypeDistribution, theta: Array, hacks: Array) -> float:
@@ -134,8 +137,7 @@ def hacking_verdicts(profile: StrategyProfile) -> HackingProfile:
     base = baseline_grid(scenario, theta)
     theta_star = hacking_threshold(profile)
     hacks = (alloc.a <= base.a + EFFORT_TOL) & (alloc.b > base.b + EFFORT_TOL)
-    bands = _bands(theta, theta_star, base.thresholds)
-    return HackingProfile(theta, hacks, tuple(bands.tolist()), theta_star,
+    return HackingProfile(theta, hacks, _bands(alloc.case, base.region), theta_star,
                           _type_mass(scenario.types, theta, hacks),
                           base.thresholds, alloc.a, alloc.b,
                           base.a, base.b, profile.mu_star, base.mu)

@@ -335,8 +335,9 @@ class NoiseFamily:
 
     Kinds: ``normal`` (sd = dispersion), ``gumbel`` (scale = dispersion,
     location shifted so the mean is exactly mu) and ``exponential`` (mean
-    mu; the dispersion field is ignored since the mean fixes everything).
-    All three are ordered by first-order stochastic dominance in mu.
+    mu).  The mean fixes an exponential law, so exponential noise takes no
+    dispersion: only the default 1.0 is accepted.  All three are ordered
+    by first-order stochastic dominance in mu.
     """
 
     kind: str
@@ -345,8 +346,11 @@ class NoiseFamily:
     def __post_init__(self) -> None:
         if self.kind not in _NOISE_KINDS:
             raise DomainError(f"unknown noise kind {self.kind!r}")
-        if not (math.isfinite(self.dispersion)
-                and (self.kind == "exponential" or self.dispersion > 0)):
+        if self.kind == "exponential":
+            if self.dispersion != 1.0:
+                raise DomainError(f"exponential noise takes no dispersion, "
+                                  f"got {self.dispersion!r}")
+        elif not (math.isfinite(self.dispersion) and self.dispersion > 0):
             raise DomainError(f"noise dispersion must be positive and finite, "
                               f"got {self.dispersion!r}")
 
@@ -381,7 +385,9 @@ class NoiseFamily:
         z = (s - loc) / scale
         if self.kind == "normal":
             return ndtr(z)
-        return np.exp(-np.exp(-z))
+        # the cdf is exactly 0 below z = -40 and exactly 1 above 40, and the
+        # clip keeps exp(-z) from overflowing for a tiny dispersion
+        return np.exp(-np.exp(-np.clip(z, -40.0, 40.0)))
 
     def pdf(self, s: Array | float, mu: Array | float) -> Array:
         s = np.asarray(s, dtype=float)
@@ -393,8 +399,12 @@ class NoiseFamily:
             out = lam * np.exp(-lam * np.maximum(s, 0.0))
             return np.where((s < 0) | (scale <= 0), 0.0, out)
         z = (s - loc) / scale
+        # both densities are exactly 0 past z = -40 (and the normal one past
+        # 40 too); the clip keeps z * z and exp(-z) from overflowing there
         if self.kind == "normal":
+            z = np.clip(z, -40.0, 40.0)
             return np.exp(-0.5 * z * z) / (scale * math.sqrt(2.0 * math.pi))
+        z = np.maximum(z, -40.0)
         return np.exp(-z - np.exp(-z)) / scale
 
     def ppf(self, q: Array | float, mu: Array | float) -> Array:

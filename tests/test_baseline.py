@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import random_scenario
 
 from contestlab import (
     StrategyProfile,
@@ -25,25 +26,48 @@ GOLDEN_THRESHOLDS = {
 }
 
 
+def _bounded_random_scenarios(count: int, seed: int = 2301) -> list:
+    """The first ``count`` random scenarios with a bounded no-contest optimum."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        scn = random_scenario(rng)
+        if scn.unbounded_reason() is None:
+            out.append(scn)
+    return out
+
+
+PARTITION_CASES = (
+    [pytest.param(example_scenario(name), id=name) for name in sorted(GOLDEN_THRESHOLDS)]
+    + [pytest.param(scn, id=f"random-{k}")
+       for k, scn in enumerate(_bounded_random_scenarios(50))])
+
+
 class TestThresholds:
     @pytest.mark.parametrize("name", sorted(GOLDEN_THRESHOLDS))
     def test_golden_values(self, name):
         thr = baseline_thresholds(example_scenario(name))
         lo, hi = GOLDEN_THRESHOLDS[name]
         if math.isfinite(lo):
-            assert thr.mech_upper == pytest.approx(lo, abs=1e-4)
+            assert thr.mech_upper == pytest.approx(lo, abs=1e-10)
         else:
             assert thr.mech_upper == lo
         if math.isfinite(hi):
-            assert thr.create_lower == pytest.approx(hi, abs=1e-4)
+            assert thr.create_lower == pytest.approx(hi, abs=1e-10)
         else:
             assert thr.create_lower == hi
 
-    def test_region_method_matches_cutoffs(self):
-        thr = baseline_thresholds(example_scenario("example4"))
-        assert thr.region(0.5) == "mech-only"
-        assert thr.region(3.0) == "interior"
-        assert thr.region(8.0) == "create-only"
+    def test_power_creation_cutoffs_are_exact(self):
+        # nu_a(0, theta) is infinite for every positive type, and linear
+        # cost kappa 1.8 beats xi' = 1 from the first unit, so every
+        # positive type creates only: both cutoffs sit at 0, exactly
+        scn = example_scenario(
+            "example1", nu={"kind": "power", "alpha": 0.9},
+            cost={"kind": "linear", "kappa": 1.8},
+            types={"kind": "uniform", "support": [0.0, 2.0]})
+        thr = baseline_thresholds(scn)
+        assert thr.mech_upper == 0.0
+        assert thr.create_lower == 0.0
 
 
 class TestClosedFormPoints:
@@ -115,13 +139,15 @@ class TestGridInvariants:
         grid = baseline_grid(scn, np.linspace(lo, hi, 201))
         assert np.all(np.diff(grid.mu) >= -1e-9)
 
-    @pytest.mark.parametrize("name", sorted(GOLDEN_THRESHOLDS))
-    def test_region_partition_matches_thresholds(self, name):
-        scn = example_scenario(name)
+    @pytest.mark.parametrize("scn", PARTITION_CASES)
+    def test_region_partition_matches_thresholds(self, scn):
+        # the labels come from the allocations and the cutoffs from closed
+        # forms; away from the cutoffs the two must agree
         lo, hi = scn.support
         thetas = np.linspace(lo, hi, 201)
         grid = baseline_grid(scn, thetas)
         thr = grid.thresholds
+        assert thr.mech_upper <= thr.create_lower
         cell = thetas[1] - thetas[0]
         for theta, region in zip(thetas, grid.region):
             # skip the single ambiguous cell at each cutoff

@@ -15,8 +15,7 @@ import pytest
 from helpers import assert_replay_identical, nan_at_fourth_point
 
 import contestlab
-import contestlab.hacking
-from contestlab import EXAMPLE_CONFIGS, example_scenario, solve_equilibrium
+from contestlab import EXAMPLE_CONFIGS, equilibrium, example_scenario, load_scenario
 from contestlab._tables import read_csv_columns, write_csv
 from contestlab.cli import (
     EXIT_INPUT,
@@ -68,6 +67,21 @@ class TestArtifactsAndReplay:
         meta = json.loads((out / "baseline.json").read_text())
         assert meta["mech_upper"] == pytest.approx(1.0, abs=1e-4)
         assert_replay_identical(out, tmp_path)
+
+    def test_cutoff_type_has_one_label(self, tmp_path):
+        # example1's two cutoffs are both theta = 1, a grid type at grid
+        # 301; its no-contest allocation is the corner b = 1, and baseline
+        # and hacking read its label from that one allocation
+        base, hack = tmp_path / "b", tmp_path / "h"
+        for command, out in (("baseline", base), ("hacking", hack)):
+            assert run_cli(command, "--scenario", "example1", "--grid", "301",
+                           "--out", out) == EXIT_OK
+        cols = read_csv_columns(base / "baseline.csv")
+        row = int(np.flatnonzero(cols["theta"] == 1.0)[0])
+        assert (cols["a"][row], cols["region"][row]) == (0.0, "mech-only")
+        bands = read_csv_columns(hack / "hacking.csv")
+        assert bands["theta"][row] == 1.0
+        assert bands["band"][row] == "pure-mechanizer"
 
     def test_mk_artifact(self, tmp_path):
         out = tmp_path / "m"
@@ -229,6 +243,42 @@ class TestExitCodes:
         else:
             assert err == f"error: {reason}\n"
 
+    @pytest.mark.parametrize("command", ["validate", "equilibrium"])
+    @pytest.mark.parametrize("dispersion", [0.0, -1.0, 2.0])
+    def test_exponential_noise_takes_no_dispersion(self, tmp_path, capsys, command,
+                                                   dispersion):
+        config = copy.deepcopy(EXAMPLE_CONFIGS["example1"])
+        config["noise"] = {"kind": "exponential", "dispersion": dispersion}
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(config))
+        code = run_cli(command, "--scenario", path, "--out", tmp_path / "o")
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].endswith(f"exponential noise takes no dispersion, got {dispersion!r}")
+
+    def test_exponential_noise_without_dispersion_keeps_its_id(self, tmp_path):
+        config = copy.deepcopy(EXAMPLE_CONFIGS["example1"])
+        config["noise"] = {"kind": "exponential"}
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(config))
+        assert load_scenario(path).scenario_id == "7ad8b9311d0f"
+
+    @pytest.mark.parametrize("kind", ["normal", "gumbel"])
+    def test_tiny_dispersion_is_one_error_line(self, tmp_path, capsys, kind):
+        # at dispersion 1e-300 almost every score lies beyond |z| = 40, where
+        # the noise law is exactly 0 or 1: no overflow warning, and the
+        # unconverged solve is reported as such
+        config = copy.deepcopy(EXAMPLE_CONFIGS["example1"])
+        config["noise"] = {"kind": kind, "dispersion": 1e-300}
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(config))
+        code = run_cli("equilibrium", "--scenario", path, "--grid", "21",
+                       "--out", tmp_path / "o")
+        assert code == EXIT_NO_CONVERGENCE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
     def test_mk_reads_integers_beyond_int64(self, tmp_path, capsys):
         path = tmp_path / "big.csv"
         path.write_text("x\n1\n99999999999999999999\n5\n")
@@ -262,11 +312,8 @@ class TestExitCodes:
 
     def test_exhausted_iteration_budget_is_exit_three(self, tmp_path, monkeypatch):
         # tol 0 can never be met; four sweeps are too few for a stall, so
-        # the solver stops at max_iter
-        def four_iterations(scenario, **kwargs):
-            return solve_equilibrium(scenario, **kwargs, max_iter=4)
-
-        monkeypatch.setattr(contestlab.cli, "solve_equilibrium", four_iterations)
+        # the solver stops at its iteration budget
+        monkeypatch.setattr(equilibrium, "_MAX_ITER", 4)
         out = tmp_path / "nc"
         code = run_cli("equilibrium", "--scenario", "example1",
                        "--grid", "21", "--tol", "0", "--out", out)
@@ -287,11 +334,7 @@ class TestExitCodes:
     ], ids=["equilibrium", "hacking", "sweep", "simulate"])
     def test_unconverged_equilibrium_is_one_error_line(self, tmp_path, monkeypatch,
                                                        capsys, argv):
-        def two_iterations(scenario, **kwargs):
-            return solve_equilibrium(scenario, **kwargs, max_iter=2)
-
-        for module in (contestlab.cli, contestlab.hacking):
-            monkeypatch.setattr(module, "solve_equilibrium", two_iterations)
+        monkeypatch.setattr(equilibrium, "_MAX_ITER", 2)
         out = tmp_path / "nc"
         code = run_cli(*argv, "--scenario", "example1", "--grid", "21", "--out", out)
         assert code == EXIT_NO_CONVERGENCE

@@ -360,7 +360,8 @@ class TestSolveEquilibrium:
         # an undamped first step makes plain iteration oscillate here
         for damping in (0.5, 1.0):
             monkeypatch.setattr(equilibrium, "_DAMPING", damping)
-            profile = solve_equilibrium(scn, max_iter=150)
+            monkeypatch.setattr(equilibrium, "_MAX_ITER", 150)
+            profile = solve_equilibrium(scn)
             assert profile.converged
             assert profile.residual <= 1e-5
             assert np.all(np.diff(profile.mu_star) >= 0.0)
@@ -392,7 +393,7 @@ class TestSolveEquilibrium:
 
     def test_unreachable_tolerance_stops_on_a_stall(self):
         profile = solve_equilibrium(example_scenario("example1"), grid_size=21,
-                                    tol=0.0, max_iter=500)
+                                    tol=0.0)
         assert not profile.converged
         assert profile.iterations < 50
         # best responses free of rounding-level ties let the fixed point
@@ -432,9 +433,9 @@ class TestSolveEquilibrium:
         assert profile.theta_grid.size == 1
         assert profile.converged
 
-    def test_unconverged_is_reported_not_raised(self):
-        profile = solve_equilibrium(example_scenario("example1"),
-                                    tol=1e-13, max_iter=3)
+    def test_unconverged_is_reported_not_raised(self, monkeypatch):
+        monkeypatch.setattr(equilibrium, "_MAX_ITER", 3)
+        profile = solve_equilibrium(example_scenario("example1"), tol=1e-13)
         assert not profile.converged
         assert profile.iterations == 3
         assert math.isfinite(profile.residual)

@@ -25,6 +25,7 @@ from contestlab import (
     skewness_sweep,
     solve_equilibrium,
 )
+from contestlab import equilibrium
 
 
 def prize_vectors(max_len: int = 4):
@@ -105,9 +106,9 @@ class TestHackingThreshold:
         assert star < thr.mech_upper - 1e-4
         assert star > 0.0
 
-    def test_unconverged_profile_rejected(self):
-        profile = solve_equilibrium(example_scenario("example1"),
-                                    tol=1e-13, max_iter=2)
+    def test_unconverged_profile_rejected(self, monkeypatch):
+        monkeypatch.setattr(equilibrium, "_MAX_ITER", 2)
+        profile = solve_equilibrium(example_scenario("example1"), tol=1e-13)
         with pytest.raises(UnconvergedProfileError):
             hacking_threshold(profile)
 

@@ -68,6 +68,16 @@ class TestProductionForm:
         assert np.all(np.diff(margins, axis=0) > 0)
 
     @pytest.mark.parametrize("nu", ALL_NU, ids=lambda f: f"{f.kind}-{f.alpha}")
+    def test_margin_scales_with_type(self, nu):
+        # nu_a(a, theta) = theta * nu_a(a, 1), the identity the baseline
+        # cutoffs rest on; a zero type has no creative margin at all
+        a = np.linspace(0.0, 5.0, 26)
+        th = np.linspace(0.0, 3.0, 31)[1:]
+        np.testing.assert_array_equal(nu.deriv_a(a[None, :], th[:, None]),
+                                      th[:, None] * nu.deriv_a(a, 1.0)[None, :])
+        np.testing.assert_array_equal(nu.deriv_a(a, 0.0), 0.0)
+
+    @pytest.mark.parametrize("nu", ALL_NU, ids=lambda f: f"{f.kind}-{f.alpha}")
     def test_deriv_matches_finite_difference(self, nu, rng):
         h = 1e-6
         a = rng.uniform(0.1, 4.0, size=100)

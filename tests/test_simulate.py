@@ -30,6 +30,7 @@ from contestlab import (
     synthetic_panel,
     type_bin_edges,
 )
+from contestlab import equilibrium
 from contestlab._quadrature import gauss_legendre
 from contestlab.costmin import INTERIOR, allocate_grid
 from contestlab.simulate import (
@@ -266,9 +267,10 @@ class TestRunContest:
         np.testing.assert_array_equal(a.score, b.score)
         assert not np.array_equal(a.score, c.score)
 
-    def test_unconverged_profile_rejected(self, small_game):
+    def test_unconverged_profile_rejected(self, small_game, monkeypatch):
         scn, _ = small_game
-        bad = solve_equilibrium(scn, tol=1e-13, max_iter=2)
+        monkeypatch.setattr(equilibrium, "_MAX_ITER", 2)
+        bad = solve_equilibrium(scn, tol=1e-13)
         with pytest.raises(UnconvergedProfileError, match="did not converge"):
             run_contest(bad, seed=0)
 
@@ -563,9 +565,10 @@ class TestSyntheticPanel:
         skew = panel.columns["prize_skew"].reshape(6, 8)[:, 0]
         np.testing.assert_array_equal(skew, [1, 0, 1, 0, 1, 0])
 
-    def test_cell_refuses_unconverged_profile(self, small_cells):
+    def test_cell_refuses_unconverged_profile(self, small_cells, monkeypatch):
         scn, _ = small_cells
-        bad = solve_equilibrium(scn.with_players(8), grid_size=21, max_iter=2)
+        monkeypatch.setattr(equilibrium, "_MAX_ITER", 2)
+        bad = solve_equilibrium(scn.with_players(8), grid_size=21)
         with pytest.raises(UnconvergedProfileError, match="did not converge"):
             PanelCell(prize_value=scn.prizes.total, prize_skew=1, profile=bad)
 
