@@ -345,6 +345,32 @@ class RegressionResult:
         }
 
 
+def _householder_r(a: Array) -> Array:
+    """The (n x n) upper triangular R with R'R = A'A, overwriting ``a``.
+
+    Unblocked Householder QR (Golub & Van Loan, *Matrix Computations*,
+    section 5.2) in numpy's elementwise kernels, so it wakes no BLAS
+    worker threads.  A Fortran-ordered ``a`` makes each column update one
+    contiguous axpy.  Rows of R past the m-th of an (m x n) ``a`` are zero.
+    """
+    m, n = a.shape
+    for j in range(min(m, n)):
+        v = a[j:, j]
+        norm = np.sqrt(np.einsum("i,i->", v, v))
+        if norm == 0.0:
+            continue
+        alpha = -norm if v[0] >= 0.0 else norm  # the sign with no cancellation
+        v[0] -= alpha
+        # I - v v' / (norm |v_0|) reflects the column onto alpha e_1
+        w = np.einsum("i,ij->j", v, a[j:, j + 1:]) / (norm * abs(v[0]))
+        for c, w_c in enumerate(w, start=j + 1):
+            a[j:, c] -= w_c * v
+        a[j, j] = alpha
+    r = np.zeros((n, n))
+    r[:min(m, n)] = np.triu(a[:n])
+    return r
+
+
 @dataclass(frozen=True)
 class _Within:
     """Panel columns demeaned within groups, ready for any number of fits.
@@ -379,15 +405,15 @@ class _Within:
         return cls(names, labels, means, values)
 
     def fit(self, outcome: str, regressors: Sequence[str]) -> RegressionResult:
-        """Least squares from one QR of the demeaned [X | y]."""
+        """Least squares from one numpy Householder R of the demeaned [X | y].
+
+        No fit issues a multi-threaded BLAS call: the tall factor is
+        :func:`_householder_r`, and scipy only sees the (k x k) R11.
+        """
         import scipy.linalg  # here, so importing contestlab does not load it
         cols = [self.names.index(c) for c in (*regressors, outcome)]
         nobs, k, n_groups = self.values.shape[0], len(regressors), self.labels.size
-        # "raw" skips forming Q; R is its leading (k+1) x (k+1) block
-        _, r_top = scipy.linalg.qr(self.values[:, cols], mode="raw",
-                                   overwrite_a=True, check_finite=False)
-        r = np.zeros((k + 1, k + 1))
-        r[:r_top.shape[0]] = r_top[:k + 1]
+        r = _householder_r(self.values[:, cols])
         r11, z, rho = r[:k, :k], r[:k, k], r[k, k]
 
         # a pivoted QR of R11 pivots as one of X would: same column norms
@@ -410,10 +436,11 @@ class _Within:
         beta = scipy.linalg.solve_triangular(r11, z)
         rss = float(rho * rho)
         y_dm = self.values[:, cols[-1]]
-        tss = float(y_dm @ y_dm)
+        tss = float(np.einsum("i,i->", y_dm, y_dm))
         r_squared = 1.0 if tss == 0.0 else 1.0 - rss / tss
-        # diag of (X'X)^-1 = R^-1 R^-T is the squared row norms of R^-1
-        r_inv = scipy.linalg.solve_triangular(r11, np.eye(k))
+        # diag of (X'X)^-1 = R^-1 R^-T is the squared row norms of R^-1;
+        # R11 passed the rank rule, so it is invertible
+        r_inv, _ = scipy.linalg.lapack.dtrtri(r11)
         se = np.sqrt(rss / df_resid * np.einsum("ij,ij->i", r_inv, r_inv))
         # group effects: group means of the outcome net of the slope part
         effects = self.means[cols[-1]] - beta @ self.means[cols[:-1]]
@@ -434,12 +461,15 @@ class _Within:
 def fe_ols(panel: Mapping[str, Array], spec: PanelSpec) -> RegressionResult:
     """Within (fixed-effects) OLS: demean by group, then least squares.
 
-    Each column is demeaned with one bincount, and the fit takes one QR
-    of the demeaned [X | y]: beta = R11^-1 z, RSS = rho^2, and the standard
-    errors come from the row norms of R11^-1.  They are homoskedastic
-    with dof = N - G - k.  The rank rule is that of a pivoted QR of X
-    (taken on the small R11): a diagonal entry at or below
-    max(N, k) * eps * |R_00| means rank deficiency.  Raises SolverError
+    Each column is demeaned with one bincount, and the fit takes one
+    numpy Householder QR of the demeaned [X | y] for its R factor:
+    beta = R11^-1 z, RSS = rho^2, and the standard errors come from the
+    row norms of R11^-1 (a LAPACK triangular inverse).  They are
+    homoskedastic with dof = N - G - k.  Only (k x k) blocks reach
+    scipy, so no fit issues a multi-threaded BLAS call and the host's
+    BLAS thread settings are left alone.  The rank rule is that of a
+    pivoted QR of X (taken on the small R11): a diagonal entry at or
+    below max(N, k) * eps * |R_00| means rank deficiency.  Raises SolverError
     naming the collinear columns when the demeaned design is rank
     deficient, and DomainError for missing or non-finite columns.
     """

@@ -36,6 +36,7 @@ from contestlab.costmin import INTERIOR, allocate_grid
 from contestlab.simulate import (
     CONTEST_COLUMNS,
     _contest_batch,
+    _householder_r,
     _mk_batch,
     _streams,
     _trajectory_matrix,
@@ -479,6 +480,88 @@ class TestFixedEffectsOLS:
                 assert shared.names == alone.names
                 assert shared.to_dict() == alone.to_dict()
                 np.testing.assert_array_equal(shared.group_effects, alone.group_effects)
+
+    @staticmethod
+    def householder_cases():
+        rng = np.random.default_rng(24)
+        tall = rng.normal(size=(400, 6)) * rng.uniform(0.1, 10.0, size=6)
+        tall[:, 0] = rng.random(400) < 0.3      # a 0/1 dummy, like the type bins
+        zero = tall.copy()
+        zero[:, 2] = 0.0
+        dup = np.column_stack([tall, tall[:, 3]])   # last, so R stays unique
+        return {"tall": tall, "zero_column": zero, "duplicate_column": dup,
+                "short": rng.normal(size=(4, 7))}
+
+    @pytest.mark.parametrize("case", ["tall", "zero_column", "duplicate_column", "short"])
+    def test_householder_r_matches_lapack(self, case):
+        import scipy.linalg
+        a = self.householder_cases()[case]
+        m, n = a.shape
+        ref = scipy.linalg.qr(a, mode="r")[0][:n]
+        r = _householder_r(np.asfortranarray(a))
+        assert r.shape == (n, n)
+        np.testing.assert_array_equal(r, np.triu(r))
+        np.testing.assert_array_equal(r[m:], 0.0)
+        # R is unique up to the sign of each row: align on its largest entry
+        lead = np.argmax(np.abs(ref), axis=1)
+        rows = np.arange(ref.shape[0])
+        signs = np.where(r[rows, lead] * ref[rows, lead] < 0.0, -1.0, 1.0)
+        np.testing.assert_allclose(signs[:, None] * r[:ref.shape[0]], ref,
+                                   rtol=0, atol=1e-13 * np.abs(ref).max())
+
+    def test_fits_give_scipy_only_small_operands(self, rng, monkeypatch):
+        # the tall factor is numpy's: BLAS sees at most (k+1)-row operands
+        # and no matrix right-hand side, so it never starts worker threads
+        import scipy.linalg
+        calls = []
+
+        def watch(module, name):
+            real = getattr(module, name)
+
+            def wrapped(*args, **kwargs):
+                calls.append((name, [np.shape(v) for v in (*args, *kwargs.values())
+                                     if isinstance(v, np.ndarray)]))
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapped)
+
+        watch(scipy.linalg, "qr")
+        watch(scipy.linalg, "solve_triangular")
+        watch(scipy.linalg.lapack, "dtrtri")
+        n_contests, players = 60, 50
+        cid = np.repeat(np.arange(n_contests), players)
+        panel = {
+            "contest_id": cid,
+            "type": rng.uniform(0.5, 1.5, cid.size),
+            "prize_value": np.array([2.0, 10.0, 40.0])[cid % 3],
+            "prize_skew": (cid % 2).astype(np.int64),
+            "mu": rng.normal(size=cid.size),
+            "mk_Z": rng.normal(size=cid.size),
+            "x": rng.normal(size=cid.size),
+        }
+        fe_ols(panel, PanelSpec("mu", ("x", "type")))
+        fe_calls = len(calls)
+        panel_regressions(panel, np.array([0.7, 0.9, 1.1, 1.3]))
+        assert fe_calls > 0 and len(calls) > fe_calls
+        for i, (name, shapes) in enumerate(calls):
+            max_rows = 3 if i < fe_calls else 13    # k + 1 of the widest fit
+            assert all(s[0] <= max_rows for s in shapes if s), (name, shapes)
+            if name == "solve_triangular":
+                assert len(shapes[1]) == 1, shapes
+
+    def test_too_few_observations(self):
+        panel = {"g": np.zeros(3), "x1": np.array([0.0, 1.0, 2.0]),
+                 "x2": np.array([0.0, 0.0, 3.0]), "y": np.array([1.0, -2.0, 0.5])}
+        with pytest.raises(SolverError, match="not enough observations"):
+            fe_ols(panel, PanelSpec("y", ("x1", "x2"), group="g"))
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_fewer_rows_than_columns_is_rank_deficient(self, rows):
+        # one group demeaned leaves rank rows - 1 < k = 3 regressors
+        rng = np.random.default_rng(rows)
+        panel = {"g": np.zeros(rows), "y": rng.normal(size=rows),
+                 **{f"x{j}": rng.normal(size=rows) for j in range(3)}}
+        with pytest.raises(SolverError, match="rank deficient"):
+            fe_ols(panel, PanelSpec("y", ("x0", "x1", "x2"), group="g"))
 
 
 class TestPanelConstruction:
