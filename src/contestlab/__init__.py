@@ -34,18 +34,13 @@ from .costmin import (
 )
 from .equilibrium import (
     GainTable,
-    OpponentMixture,
     StrategyProfile,
     best_response_grid,
-    contest_gain,
-    opponent_mixture,
-    rank_probabilities,
     solve_equilibrium,
 )
 from .errors import (
     ContestLabError,
     DomainError,
-    IntegrationError,
     SolverError,
     UnconvergedProfileError,
 )
@@ -108,8 +103,7 @@ __all__ = [
     # baseline
     "BaselineGrid", "BaselineThresholds", "baseline_grid", "baseline_thresholds",
     # equilibrium
-    "GainTable", "OpponentMixture", "StrategyProfile", "best_response_grid",
-    "contest_gain", "opponent_mixture", "rank_probabilities", "solve_equilibrium",
+    "GainTable", "StrategyProfile", "best_response_grid", "solve_equilibrium",
     # hacking
     "HackingProfile", "SweepResult", "compare_prize_vectors", "hacking_threshold",
     "hacking_verdicts", "skewness_sweep",
@@ -119,6 +113,5 @@ __all__ = [
     "fe_ols", "mann_kendall", "panel_cells", "panel_regressions", "run_contest",
     "synthetic_panel", "type_bin_edges",
     # errors
-    "ContestLabError", "DomainError", "IntegrationError", "SolverError",
-    "UnconvergedProfileError",
+    "ContestLabError", "DomainError", "SolverError", "UnconvergedProfileError",
 ]

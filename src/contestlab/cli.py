@@ -27,12 +27,7 @@ from ._tables import read_csv_columns, write_csv
 from .baseline import baseline_grid, baseline_thresholds
 from .costmin import allocate_grid
 from .equilibrium import solve_equilibrium
-from .errors import (
-    ContestLabError,
-    DomainError,
-    IntegrationError,
-    SolverError,
-)
+from .errors import ContestLabError, DomainError, SolverError
 from .golden import golden_suite
 from .hacking import hacking_threshold, hacking_verdicts, skewness_sweep
 from .model import PrizeVector, load_scenario, validate_assumptions
@@ -488,7 +483,7 @@ def dispatch(argv) -> int:
     args.started = time.monotonic()
     try:
         return args.func(args)
-    except (SolverError, IntegrationError) as exc:
+    except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     except ContestLabError as exc:

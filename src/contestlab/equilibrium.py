@@ -43,19 +43,17 @@ from functools import cache
 import numpy as np
 
 from ._isotonic import isotonic_projection
-from ._quadrature import adaptive_simpson, gauss_legendre
 from ._rootfind import bisect_vec, expand_upper
 from .baseline import BaselineGrid, baseline_grid
 from .costmin import allocate_grid
 from .errors import DomainError, SolverError, UnconvergedProfileError
-from .model import NoiseFamily, Scenario
+from .model import Scenario
 
 Array = np.ndarray
 
 _THETA_NODES = 64
 _COARSE_POINTS = 200     # best-response sweep resolution on [0, mu_max]
 _FOC_TOL = 1e-9          # bracket width of the first-order-condition root
-_RANK_TOL = 1e-9         # total quadrature error of a rank distribution
 _GAIN_NODES = 96
 _WEIGHT_GRID = 1025
 _ANDERSON_MEMORY = 3     # residual differences mixed in each fixed-point step
@@ -106,36 +104,33 @@ class StrategyProfile:
         return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class OpponentMixture:
-    """Performance distribution of one opponent: noise mixed over types."""
-
-    weights: Array
-    mus: Array
-    noise: NoiseFamily
-
-    def cdf(self, s) -> Array:
-        s = np.asarray(s, dtype=float)
-        flat = np.atleast_1d(s)
-        out = np.einsum("ij,j->i", self.noise.cdf(flat[:, None], self.mus[None, :]),
-                        self.weights)
-        # the weighted sum can round an ulp above 1, where the binomial
-        # rank weights in 1 - G are NaN
-        out = np.minimum(out, 1.0)
-        return out.reshape(s.shape) if s.shape else out[0]
+@cache
+def _unit_rule(n: int) -> tuple[Array, Array]:
+    """The n-point Gauss-Legendre rule on [-1, 1], computed once per n and
+    read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
-def opponent_mixture(profile: StrategyProfile) -> OpponentMixture:
-    """Discretise the opponents' performance mixture over types."""
+def gauss_legendre(n: int, lo: float, hi: float) -> tuple[Array, Array]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [lo, hi]."""
+    x, w = _unit_rule(n)
+    half = 0.5 * (hi - lo)
+    return lo + half * (x + 1.0), half * w
+
+
+def _opponent_nodes(profile: StrategyProfile) -> tuple[Array, Array]:
+    """Probability weights and fitness targets of the opponents' types: a
+    Gauss-Legendre rule over the type support, one node for a point mass."""
     types = profile.scenario.types
     if types.degenerate:
-        return OpponentMixture(np.ones(1), np.atleast_1d(profile.mu_at(types.lo)),
-                               profile.scenario.noise)
+        return np.ones(1), np.atleast_1d(profile.mu_at(types.lo))
     th, w = gauss_legendre(_THETA_NODES, types.lo, types.hi)
     wf = w * types.pdf(th)
     wf = wf / wf.sum()  # keep the mixture an exact probability
-    return OpponentMixture(wf, np.interp(th, profile.theta_grid, profile.mu_star),
-                           profile.scenario.noise)
+    return wf, np.interp(th, profile.theta_grid, profile.mu_star)
 
 
 @cache
@@ -168,41 +163,6 @@ def _rank_pmf(g: Array, players: int, ranks: Array) -> Array:
     return _binom_pmf(ranks[None, :] - 1, players - 1, (1.0 - g)[:, None])
 
 
-def rank_probabilities(mu: float, profile: StrategyProfile) -> Array:
-    """Distribution of the final rank for a player targeting ``mu``.
-
-    Integrates the binomial rank weights against the player's own
-    performance density by adaptive Simpson quadrature; the total error
-    across all rank entries is at most 1e-9, so the vector sums to one
-    at that accuracy.
-    """
-    if mu < 0:
-        raise DomainError(f"fitness target must be non-negative, got {mu!r}")
-    players = profile.scenario.players
-    if players == 1:
-        return np.ones(1)
-    mix = opponent_mixture(profile)
-    noise = profile.scenario.noise
-    ranks = np.arange(1, players + 1)
-
-    def integrand(s: Array) -> Array:
-        dens = noise.pdf(s, mu)
-        return _rank_pmf(mix.cdf(s), players, ranks) * dens[:, None]
-
-    lo = float(noise.ppf(1e-12, mu))
-    hi = float(noise.ppf(1.0 - 1e-12, mu))
-    return adaptive_simpson(integrand, lo, hi, tol=_RANK_TOL)
-
-
-def contest_gain(mu: float, profile: StrategyProfile) -> float:
-    """Expected prize money for a player targeting ``mu``."""
-    scenario = profile.scenario
-    if scenario.prizes.is_zero:
-        return 0.0
-    p = rank_probabilities(mu, profile)
-    return float(p @ scenario.prizes.padded(scenario.players))
-
-
 class GainTable:
     """Fast expected-prize evaluator against a fixed profile's opponents.
 
@@ -229,22 +189,25 @@ class GainTable:
             return
         paid = prizes.padded(players)
         ranks = np.nonzero(paid > 0)[0] + 1
-        mixture = opponent_mixture(profile)
+        weights, opp_mus = _opponent_nodes(profile)
         lo0, sc0 = noise.loc_scale(np.array(0.0))
         lo1, sc1 = noise.loc_scale(np.array(mu_max))
         z_lo, z_hi = float(noise.z_ppf(1e-9)), float(noise.z_ppf(1.0 - 1e-9))
-        mus = np.concatenate([np.atleast_1d(mixture.mus), [0.0, mu_max]])
+        mus = np.concatenate([opp_mus, [0.0, mu_max]])
         s_lo = min(float(lo0 + sc0 * z_lo),
                    float(np.min(noise.loc_scale(mus)[0])))
         s_hi = float(lo1 + sc1 * z_hi)
         s_grid, h = np.linspace(s_lo, s_hi, _WEIGHT_GRID, retstep=True)
-        g = mixture.cdf(s_grid)
+        # the opponents' score CDF G and density G'
+        g = np.einsum("ij,j->i", noise.cdf(s_grid[:, None], opp_mus[None, :]), weights)
+        # the weighted sum can round an ulp above 1, where the binomial
+        # rank weights in 1 - G are NaN
+        g = np.minimum(g, 1.0)
+        dens = np.einsum("ij,j->i", noise.pdf(s_grid[:, None], opp_mus[None, :]),
+                         weights)
         w = _rank_pmf(g, players, ranks) @ paid[ranks - 1]
         # dW/ds = (n-1) G'(s) sum_j binom(j; n-2, 1-G) (paid_{j+1} - paid_{j+2})
         drop = (paid[:-1] - paid[1:])[:ranks[-1]]
-        dens = np.einsum("ij,j->i", mixture.noise.pdf(s_grid[:, None],
-                                                      mixture.mus[None, :]),
-                         mixture.weights)
         beaten = _binom_pmf(np.arange(drop.size)[None, :], players - 2,
                             (1.0 - g)[:, None])
         m = h * (players - 1) * dens * (beaten @ drop)   # slope per unit t

@@ -13,9 +13,5 @@ class SolverError(ContestLabError, RuntimeError):
     """An iterative solver failed to converge or found no admissible root."""
 
 
-class IntegrationError(ContestLabError, RuntimeError):
-    """Adaptive quadrature could not reach the requested tolerance."""
-
-
 class UnconvergedProfileError(SolverError):
     """A downstream operation refused to use an unconverged strategy profile."""

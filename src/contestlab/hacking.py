@@ -134,7 +134,7 @@ def hacking_verdicts(profile: StrategyProfile) -> HackingProfile:
     profile.require_converged()
     scenario, theta = profile.scenario, profile.theta_grid
     alloc = allocate_grid(scenario, profile.mu_star, theta)
-    base = baseline_grid(scenario, theta)
+    base = profile.baseline
     theta_star = hacking_threshold(profile)
     hacks = (alloc.a <= base.a + EFFORT_TOL) & (alloc.b > base.b + EFFORT_TOL)
     return HackingProfile(theta, hacks, _bands(alloc.case, base.region), theta_star,

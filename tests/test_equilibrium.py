@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from helpers import nan_at_fourth_point, sample_types
+from oracle import RankOracle
 from scipy import integrate, optimize, special, stats
 
 from contestlab import (
@@ -21,10 +22,7 @@ from contestlab import (
     TypeDistribution,
     baseline_grid,
     best_response_grid,
-    contest_gain,
     example_scenario,
-    opponent_mixture,
-    rank_probabilities,
     solve_equilibrium,
 )
 from contestlab import equilibrium
@@ -66,9 +64,9 @@ def test_binom_pmf_matches_scipy(n, rng):
 
 class TestRankProbabilities:
     def test_sums_to_one(self, equilibria):
-        profile = equilibria("example1", players=5, prizes=(1.0, 0.5, 0.0))
+        oracle = RankOracle(equilibria("example1", players=5, prizes=(1.0, 0.5, 0.0)))
         for mu in (0.3, 1.0, 2.4, 5.0):
-            p = rank_probabilities(mu, profile)
+            p = oracle.rank_probabilities(mu)
             assert p.size == 5
             assert p.sum() == pytest.approx(1.0, abs=1e-9)
             assert np.all(p >= -1e-12)
@@ -76,9 +74,9 @@ class TestRankProbabilities:
     def test_two_player_closed_form(self):
         # with one opponent fixed at mu_o, the win chance is
         # Phi((mu - mu_o) / (sigma * sqrt(2)))
-        profile = point_mass_profile(1.5, dispersion=0.8)
+        oracle = RankOracle(point_mass_profile(1.5, dispersion=0.8))
         for mu in (0.5, 1.5, 3.0):
-            p = rank_probabilities(mu, profile)
+            p = oracle.rank_probabilities(mu)
             want = special.ndtr((mu - 1.5) / (0.8 * math.sqrt(2.0)))
             assert p[0] == pytest.approx(want, abs=1e-8)
             assert p[1] == pytest.approx(1.0 - want, abs=1e-8)
@@ -86,7 +84,7 @@ class TestRankProbabilities:
     def test_three_player_quadrature_oracle(self):
         profile = point_mass_profile(1.0, players=3, prizes=(1.0, 0.0, 0.0))
         mu = 1.7
-        p = rank_probabilities(mu, profile)
+        p = RankOracle(profile).rank_probabilities(mu)
 
         def win(s):
             return stats.norm.pdf(s, mu) * stats.norm.cdf(s, 1.0) ** 2
@@ -95,16 +93,16 @@ class TestRankProbabilities:
         assert p[0] == pytest.approx(want, abs=1e-7)
 
     def test_rank_cdf_fosd_in_mu(self, equilibria):
-        profile = equilibria("example1", players=5, prizes=(1.0, 0.5, 0.0))
-        lo = np.cumsum(rank_probabilities(1.0, profile))
-        hi = np.cumsum(rank_probabilities(2.0, profile))
+        oracle = RankOracle(equilibria("example1", players=5, prizes=(1.0, 0.5, 0.0)))
+        lo = np.cumsum(oracle.rank_probabilities(1.0))
+        hi = np.cumsum(oracle.rank_probabilities(2.0))
         assert np.all(hi >= lo - 1e-6)
 
     def test_monte_carlo_agreement_small(self, equilibria, rng):
         # the acceptance suite reruns this at 1e6 draws
         profile = equilibria("example1", players=5, prizes=(1.0, 0.5, 0.0))
         mu_probe = 2.0
-        p = rank_probabilities(mu_probe, profile)
+        p = RankOracle(profile).rank_probabilities(mu_probe)
         n = 200_000
         theta = sample_types(profile.scenario.types, rng, 4 * n).reshape(n, 4)
         opp = rng.normal(profile.mu_at(theta), 1.0)
@@ -115,21 +113,22 @@ class TestRankProbabilities:
         assert np.all(np.abs(freq - p) <= 3.0 * se + 1e-12)
 
     def test_single_player_trivial(self):
-        profile = point_mass_profile(1.0, players=1, prizes=(1.0,))
-        np.testing.assert_array_equal(rank_probabilities(0.7, profile), [1.0])
+        oracle = RankOracle(point_mass_profile(1.0, players=1, prizes=(1.0,)))
+        np.testing.assert_array_equal(oracle.rank_probabilities(0.7), [1.0])
 
     def test_negative_target_rejected(self, equilibria):
-        profile = equilibria("example1")
+        oracle = RankOracle(equilibria("example1"))
         with pytest.raises(DomainError):
-            rank_probabilities(-0.5, profile)
+            oracle.rank_probabilities(-0.5)
 
 
 class TestGainTable:
     def test_matches_adaptive_quadrature(self, equilibria):
         profile = equilibria("example1", players=5, prizes=(1.0, 0.5, 0.0))
         table = GainTable(profile, mu_max=12.0)
+        oracle = RankOracle(profile)
         for mu in (0.2, 1.1, 2.7, 4.4):
-            direct = contest_gain(mu, profile)
+            direct = oracle.contest_gain(mu)
             assert table.gain(mu)[0] == pytest.approx(direct, abs=2e-5)
 
     def test_gain_increasing_in_mu(self, equilibria):
@@ -208,26 +207,66 @@ class TestGainTable:
         np.testing.assert_array_equal(table.gain([0.5, 1.5]), [0.0, 0.0])
 
 
+# cells where the table is off the oracle by more than the cross-check's
+# bound, with the measured gap: under exponential noise the 1025-point
+# score grid of W spans [0, the top target's 1 - 1e-9 quantile], which is
+# coarse where low targets score
+_COARSE_SCORE_GRID = {("example1", "exponential", 5): 1.2e-4,
+                      ("example2", "exponential", 2): 4.1e-3,
+                      ("example3", "exponential", 5): 2.0e-4}
+
+
+def _cross_check_cells():
+    for name in ("example1", "example2", "example3", "example4"):
+        for noise_kind in NOISE_KINDS:
+            for players, prizes in ((2, (1.0,)), (5, (1.0, 0.5))):
+                gap = _COARSE_SCORE_GRID.get((name, noise_kind, players))
+                marks = () if gap is None else pytest.mark.xfail(
+                    strict=True, reason=f"table off the oracle by {gap:.1e}")
+                yield pytest.param(name, noise_kind, players, prizes, marks=marks,
+                                   id=f"{name}-{noise_kind}-{players}")
+
+
+@pytest.mark.parametrize("name, noise_kind, players, prizes", _cross_check_cells())
+def test_gain_table_matches_independent_oracle(name, noise_kind, players, prizes):
+    # the table against the oracle's own mixture, at the targets of types
+    # at 10%, 50% and 90% of the support; 1e-4 is about 2.5 times the
+    # gap of the table's 64-node type rule on example1
+    noise = {"kind": noise_kind}
+    if noise_kind != "exponential":
+        noise["dispersion"] = 1.0
+    scn = example_scenario(name, players=players, prizes=list(prizes), noise=noise)
+    profile = solve_equilibrium(scn, grid_size=51)
+    table = GainTable(profile, _mu_upper_bound(scn, profile.baseline))
+    oracle = RankOracle(profile)
+    lo, hi = scn.support
+    for mu in profile.mu_at(lo + np.array([0.1, 0.5, 0.9]) * (hi - lo)):
+        assert table.gain(mu)[0] == pytest.approx(oracle.contest_gain(mu), abs=1e-4)
+
+
 class TestOpponentMixture:
     def test_weights_are_a_distribution(self, equilibria):
-        mix = opponent_mixture(equilibria("example1"))
-        assert mix.weights.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.all(mix.weights > 0)
+        # the table's nodes and the oracle's
+        profile = equilibria("example1")
+        for weights in (equilibrium._opponent_nodes(profile)[0],
+                        RankOracle(profile).weights):
+            assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+            assert np.all(weights > 0)
 
     def test_cdf_monotone_and_normalised(self, equilibria):
-        mix = opponent_mixture(equilibria("example1"))
+        oracle = RankOracle(equilibria("example1"))
         s = np.linspace(-6.0, 16.0, 300)
-        cdf = mix.cdf(s)
+        cdf = oracle.cdf(s)
         assert np.all(np.diff(cdf) >= -1e-12)
         assert cdf[0] < 1e-4 and cdf[-1] > 1.0 - 1e-4
 
     def test_cdf_independent_of_batch(self, equilibria):
         # G at a point must not depend on the batch it is evaluated in:
         # adaptive quadrature calls it on batches of every size
-        mix = opponent_mixture(equilibria("example1"))
+        oracle = RankOracle(equilibria("example1"))
         s = np.linspace(-6.0, 16.0, 301)
-        batch = mix.cdf(s)
-        np.testing.assert_array_equal(batch, [mix.cdf(x) for x in s])
+        batch = oracle.cdf(s)
+        np.testing.assert_array_equal(batch, [oracle.cdf(x) for x in s])
 
 
 @pytest.mark.parametrize("players, prizes", [
@@ -332,10 +371,10 @@ class TestSolveEquilibrium:
         # the exact best response solves dC/dmu = 1 + its derivative
         profile = equilibria("example1")
         scn, thetas = profile.scenario, profile.theta_grid
-        mix = opponent_mixture(profile)
+        weights, mus = equilibrium._opponent_nodes(profile)
 
         def foc(mu, th):
-            slope = mix.weights @ stats.norm.pdf(mu, mix.mus, math.sqrt(2.0))
+            slope = weights @ stats.norm.pdf(mu, mus, math.sqrt(2.0))
             mc = allocate_grid(scn, np.array([mu]), np.array([th])).marginal_cost
             return float(mc[0]) - 1.0 - float(slope)
 

@@ -25,7 +25,7 @@ from contestlab import (
     skewness_sweep,
     solve_equilibrium,
 )
-from contestlab import equilibrium
+from contestlab import equilibrium, hacking
 
 
 def prize_vectors(max_len: int = 4):
@@ -124,6 +124,19 @@ class TestVerdicts:
         base = baseline_grid(scn, profile.theta_grid)
         raw = (alloc.a <= base.a + 1e-6) & (alloc.b > base.b + 1e-6)
         np.testing.assert_array_equal(verdicts.hacks, raw)
+
+    def test_baseline_read_from_the_profile(self, equilibria, monkeypatch):
+        # the solve already holds the no-contest schedule of its type
+        # grid; the verdicts compare against it instead of solving it again
+        profile = equilibria("example3", prizes=(2.0, 0.0))
+
+        def resolve(*args, **kwargs):
+            raise AssertionError("hacking_verdicts solved the baseline again")
+
+        monkeypatch.setattr(hacking, "baseline_grid", resolve)
+        verdicts = hacking_verdicts(profile)
+        np.testing.assert_array_equal(verdicts.mu_base, profile.baseline.mu)
+        assert verdicts.thresholds == profile.baseline.thresholds
 
     def test_some_hacking_below_cutoff_none_above(self, equilibria):
         profile = equilibria("example3", prizes=(2.0, 0.0))

@@ -6,12 +6,13 @@ import statistics
 
 import numpy as np
 import pytest
+from oracle import adaptive_simpson
 from scipy import integrate
 
 from contestlab._isotonic import isotonic_projection
 from contestlab._normal import ndtr, ndtri
-from contestlab._quadrature import adaptive_simpson, gauss_legendre
 from contestlab._rootfind import bisect_vec, expand_upper
+from contestlab.equilibrium import gauss_legendre
 from contestlab.errors import SolverError
 
 

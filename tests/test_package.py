@@ -1,7 +1,8 @@
 """Tests that the hand-kept export lists name only what exists, that
-the package holds no unused imports or nested functions, that every
-name the benchmark's layer hooks wrap exists, that importing it loads
-no scipy module, and that the README's layout names every module."""
+the package holds no unused imports, nested functions or private names,
+that every name the benchmark's layer hooks wrap exists, that importing
+it loads no scipy module, and that the README's layout names every
+module."""
 
 from __future__ import annotations
 
@@ -31,13 +32,30 @@ def test_star_import():
     assert set(contestlab.__all__) <= set(namespace)
 
 
-# imported but unused in cli.py: the benchmark's layer hooks wrap these
-# names as cli.py's module attributes
-UNUSED_ALLOWED = {("cli.py", "baseline_thresholds"), ("cli.py", "hacking_threshold")}
+# imported but unused in cli.py and hacking.py: the benchmark's layer
+# hooks wrap these names as those modules' attributes, and a hook whose
+# target is gone nulls its whole layer
+UNUSED_ALLOWED = {("cli.py", "baseline_thresholds"), ("cli.py", "hacking_threshold"),
+                  ("hacking.py", "baseline_grid")}
 
 
-def _unused_names(tree: ast.Module) -> list[str]:
-    """Module-level imports and nested functions that nothing refers to."""
+def _loaded_names(tree: ast.Module) -> set[str]:
+    """Names a module reads: bare names, attributes and imported names."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def _unused_names(tree: ast.Module, package_loads: set[str]) -> list[str]:
+    """Module-level imports and nested functions that nothing in the module
+    refers to, and module-level private names (``_X = ...``, ``def _f``,
+    ``class _C``) that nothing in the package (``package_loads``) reads."""
     referenced = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in tree.body:
         if (isinstance(node, ast.Assign)
@@ -62,14 +80,27 @@ def _unused_names(tree: ast.Module) -> list[str]:
             if inner is not outer and isinstance(inner, functions) \
                     and inner.name not in used:
                 unused.append(inner.name)
+    for node in tree.body:
+        if isinstance(node, (*functions, ast.ClassDef)):
+            defined = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined = [name.id for target in targets for name in ast.walk(target)
+                       if isinstance(name, ast.Name)]
+        else:
+            continue
+        unused += [name for name in defined if name.startswith("_")
+                   and not name.startswith("__") and name not in package_loads]
     return unused
 
 
 def test_no_unused_imports_or_nested_functions():
     package = Path(importlib.import_module("contestlab").__file__).parent
-    found = {(path.name, name)
-             for path in sorted(package.glob("*.py"))
-             for name in _unused_names(ast.parse(path.read_text(), str(path)))}
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(package.glob("*.py"))}
+    package_loads = set().union(*map(_loaded_names, trees.values()))
+    found = {(name, unused) for name, tree in trees.items()
+             for unused in _unused_names(tree, package_loads)}
     assert found - UNUSED_ALLOWED == set()
 
 

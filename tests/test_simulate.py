@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import RankOracle
 
 from contestlab import (
     DomainError,
@@ -24,14 +25,12 @@ from contestlab import (
     mann_kendall,
     panel_cells,
     panel_regressions,
-    rank_probabilities,
     run_contest,
     solve_equilibrium,
     synthetic_panel,
     type_bin_edges,
 )
 from contestlab import equilibrium
-from contestlab._quadrature import gauss_legendre
 from contestlab.costmin import INTERIOR, allocate_grid
 from contestlab.simulate import (
     CONTEST_COLUMNS,
@@ -339,12 +338,13 @@ class TestRunContest:
         inside = (theta0 >= lo) & (theta0 <= hi)
         freq = np.bincount(rank0[inside], minlength=6)[1:] / inside.sum()
 
-        nodes, weights = gauss_legendre(32, lo, hi)
+        nodes, weights = equilibrium.gauss_legendre(32, lo, hi)
         dens = profile.scenario.types.pdf(nodes) * weights
         dens /= dens.sum()
         ref = np.zeros(5)
+        oracle = RankOracle(profile)
         for w, th in zip(dens, nodes):
-            ref += w * rank_probabilities(float(profile.mu_at(th)), profile)
+            ref += w * oracle.rank_probabilities(float(profile.mu_at(th)))
         se = np.sqrt(ref * (1.0 - ref) / inside.sum())
         assert np.all(np.abs(freq - ref) <= 3.0 * se + 1e-12), (freq, ref)
 
