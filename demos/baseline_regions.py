@@ -8,9 +8,16 @@ import argparse
 
 import numpy as np
 
-from contestlab import EXAMPLE_CONFIGS, baseline_grid, example_scenario
+from contestlab import (
+    CREATE_ONLY,
+    EXAMPLE_CONFIGS,
+    INTERIOR,
+    MECH_ONLY,
+    baseline_grid,
+    example_scenario,
+)
 
-LETTER = {"mech-only": "m", "interior": "i", "create-only": "c"}
+LETTER = {MECH_ONLY: "m", INTERIOR: "i", CREATE_ONLY: "c"}
 
 
 def main() -> None:
@@ -23,7 +30,7 @@ def main() -> None:
         scenario = example_scenario(name)
         lo, hi = scenario.support
         grid = baseline_grid(scenario, np.linspace(lo, hi, args.width))
-        strip = "".join(LETTER[r] for r in grid.region)
+        strip = "".join(LETTER[c] for c in grid.case.tolist())
         th = grid.thresholds
         print(f"{name}: support [{lo:g}, {hi:g}]  "
               f"mech_upper={th.mech_upper:.4g}  create_lower={th.create_lower:.4g}")

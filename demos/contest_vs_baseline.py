@@ -36,17 +36,18 @@ def main() -> None:
           f"(residual {profile.residual:.2e})")
 
     verdicts = hacking_verdicts(profile)
+    alloc, base = verdicts.allocation, profile.baseline
     take = np.linspace(0, profile.theta_grid.size - 1, args.rows).astype(int)
     print(f"\n{'theta':>7} {'mu_base':>9} {'mu*':>9} {'a*':>8} {'b*':>8} "
           f"{'hacks':>5}  band")
     for k in take:
-        print(f"{verdicts.theta[k]:7.3f} {verdicts.mu_base[k]:9.4f} "
-              f"{verdicts.mu_star[k]:9.4f} {verdicts.a_star[k]:8.4f} "
-              f"{verdicts.b_star[k]:8.4f} {str(bool(verdicts.hacks[k])):>5}  "
-              f"{verdicts.region[k]}")
+        print(f"{profile.theta_grid[k]:7.3f} {base.mu[k]:9.4f} "
+              f"{profile.mu_star[k]:9.4f} {alloc.a[k]:8.4f} "
+              f"{alloc.b[k]:8.4f} {str(bool(verdicts.hacks[k])):>5}  "
+              f"{verdicts.band[k]}")
 
     print(f"\nhacking cutoff theta1* = {verdicts.theta_star:.4f} "
-          f"(baseline mech band ends at {verdicts.thresholds.mech_upper:.4f})")
+          f"(baseline mech band ends at {base.thresholds.mech_upper:.4f})")
     print(f"hacking measure = {verdicts.measure:.4f}")
 
 

@@ -11,7 +11,7 @@ import argparse
 
 import numpy as np
 
-from contestlab import allocate_grid, example_scenario
+from contestlab import CASE_NAMES, allocate_grid, example_scenario
 
 
 def main() -> None:
@@ -29,7 +29,7 @@ def main() -> None:
     for theta in args.theta:
         scenario.check_theta(theta)
         grid = allocate_grid(scenario, mus, np.full(mus.shape, theta))
-        names = grid.case_names()
+        names = [CASE_NAMES[c] for c in grid.case.tolist()]
         print(f"\n{args.scenario}, theta = {theta:g}")
         print(f"{'mu':>7} {'a':>8} {'b':>8} {'cost':>9} {'dC/dmu':>9}  case")
         for k in range(mus.size):

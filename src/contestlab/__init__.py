@@ -72,7 +72,6 @@ from .simulate import (
     ContestOutcome,
     MannKendall,
     PanelCell,
-    PanelSpec,
     RegressionResult,
     SyntheticPanel,
     add_interactions,
@@ -108,9 +107,9 @@ __all__ = [
     "HackingProfile", "SweepResult", "compare_prize_vectors", "hacking_threshold",
     "hacking_verdicts", "skewness_sweep",
     # simulation and panels
-    "ContestOutcome", "MannKendall", "PanelCell", "PanelSpec",
-    "RegressionResult", "SyntheticPanel", "add_interactions", "add_type_bins",
-    "fe_ols", "mann_kendall", "panel_cells", "panel_regressions", "run_contest",
+    "ContestOutcome", "MannKendall", "PanelCell", "RegressionResult",
+    "SyntheticPanel", "add_interactions", "add_type_bins", "fe_ols",
+    "mann_kendall", "panel_cells", "panel_regressions", "run_contest",
     "synthetic_panel", "type_bin_edges",
     # errors
     "ContestLabError", "DomainError", "SolverError", "UnconvergedProfileError",

@@ -6,8 +6,8 @@ contest that pays nothing.  ``baseline_grid`` solves that first-order
 condition, dC/dmu = 1, with the least-cost split of ``costmin`` (the
 same solver that splits equilibrium targets), so both sides of a
 hacking verdict come from one allocation rule.  Each type's region is
-the case of that allocation, so labels follow ``costmin``'s tie rule:
-a type on a boundary takes the corner case.
+the case of that allocation (its ``costmin`` code), so labels follow
+``costmin``'s tie rule: a type on a boundary takes the corner case.
 
 Two cutoffs summarise the regions.  Below ``mech_upper`` even the first
 unit of creative effort earns less than the mechanistic margin at the
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rootfind import bisect_vec, expand_upper
-from .costmin import CASE_NAMES, allocate_grid
+from .costmin import allocate_grid
 from .errors import DomainError
 from .model import Scenario
 
@@ -62,7 +62,7 @@ class BaselineGrid:
     b: Array
     mu: Array
     payoff: Array
-    region: tuple[str, ...]
+    case: Array            # int8 codes of each type's region, see costmin.CASE_NAMES
     thresholds: BaselineThresholds
 
 
@@ -118,7 +118,7 @@ def baseline_grid(scenario: Scenario, thetas) -> BaselineGrid:
 
     Each type's target is the root of dC/dmu - 1 on [0, expand_upper]; a
     type whose marginal cost already reaches 1 at mu = 0 stays there.
-    Region labels are the cases of those allocations.  The grid keeps a
+    Regions are the case codes of those allocations.  The grid keeps a
     copy of ``thetas``, so the caller's array stays its own.
     """
     thetas = np.array(thetas, dtype=float)
@@ -134,5 +134,4 @@ def baseline_grid(scenario: Scenario, thetas) -> BaselineGrid:
     a, b = alloc.a, alloc.b
     mu = scenario.nu.value(a, thetas) + scenario.xi.value(b)
     payoff = mu - scenario.cost.value(a + b)
-    regions = tuple(CASE_NAMES[c] for c in alloc.case.tolist())
-    return BaselineGrid(thetas, a, b, mu, payoff, regions, thr)
+    return BaselineGrid(thetas, a, b, mu, payoff, alloc.case, thr)

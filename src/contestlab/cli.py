@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from ._tables import read_csv_columns, write_csv
 from .baseline import baseline_grid, baseline_thresholds
-from .costmin import allocate_grid
+from .costmin import CASE_NAMES, allocate_grid
 from .equilibrium import solve_equilibrium
 from .errors import ContestLabError, DomainError, SolverError
 from .golden import golden_suite
@@ -34,7 +34,6 @@ from .model import PrizeVector, load_scenario, validate_assumptions
 from .presets import EXAMPLE_CONFIGS, example_scenario
 from .simulate import (
     PanelCell,
-    PanelSpec,
     fe_ols,
     mann_kendall,
     panel_cells,
@@ -157,8 +156,9 @@ def _parse_prize_list(text: str) -> list[PrizeVector]:
     return vectors
 
 
-def _case_column(grid) -> np.ndarray:
-    return np.asarray(grid.case_names(), dtype=object)
+def _case_column(codes: np.ndarray) -> np.ndarray:
+    """The names of least-cost case codes, for a CSV column."""
+    return np.asarray([CASE_NAMES[c] for c in codes.tolist()], dtype=object)
 
 
 def _solve(args, scenario):
@@ -194,7 +194,7 @@ def _cmd_cost(args) -> int:
     run = _Run(args)
     write_csv(run.path("cost.csv"), {
         "mu": grid.mu, "theta": grid.theta, "a": grid.a, "b": grid.b,
-        "case": _case_column(grid), "cost": grid.cost,
+        "case": _case_column(grid.case), "cost": grid.cost,
         "shadow_price": grid.shadow_price, "marginal_cost": grid.marginal_cost,
     })
     run.finish()
@@ -212,7 +212,7 @@ def _cmd_baseline(args) -> int:
     run = _Run(args)
     write_csv(run.path("baseline.csv"), {
         "theta": grid.theta, "a": grid.a, "b": grid.b, "mu": grid.mu,
-        "region": np.asarray(grid.region, dtype=object), "payoff": grid.payoff,
+        "region": _case_column(grid.case), "payoff": grid.payoff,
     })
     th = grid.thresholds
     _write_json(run.path("baseline.json"), {
@@ -231,7 +231,7 @@ def _cmd_equilibrium(args) -> int:
     run = _Run(args)
     write_csv(run.path("equilibrium.csv"), {
         "theta": profile.theta_grid, "mu_star": profile.mu_star,
-        "a": alloc.a, "b": alloc.b, "case": _case_column(alloc),
+        "a": alloc.a, "b": alloc.b, "case": _case_column(alloc.case),
         "mu_baseline": profile.baseline.mu,
     })
     _write_json(run.path("equilibrium.json"), {
@@ -249,18 +249,19 @@ def _cmd_equilibrium(args) -> int:
 def _cmd_hacking(args) -> int:
     scenario, args.scenario = _load_scenario_arg(args.scenario)
     verdicts = hacking_verdicts(_solve(args, scenario))
+    profile, alloc = verdicts.profile, verdicts.allocation
+    base = profile.baseline
     run = _Run(args)
     write_csv(run.path("hacking.csv"), {
-        "theta": verdicts.theta, "hacks": verdicts.hacks.astype(int),
-        "band": np.asarray(verdicts.region, dtype=object),
-        "a_star": verdicts.a_star, "b_star": verdicts.b_star,
-        "a_baseline": verdicts.a_base, "b_baseline": verdicts.b_base,
-        "mu_star": verdicts.mu_star, "mu_baseline": verdicts.mu_base,
+        "theta": profile.theta_grid, "hacks": verdicts.hacks.astype(int),
+        "band": verdicts.band, "a_star": alloc.a, "b_star": alloc.b,
+        "a_baseline": base.a, "b_baseline": base.b,
+        "mu_star": profile.mu_star, "mu_baseline": base.mu,
     })
     _write_json(run.path("hacking.json"), {
         "theta_star": verdicts.theta_star,
-        "mech_upper": verdicts.thresholds.mech_upper,
-        "create_lower": verdicts.thresholds.create_lower,
+        "mech_upper": base.thresholds.mech_upper,
+        "create_lower": base.thresholds.create_lower,
         "hacking_measure": verdicts.measure,
         "scenario_id": scenario.scenario_id,
     })
@@ -274,18 +275,25 @@ def _cmd_sweep(args) -> int:
     scenario, args.scenario = _load_scenario_arg(args.scenario)
     vectors = _parse_prize_list(args.prizes)
     result = skewness_sweep(scenario, vectors, grid_size=args.grid, tol=args.tol)
+    verdicts = result.verdicts
+    profiles = [v.profile for v in verdicts]
+    allocs = [v.allocation for v in verdicts]
     run = _Run(args)
-    rows = result.rows()
-    write_csv(run.path("sweep.csv"),
-              {key: np.asarray([r[key] for r in rows],
-                               dtype=object if key == "region" else None)
-               for key in ("prizes", "theta", "mu_star", "a_star", "b_star",
-                           "hacks", "region")})
+    write_csv(run.path("sweep.csv"), {
+        "prizes": np.repeat(np.arange(len(verdicts)),
+                            [p.theta_grid.size for p in profiles]),
+        "theta": np.concatenate([p.theta_grid for p in profiles]),
+        "mu_star": np.concatenate([p.mu_star for p in profiles]),
+        "a_star": np.concatenate([a.a for a in allocs]),
+        "b_star": np.concatenate([a.b for a in allocs]),
+        "hacks": np.concatenate([v.hacks for v in verdicts]).astype(int),
+        "band": np.concatenate([v.band for v in verdicts]),
+    })
     _write_json(run.path("sweep.json"), {
         "prize_vectors": [list(pv.values) for pv in result.prize_vectors],
         "relations": [list(r) for r in result.relations],
         "hack_measures": list(result.hack_measures),
-        "theta_stars": [v.theta_star for v in result.verdicts],
+        "theta_stars": [v.theta_star for v in verdicts],
         "dominance_violations": result.dominance_violations(),
         "measure_violations": result.measure_violations(),
     })
@@ -342,11 +350,8 @@ def _cmd_mk(args) -> int:
 
 def _cmd_regress(args) -> int:
     columns = read_csv_columns(args.input)
-    dummies = tuple(s for s in args.dummies.split(",") if s)
-    interactions = tuple(s for s in args.interactions.split(",") if s)
-    spec = PanelSpec(outcome=args.outcome, dummies=dummies,
-                     interactions=interactions, group=args.group)
-    result = fe_ols(columns, spec)
+    regressors = [s for s in f"{args.dummies},{args.interactions}".split(",") if s]
+    result = fe_ols(columns, args.outcome, regressors, group=args.group)
     args.input = str(Path(args.input).resolve())
     run = _Run(args)
     _write_json(run.path("regress.json"), result.to_dict())

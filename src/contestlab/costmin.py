@@ -74,9 +74,6 @@ class AllocationGrid:
     shadow_price: Array
     marginal_cost: Array
 
-    def case_names(self) -> np.ndarray:
-        return np.vectorize(CASE_NAMES.get)(self.case)
-
 
 def allocate_grid(scenario: Scenario, mu, theta) -> AllocationGrid:
     """Solve the allocation problem elementwise on broadcast arrays.

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baseline import baseline_grid, baseline_thresholds
-from .costmin import MECH_ONLY, allocate_grid
+from .costmin import CASE_NAMES, MECH_ONLY, allocate_grid
 from .equilibrium import solve_equilibrium
 from .hacking import hacking_threshold
 from .presets import example_scenario
@@ -106,9 +106,10 @@ def _example3(results: list[GoldenCheck]) -> None:
     thetas = np.array([0.3, 0.3, 0.3, 0.5, 0.5])
     mus = np.array([0.4, 0.9, 1.4, 0.3, 0.8])
     grid = allocate_grid(scn, mus, thetas)
+    names = [CASE_NAMES[c] for c in grid.case.tolist()]
     results.append(GoldenCheck(
         "example3", "mech-only case on the segment",
-        bool(np.all(grid.case == MECH_ONLY)), f"cases {grid.case_names().tolist()}"))
+        bool(np.all(grid.case == MECH_ONLY)), f"cases {names}"))
     _check(results, "example3", "segment cost = mu^4/2", grid.cost, mus ** 4 / 2.0)
 
 

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rootfind import bisect_vec
-from .baseline import BaselineThresholds, baseline_grid
-from .costmin import CASE_NAMES, CREATE_ONLY, INTERIOR, MECH_ONLY, allocate_grid
+from .baseline import baseline_grid
+from .costmin import CREATE_ONLY, INTERIOR, MECH_ONLY, AllocationGrid, allocate_grid
 from .equilibrium import StrategyProfile, solve_equilibrium
 from .errors import DomainError
 from .model import PrizeVector, Scenario, TypeDistribution
@@ -46,9 +46,8 @@ CONTEST_CREATOR = "contest-creator"
 DUAL_CHANNEL = "dual-channel"
 PURE_CREATOR = "pure-creator"
 # band of a type that does not mechanise only in equilibrium, by its no-contest case
-_BAND_OF_BASELINE = {CASE_NAMES[MECH_ONLY]: CONTEST_CREATOR,
-                     CASE_NAMES[INTERIOR]: DUAL_CHANNEL,
-                     CASE_NAMES[CREATE_ONLY]: PURE_CREATOR}
+_BAND_OF_BASELINE = {MECH_ONLY: CONTEST_CREATOR, INTERIOR: DUAL_CHANNEL,
+                     CREATE_ONLY: PURE_CREATOR}
 
 
 def compare_prize_vectors(r1: PrizeVector, r2: PrizeVector, players: int) -> str:
@@ -73,24 +72,21 @@ def compare_prize_vectors(r1: PrizeVector, r2: PrizeVector, players: int) -> str
 
 @dataclass(frozen=True)
 class HackingProfile:
-    """Verdicts along a type grid plus the band cutoffs.
+    """Verdicts along the type grid of a solved profile.
 
+    ``allocation`` is the least-cost split of the equilibrium targets; the
+    no-contest side, with its band cutoffs, is ``profile.baseline``.
+    ``hacks`` flags each grid type, ``band`` names its hacking band, and
     ``measure`` is the probability mass of the hacking types under the
     profile's type distribution.
     """
 
-    theta: Array
+    profile: StrategyProfile
+    allocation: AllocationGrid
     hacks: np.ndarray
-    region: tuple[str, ...]
+    band: tuple[str, ...]
     theta_star: float
     measure: float
-    thresholds: BaselineThresholds
-    a_star: Array
-    b_star: Array
-    a_base: Array
-    b_base: Array
-    mu_star: Array
-    mu_base: Array
 
 
 def hacking_threshold(profile: StrategyProfile) -> float:
@@ -114,10 +110,10 @@ def hacking_threshold(profile: StrategyProfile) -> float:
     return float(bisect_vec(gap, np.array([lo]), np.array([hi]), tol=1e-11)[0])
 
 
-def _bands(contest_case: Array, base_region: tuple[str, ...]) -> tuple[str, ...]:
-    """Band of each type from its equilibrium case and no-contest region."""
-    return tuple(PURE_MECHANIZER if case == MECH_ONLY else _BAND_OF_BASELINE[region]
-                 for case, region in zip(contest_case.tolist(), base_region))
+def _bands(contest_case: Array, base_case: Array) -> tuple[str, ...]:
+    """Band of each type from its equilibrium and no-contest case codes."""
+    return tuple(PURE_MECHANIZER if case == MECH_ONLY else _BAND_OF_BASELINE[base]
+                 for case, base in zip(contest_case.tolist(), base_case.tolist()))
 
 
 def _type_mass(types: TypeDistribution, theta: Array, hacks: Array) -> float:
@@ -137,10 +133,8 @@ def hacking_verdicts(profile: StrategyProfile) -> HackingProfile:
     base = profile.baseline
     theta_star = hacking_threshold(profile)
     hacks = (alloc.a <= base.a + EFFORT_TOL) & (alloc.b > base.b + EFFORT_TOL)
-    return HackingProfile(theta, hacks, _bands(alloc.case, base.region), theta_star,
-                          _type_mass(scenario.types, theta, hacks),
-                          base.thresholds, alloc.a, alloc.b,
-                          base.a, base.b, profile.mu_star, base.mu)
+    return HackingProfile(profile, alloc, hacks, _bands(alloc.case, base.case),
+                          theta_star, _type_mass(scenario.types, theta, hacks))
 
 
 @dataclass(frozen=True)
@@ -149,7 +143,6 @@ class SweepResult:
 
     prize_vectors: tuple[PrizeVector, ...]
     relations: tuple[tuple[int, int, str], ...]
-    profiles: tuple[StrategyProfile, ...]
     verdicts: tuple[HackingProfile, ...]
 
     @property
@@ -168,12 +161,13 @@ class SweepResult:
         """Pointwise schedule drops where the prize order demands a rise."""
         out = []
         for hi_idx, lo_idx in self._ordered_pairs():
-            gap = self.profiles[lo_idx].mu_star - self.profiles[hi_idx].mu_star
+            hi, lo = self.verdicts[hi_idx].profile, self.verdicts[lo_idx].profile
+            gap = lo.mu_star - hi.mu_star
             worst = int(np.argmax(gap))
             if gap[worst] > DOMINANCE_TOL:
                 out.append({
                     "dominant": hi_idx, "dominated": lo_idx,
-                    "theta": float(self.profiles[hi_idx].theta_grid[worst]),
+                    "theta": float(hi.theta_grid[worst]),
                     "shortfall": float(gap[worst]),
                 })
         return out
@@ -186,22 +180,6 @@ class SweepResult:
             if measures[hi_idx] > measures[lo_idx] + MEASURE_TOL:
                 out.append({"dominant": hi_idx, "dominated": lo_idx,
                             "excess": measures[hi_idx] - measures[lo_idx]})
-        return out
-
-    def rows(self) -> list[dict]:
-        """Flat per-(prize vector, type) records for tabular export."""
-        out = []
-        for idx, (prof, verd) in enumerate(zip(self.profiles, self.verdicts)):
-            for k in range(prof.theta_grid.size):
-                out.append({
-                    "prizes": idx,
-                    "theta": float(prof.theta_grid[k]),
-                    "mu_star": float(prof.mu_star[k]),
-                    "a_star": float(verd.a_star[k]),
-                    "b_star": float(verd.b_star[k]),
-                    "hacks": int(verd.hacks[k]),
-                    "region": verd.region[k],
-                })
         return out
 
 
@@ -227,12 +205,8 @@ def skewness_sweep(scenario: Scenario, prize_vectors, *, grid_size: int = 201,
                     f"prize vectors {i} and {j} are incomparable: "
                     f"{pvs[i].values} vs {pvs[j].values}")
             relations.append((i, j, rel))
-    profiles = []
-    verdicts = []
-    for pv in pvs:
-        prof = solve_equilibrium(scenario.with_prizes(pv), grid_size=grid_size,
-                                 tol=tol)
-        profiles.append(prof)
-        verdicts.append(hacking_verdicts(prof))
-    return SweepResult(tuple(pvs), tuple(relations), tuple(profiles),
-                       tuple(verdicts))
+    verdicts = tuple(
+        hacking_verdicts(solve_equilibrium(scenario.with_prizes(pv),
+                                           grid_size=grid_size, tol=tol))
+        for pv in pvs)
+    return SweepResult(tuple(pvs), tuple(relations), verdicts)

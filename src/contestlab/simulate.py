@@ -38,7 +38,6 @@ __all__ = [
     "ContestOutcome",
     "MannKendall",
     "PanelCell",
-    "PanelSpec",
     "RegressionResult",
     "SyntheticPanel",
     "add_interactions",
@@ -190,10 +189,6 @@ class ContestOutcome:
     prize: Array
     payoff: Array
 
-    @property
-    def players(self) -> int:
-        return int(self.theta.size)
-
 
 def run_contest(
     profile: StrategyProfile,
@@ -293,25 +288,6 @@ def _trajectory_matrix(
 
 # ---------------------------------------------------------------------------
 # Fixed-effects OLS
-
-
-@dataclass(frozen=True)
-class PanelSpec:
-    """Which panel columns enter the within regression.
-
-    ``dummies`` are the type-bin indicators, ``interactions`` the
-    type-by-prize products; the ``group`` column indexes the fixed
-    effect (one per contest).
-    """
-
-    outcome: str
-    dummies: tuple[str, ...]
-    interactions: tuple[str, ...] = ()
-    group: str = "contest_id"
-
-    @property
-    def regressors(self) -> tuple[str, ...]:
-        return tuple(self.dummies) + tuple(self.interactions)
 
 
 @dataclass(frozen=True)
@@ -458,8 +434,10 @@ class _Within:
         )
 
 
-def fe_ols(panel: Mapping[str, Array], spec: PanelSpec) -> RegressionResult:
-    """Within (fixed-effects) OLS: demean by group, then least squares.
+def fe_ols(panel: Mapping[str, Array], outcome: str, regressors: Sequence[str], *,
+           group: str = "contest_id") -> RegressionResult:
+    """Within (fixed-effects) OLS of ``outcome`` on ``regressors``, with one
+    fixed effect per value of the ``group`` column (one per contest).
 
     Each column is demeaned with one bincount, and the fit takes one
     numpy Householder QR of the demeaned [X | y] for its R factor:
@@ -473,10 +451,10 @@ def fe_ols(panel: Mapping[str, Array], spec: PanelSpec) -> RegressionResult:
     naming the collinear columns when the demeaned design is rank
     deficient, and DomainError for missing or non-finite columns.
     """
-    if not spec.regressors:
+    if not regressors:
         raise DomainError("regression needs at least one regressor")
-    within = _Within.of(panel, spec.group, (*spec.regressors, spec.outcome))
-    return within.fit(spec.outcome, spec.regressors)
+    within = _Within.of(panel, group, (*regressors, outcome))
+    return within.fit(outcome, regressors)
 
 
 # ---------------------------------------------------------------------------

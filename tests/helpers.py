@@ -157,49 +157,49 @@ def effort_region_violations(profile, tol: float = REGION_TOL) -> list[str]:
     ambiguous at finite resolution.
     """
     verdicts = hacking_verdicts(profile)
-    thetas = verdicts.theta
+    thetas, base, thr = profile.theta_grid, profile.baseline, profile.baseline.thresholds
     cell = float(thetas[1] - thetas[0]) if thetas.size > 1 else 0.0
-    cutoffs = [c for c in (verdicts.theta_star, verdicts.thresholds.mech_upper,
-                           verdicts.thresholds.create_lower) if np.isfinite(c)]
+    cutoffs = [c for c in (verdicts.theta_star, thr.mech_upper, thr.create_lower)
+               if np.isfinite(c)]
     out: list[str] = []
     for k, theta in enumerate(thetas):
         if any(abs(theta - c) <= cell for c in cutoffs):
             continue
-        a_s, b_s = verdicts.a_star[k], verdicts.b_star[k]
-        a_d, b_d = verdicts.a_base[k], verdicts.b_base[k]
-        region = verdicts.region[k]
+        a_s, b_s = verdicts.allocation.a[k], verdicts.allocation.b[k]
+        a_d, b_d = base.a[k], base.b[k]
+        band = verdicts.band[k]
         if theta < verdicts.theta_star:
-            if region != "pure-mechanizer":
-                out.append(f"theta={theta:.4f}: region {region}, expected pure-mechanizer")
+            if band != "pure-mechanizer":
+                out.append(f"theta={theta:.4f}: band {band}, expected pure-mechanizer")
             if a_s > tol:
                 out.append(f"theta={theta:.4f}: a*={a_s:.2e} below theta1*")
             if b_s <= b_d - tol:
                 out.append(f"theta={theta:.4f}: b*={b_s:.6f} not above b_dag={b_d:.6f}")
             if b_d <= 0.0:
                 out.append(f"theta={theta:.4f}: baseline b_dag={b_d:.2e} not positive")
-        elif theta < verdicts.thresholds.mech_upper:
-            if region != "contest-creator":
-                out.append(f"theta={theta:.4f}: region {region}, expected contest-creator")
+        elif theta < thr.mech_upper:
+            if band != "contest-creator":
+                out.append(f"theta={theta:.4f}: band {band}, expected contest-creator")
             if b_s <= b_d - tol:
                 out.append(f"theta={theta:.4f}: b*={b_s:.6f} not above b_dag={b_d:.6f}")
             if a_s <= 0.0:
                 out.append(f"theta={theta:.4f}: a*={a_s:.2e} not positive")
             if a_d > tol:
                 out.append(f"theta={theta:.4f}: baseline a_dag={a_d:.2e} not zero")
-        elif theta <= verdicts.thresholds.create_lower:
-            if region != "dual-channel":
-                out.append(f"theta={theta:.4f}: region {region}, expected dual-channel")
+        elif theta <= thr.create_lower:
+            if band != "dual-channel":
+                out.append(f"theta={theta:.4f}: band {band}, expected dual-channel")
             if a_s < a_d - tol:
                 out.append(f"theta={theta:.4f}: a*={a_s:.6f} below a_dag={a_d:.6f}")
             if b_s < b_d - tol:
                 out.append(f"theta={theta:.4f}: b*={b_s:.6f} below b_dag={b_d:.6f}")
         else:
-            if region != "pure-creator":
-                out.append(f"theta={theta:.4f}: region {region}, expected pure-creator")
-    if verdicts.theta_star > verdicts.thresholds.mech_upper + tol:
+            if band != "pure-creator":
+                out.append(f"theta={theta:.4f}: band {band}, expected pure-creator")
+    if verdicts.theta_star > thr.mech_upper + tol:
         out.append(
             f"theta1*={verdicts.theta_star:.6f} exceeds baseline cutoff "
-            f"{verdicts.thresholds.mech_upper:.6f}")
+            f"{thr.mech_upper:.6f}")
     return out
 
 

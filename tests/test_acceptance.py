@@ -147,7 +147,7 @@ def test_criterion_4(equilibria):
         violations = effort_region_violations(profile, tol=1e-5)
         assert not violations, f"{name}: " + "; ".join(violations[:10])
         verdicts = hacking_verdicts(profile)
-        assert verdicts.theta_star <= verdicts.thresholds.mech_upper + 1e-5
+        assert verdicts.theta_star <= profile.baseline.thresholds.mech_upper + 1e-5
     clock.check()
 
 
@@ -158,7 +158,7 @@ def test_criterion_5():
         example_scenario("example3"),
         [PrizeVector((1.0, 0.0)), PrizeVector((2.0, 0.0)), PrizeVector((4.0, 0.0))],
     )
-    assert all(p.converged for p in sweep.profiles)
+    assert all(v.profile.converged for v in sweep.verdicts)
     dominance = sweep.dominance_violations()
     assert not dominance, dominance[:10]
     measures = sweep.measure_violations()

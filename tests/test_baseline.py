@@ -9,6 +9,9 @@ import pytest
 from helpers import random_scenario
 
 from contestlab import (
+    CREATE_ONLY,
+    INTERIOR,
+    MECH_ONLY,
     StrategyProfile,
     baseline_grid,
     baseline_thresholds,
@@ -75,17 +78,17 @@ class TestClosedFormPoints:
         scn = example_scenario("example1")
         low = baseline_grid(scn, [0.5])
         assert (low.mu[0], low.a[0], low.b[0]) == pytest.approx((1.0, 0.0, 1.0), abs=1e-9)
-        assert low.region == ("mech-only",)
+        assert low.case.tolist() == [MECH_ONLY]
         high = baseline_grid(scn, [2.0])
         assert (high.mu[0], high.a[0], high.b[0]) == pytest.approx((4.0, 2.0, 0.0), abs=1e-9)
-        assert high.region == ("create-only",)
+        assert high.case.tolist() == [CREATE_ONLY]
         assert high.payoff[0] == pytest.approx(4.0 - 0.5 * 4.0, abs=1e-9)
 
     def test_example2_interior_formulas(self):
         scn = example_scenario("example2")
         for theta in (0.5, 1.0, 2.5):
             pt = baseline_grid(scn, [theta])
-            assert pt.region == ("interior",)
+            assert pt.case.tolist() == [INTERIOR]
             assert pt.a[0] == pytest.approx(theta**2 / 4.0, abs=1e-8)
             assert pt.b[0] == pytest.approx(0.25, abs=1e-8)
             assert pt.mu[0] == pytest.approx(0.5 * theta**2 + 0.5, abs=1e-8)
@@ -95,7 +98,7 @@ class TestClosedFormPoints:
         # root error is largest there; b = 1/4 must still hold to 1e-10
         scn = example_scenario("example2")
         grid = baseline_grid(scn, np.linspace(0.0, 10.0, 201))
-        interior = np.asarray(grid.region) == "interior"
+        interior = grid.case == INTERIOR
         assert interior.sum() == 200
         np.testing.assert_allclose(grid.b[interior], 0.25, rtol=0, atol=1e-10)
 
@@ -104,7 +107,7 @@ class TestClosedFormPoints:
         # xi'(b) = c'(b), here 0.5 / sqrt(b) = b, so b = 0.5**(2/3)
         scn = example_scenario("example3")
         pt = baseline_grid(scn, [0.2])
-        assert pt.region == ("mech-only",)
+        assert pt.case.tolist() == [MECH_ONLY]
         assert pt.a[0] == 0.0
         assert pt.b[0] == pytest.approx(0.5 ** (2.0 / 3.0), abs=1e-8)
 
@@ -149,16 +152,16 @@ class TestGridInvariants:
         thr = grid.thresholds
         assert thr.mech_upper <= thr.create_lower
         cell = thetas[1] - thetas[0]
-        for theta, region in zip(thetas, grid.region):
+        for theta, region in zip(thetas, grid.case.tolist()):
             # skip the single ambiguous cell at each cutoff
             if min(abs(theta - thr.mech_upper), abs(theta - thr.create_lower)) < cell:
                 continue
             if theta < thr.mech_upper:
-                assert region == "mech-only"
+                assert region == MECH_ONLY
             elif theta > thr.create_lower:
-                assert region == "create-only"
+                assert region == CREATE_ONLY
             else:
-                assert region == "interior"
+                assert region == INTERIOR
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_THRESHOLDS))
     def test_first_order_conditions(self, name):

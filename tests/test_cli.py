@@ -83,6 +83,44 @@ class TestArtifactsAndReplay:
         assert bands["theta"][row] == 1.0
         assert bands["band"][row] == "pure-mechanizer"
 
+    def test_artifact_headers(self, tmp_path):
+        # every CSV artifact's columns, in order: band names a hacking
+        # band, region (baseline) and case a least-cost case
+        runs = [
+            (("cost", "--theta", "1.0", "--points", "5"),
+             {"cost.csv": "mu,theta,a,b,case,cost,shadow_price,marginal_cost"}),
+            (("baseline", "--grid", "5"), {"baseline.csv": "theta,a,b,mu,region,payoff"}),
+            (("equilibrium", "--grid", "51"),
+             {"equilibrium.csv": "theta,mu_star,a,b,case,mu_baseline"}),
+            (("hacking", "--grid", "51"),
+             {"hacking.csv": "theta,hacks,band,a_star,b_star,a_baseline,b_baseline,"
+                             "mu_star,mu_baseline"}),
+            (("sweep", "--prizes", "1,0;2,0", "--grid", "51"),
+             {"sweep.csv": "prizes,theta,mu_star,a_star,b_star,hacks,band"}),
+            (("sweep", "--prizes", "1,0", "--grid", "51"),
+             {"sweep.csv": "prizes,theta,mu_star,a_star,b_star,hacks,band"}),
+            (("simulate", "--contests", "2", "--traj-length", "5", "--grid", "21"),
+             {"contests.csv": "contest_id,player_id,type,a,b,mu,score,rank,prize,payoff",
+              "panel.csv": "contest_id,player_id,type,a,b,mu,score_final,mk_S,mk_Z,"
+                           "prize_value,prize_skew"}),
+        ]
+        for k, (argv, headers) in enumerate(runs):
+            out = tmp_path / str(k)
+            assert run_cli(*argv, "--scenario", "example3", "--out", out) == EXIT_OK
+            for name, header in headers.items():
+                with open(out / name) as fh:
+                    assert fh.readline() == header + "\n", name
+
+        sweep = read_csv_columns(tmp_path / "4" / "sweep.csv")
+        assert sweep["prizes"].size == 2 * 51
+        assert set(sweep["prizes"].tolist()) == {0, 1}
+        assert np.all(sweep["mu_star"] >= 0)
+        # a one-vector sweep of the scenario's own prizes is its hacking run
+        one = read_csv_columns(tmp_path / "5" / "sweep.csv")
+        hacking = read_csv_columns(tmp_path / "3" / "hacking.csv")
+        for name in ("theta", "mu_star", "a_star", "b_star", "hacks", "band"):
+            np.testing.assert_array_equal(one[name], hacking[name], err_msg=name)
+
     def test_mk_artifact(self, tmp_path):
         out = tmp_path / "m"
         assert run_cli("mk", "--input", TREND_CSV,
@@ -376,6 +414,24 @@ class TestExitCodes:
     def test_replay_of_missing_manifest_is_input_error(self, tmp_path):
         assert run_cli("replay", tmp_path / "nope.json",
                        "--out", tmp_path / "r") == EXIT_INPUT
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--scenario", "example1", "--prizes", "1,x"], "bad prize vector"),
+        (["sweep", "--scenario", "example1", "--prizes", ";"], "no prize vectors given"),
+        (["cost", "--scenario", "example1", "--theta", "1", "--mu-max", "0"],
+         "--mu-max must be positive"),
+        (["replay", "{not json"], "not valid JSON"),
+        (["replay", '{"command": "cost"}'], "missing replay_argv"),
+    ], ids=["bad-prize", "no-prizes", "mu-max-0", "manifest-not-json",
+            "manifest-without-argv"])
+    def test_bad_input_is_one_error_line(self, tmp_path, capsys, argv, message):
+        if argv[0] == "replay":   # the second item is the manifest's text
+            manifest = tmp_path / MANIFEST_NAME
+            manifest.write_text(argv[1])
+            argv = ["replay", manifest]
+        assert run_cli(*argv, "--out", tmp_path / "e") == EXIT_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
 
 
 def test_console_script_entry_point(tmp_path):

@@ -113,7 +113,7 @@ class TestAllocateGrid:
         grid = allocate_grid(scn, np.linspace(0.5, 2.0, 4)[:, None],
                              np.array([1.0, 2.0])[None, :])
         assert grid.cost.shape == (4, 2)
-        assert grid.case_names().shape == (4, 2)
+        assert grid.case.shape == (4, 2)
 
     def test_case_codes_cover_nonlinear_regimes(self):
         # types below 1 never create here; types above 1 start creative

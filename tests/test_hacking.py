@@ -135,17 +135,35 @@ class TestVerdicts:
 
         monkeypatch.setattr(hacking, "baseline_grid", resolve)
         verdicts = hacking_verdicts(profile)
-        np.testing.assert_array_equal(verdicts.mu_base, profile.baseline.mu)
-        assert verdicts.thresholds == profile.baseline.thresholds
+        assert verdicts.profile is profile
+        np.testing.assert_array_equal(verdicts.profile.baseline.mu, profile.baseline.mu)
+        assert verdicts.profile.baseline.thresholds == profile.baseline.thresholds
 
     def test_some_hacking_below_cutoff_none_above(self, equilibria):
         profile = equilibria("example3", prizes=(2.0, 0.0))
         verdicts = hacking_verdicts(profile)
-        thr = verdicts.thresholds.mech_upper
+        thr = verdicts.profile.baseline.thresholds.mech_upper
         below = verdicts.hacks[profile.theta_grid < thr - 0.05]
         above = verdicts.hacks[profile.theta_grid > thr + 0.05]
         assert below.any()
         assert not above.any()
+
+    @pytest.mark.parametrize("support, theta_star, measure, band", [
+        ([1.5, 3.0], -np.inf, 0.0, "pure-creator"),
+        ([0.0, 0.5], np.inf, 1.0, "pure-mechanizer"),
+        ([0.5, 0.5], np.inf, 1.0, "pure-mechanizer"),
+    ], ids=["above-cutoff", "below-cutoff", "point-mass"])
+    def test_support_on_one_side_of_the_cutoff(self, support, theta_star, measure,
+                                               band):
+        # example1's cutoffs are all 1: no type above it hacks, every type
+        # below it hacks, and a point mass carries the whole measure
+        scn = example_scenario("example1",
+                               types={"kind": "uniform", "support": support})
+        verdicts = hacking_verdicts(solve_equilibrium(scn, grid_size=41))
+        assert verdicts.theta_star == theta_star
+        assert verdicts.measure == pytest.approx(measure, abs=1e-12)
+        np.testing.assert_array_equal(verdicts.hacks, measure == 1.0)
+        assert set(verdicts.band) == {band}
 
     def test_measure_is_type_mass(self, equilibria):
         profile = equilibria("example3", prizes=(2.0, 0.0))
@@ -176,8 +194,8 @@ class TestSkewnessSweep:
         assert sweep.dominance_violations() == []
         assert sweep.measure_violations() == []
         # steeper prizes push every type weakly up
-        assert np.all(sweep.profiles[1].mu_star
-                      >= sweep.profiles[0].mu_star - 1e-4)
+        assert np.all(sweep.verdicts[1].profile.mu_star
+                      >= sweep.verdicts[0].profile.mu_star - 1e-4)
 
     def test_violations_follow_the_prize_order(self):
         # both orientations of the order; the equal pair would violate
@@ -188,8 +206,9 @@ class TestSkewnessSweep:
         sweep = SweepResult(
             prize_vectors=(),
             relations=((0, 1, "geq"), (0, 2, "leq"), (1, 2, "equal")),
-            profiles=tuple(SimpleNamespace(theta_grid=theta, mu_star=m) for m in mus),
-            verdicts=tuple(SimpleNamespace(measure=v) for v in (0.5, 0.2, 0.7)))
+            verdicts=tuple(SimpleNamespace(
+                profile=SimpleNamespace(theta_grid=theta, mu_star=m), measure=v)
+                for m, v in zip(mus, (0.5, 0.2, 0.7))))
         assert sweep.dominance_violations() == [
             {"dominant": 0, "dominated": 1, "theta": 1.0, "shortfall": 0.5},
             {"dominant": 2, "dominated": 0, "theta": 2.0, "shortfall": 0.5},
@@ -203,11 +222,3 @@ class TestSkewnessSweep:
         scn = example_scenario("example1", players=3, prizes=[1.0, 0.0, 0.0])
         with pytest.raises(DomainError, match="incomparable"):
             skewness_sweep(scn, [(3.0, 1.0, 0.0), (2.0, 2.0, 0.0)])
-
-    def test_rows_export_shape(self):
-        scn = example_scenario("example3")
-        sweep = skewness_sweep(scn, [(1.0, 0.0), (2.0, 0.0)], grid_size=51)
-        rows = sweep.rows()
-        assert len(rows) == 2 * 51
-        assert {r["prizes"] for r in rows} == {0, 1}
-        assert all(r["mu_star"] >= 0 for r in rows)

@@ -1,8 +1,8 @@
 """Tests that the hand-kept export lists name only what exists, that
-the package holds no unused imports, nested functions or private names,
-that every name the benchmark's layer hooks wrap exists, that importing
-it loads no scipy module, and that the README's layout names every
-module."""
+the package holds no unused imports, nested functions, private names or
+private methods, that every name the benchmark's layer hooks wrap
+exists, that importing it loads no scipy module, and that the README's
+layout names every module."""
 
 from __future__ import annotations
 
@@ -55,7 +55,8 @@ def _loaded_names(tree: ast.Module) -> set[str]:
 def _unused_names(tree: ast.Module, package_loads: set[str]) -> list[str]:
     """Module-level imports and nested functions that nothing in the module
     refers to, and module-level private names (``_X = ...``, ``def _f``,
-    ``class _C``) that nothing in the package (``package_loads``) reads."""
+    ``class _C``) and private methods (``def _m`` in a class body, reported
+    as ``C._m``) that nothing in the package (``package_loads``) reads."""
     referenced = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in tree.body:
         if (isinstance(node, ast.Assign)
@@ -91,6 +92,12 @@ def _unused_names(tree: ast.Module, package_loads: set[str]) -> list[str]:
             continue
         unused += [name for name in defined if name.startswith("_")
                    and not name.startswith("__") and name not in package_loads]
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            unused += [f"{cls.name}.{node.name}" for node in cls.body
+                       if isinstance(node, functions) and node.name.startswith("_")
+                       and not node.name.startswith("__")
+                       and node.name not in package_loads]
     return unused
 
 

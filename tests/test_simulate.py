@@ -14,7 +14,6 @@ from oracle import RankOracle
 from contestlab import (
     DomainError,
     PanelCell,
-    PanelSpec,
     SolverError,
     StrategyProfile,
     UnconvergedProfileError,
@@ -361,7 +360,7 @@ class TestFixedEffectsOLS:
 
     def test_exact_recovery(self, rng):
         panel, effects = self.toy_panel(rng)
-        res = fe_ols(panel, PanelSpec("y", ("x1", "x2"), group="g"))
+        res = fe_ols(panel, "y", ("x1", "x2"), group="g")
         assert res["x1"] == pytest.approx(2.0, abs=1e-10)
         assert res["x2"] == pytest.approx(-3.0, abs=1e-10)
         assert res.r_squared == pytest.approx(1.0, abs=1e-12)
@@ -370,7 +369,7 @@ class TestFixedEffectsOLS:
 
     def test_noisy_recovery_within_confidence(self, rng):
         panel, _ = self.toy_panel(rng, n_groups=50, per_group=80, noise=1.0)
-        res = fe_ols(panel, PanelSpec("y", ("x1", "x2"), group="g"))
+        res = fe_ols(panel, "y", ("x1", "x2"), group="g")
         assert abs(res["x1"] - 2.0) < 4.0 * res.se_of("x1")
         assert abs(res["x2"] + 3.0) < 4.0 * res.se_of("x2")
         assert res.se_of("x1") > 0
@@ -379,47 +378,47 @@ class TestFixedEffectsOLS:
         # adding any per-group constant to the outcome must not move the
         # slopes: that is the whole point of the within transform
         panel, _ = self.toy_panel(rng, noise=0.7)
-        res1 = fe_ols(panel, PanelSpec("y", ("x1", "x2"), group="g"))
+        res1 = fe_ols(panel, "y", ("x1", "x2"), group="g")
         shifted = dict(panel)
         shifted["y"] = panel["y"] + np.repeat(rng.normal(scale=10.0, size=30), 40)
-        res2 = fe_ols(shifted, PanelSpec("y", ("x1", "x2"), group="g"))
+        res2 = fe_ols(shifted, "y", ("x1", "x2"), group="g")
         np.testing.assert_allclose(res1.coef, res2.coef, atol=1e-10)
 
     def test_collinear_columns_named(self, rng):
         panel, _ = self.toy_panel(rng)
         panel["dup"] = 2.0 * panel["x1"]
         with pytest.raises(SolverError, match="dup|x1"):
-            fe_ols(panel, PanelSpec("y", ("x1", "x2", "dup"), group="g"))
+            fe_ols(panel, "y", ("x1", "x2", "dup"), group="g")
 
     def test_group_constant_regressor_is_degenerate(self, rng):
         # a column fixed within every group is absorbed by the effects
         panel, _ = self.toy_panel(rng)
         panel["const_in_g"] = panel["g"].astype(float) * 5.0
         with pytest.raises(SolverError, match="const_in_g"):
-            fe_ols(panel, PanelSpec("y", ("x1", "const_in_g"), group="g"))
+            fe_ols(panel, "y", ("x1", "const_in_g"), group="g")
 
     def test_missing_column_rejected(self, rng):
         panel, _ = self.toy_panel(rng)
         with pytest.raises(DomainError, match="missing"):
-            fe_ols(panel, PanelSpec("y", ("x1", "nope"), group="g"))
+            fe_ols(panel, "y", ("x1", "nope"), group="g")
 
     def test_needs_regressors(self, rng):
         panel, _ = self.toy_panel(rng)
         with pytest.raises(DomainError):
-            fe_ols(panel, PanelSpec("y", (), group="g"))
+            fe_ols(panel, "y", (), group="g")
 
     @staticmethod
-    def reference_fit(panel, spec):
+    def reference_fit(panel, outcome, regressors, group):
         """Dummy-free within OLS from lstsq and inv(X'X), column by column."""
-        labels, inverse = np.unique(panel[spec.group], return_inverse=True)
+        labels, inverse = np.unique(panel[group], return_inverse=True)
 
         def demean(v):
             v = np.asarray(v, dtype=float)
             means = np.array([v[inverse == g].mean() for g in range(labels.size)])
             return v - means[inverse], means
 
-        y, y_means = demean(panel[spec.outcome])
-        pairs = [demean(panel[c]) for c in spec.regressors]
+        y, y_means = demean(panel[outcome])
+        pairs = [demean(panel[c]) for c in regressors]
         x = np.column_stack([p[0] for p in pairs])
         x_means = np.column_stack([p[1] for p in pairs])
         beta = np.linalg.lstsq(x, y, rcond=None)[0]
@@ -438,9 +437,9 @@ class TestFixedEffectsOLS:
         x[:, 0] = rng.random(g.size) < 0.3       # a dummy, like the type bins
         y = x @ rng.normal(size=k) + rng.normal(size=g.size) + g * 0.1
         panel = {"g": g, "y": y, **{f"x{j}": x[:, j] for j in range(k)}}
-        spec = PanelSpec("y", tuple(f"x{j}" for j in range(k)), group="g")
-        res = fe_ols(panel, spec)
-        beta, se, r2, effects = self.reference_fit(panel, spec)
+        regressors = tuple(f"x{j}" for j in range(k))
+        res = fe_ols(panel, "y", regressors, group="g")
+        beta, se, r2, effects = self.reference_fit(panel, "y", regressors, "g")
         np.testing.assert_allclose(res.coef, beta, rtol=1e-10, atol=0)
         np.testing.assert_allclose(res.se, se, rtol=1e-10, atol=0)
         assert res.r_squared == pytest.approx(r2, rel=1e-10)
@@ -453,7 +452,7 @@ class TestFixedEffectsOLS:
         panel["x2"] = panel["x2"].copy()
         panel["x2"][5] = np.nan
         with pytest.raises(DomainError, match="x2"):
-            fe_ols(panel, PanelSpec("y", ("x1", "x2"), group="g"))
+            fe_ols(panel, "y", ("x1", "x2"), group="g")
 
     def test_panel_regressions_equal_independent_fits(self, rng):
         n_contests, players = 60, 12
@@ -475,7 +474,7 @@ class TestFixedEffectsOLS:
         for label, outcome in (("fitness", "mu"), ("mk", "mk_Z")):
             for suffix, regressors in (("type", dummies),
                                        ("interactions", dummies + interactions)):
-                alone = fe_ols(data, PanelSpec(outcome, regressors))
+                alone = fe_ols(data, outcome, regressors)
                 shared = regs[f"{label}_{suffix}"]
                 assert shared.names == alone.names
                 assert shared.to_dict() == alone.to_dict()
@@ -538,7 +537,7 @@ class TestFixedEffectsOLS:
             "mk_Z": rng.normal(size=cid.size),
             "x": rng.normal(size=cid.size),
         }
-        fe_ols(panel, PanelSpec("mu", ("x", "type")))
+        fe_ols(panel, "mu", ("x", "type"))
         fe_calls = len(calls)
         panel_regressions(panel, np.array([0.7, 0.9, 1.1, 1.3]))
         assert fe_calls > 0 and len(calls) > fe_calls
@@ -552,7 +551,7 @@ class TestFixedEffectsOLS:
         panel = {"g": np.zeros(3), "x1": np.array([0.0, 1.0, 2.0]),
                  "x2": np.array([0.0, 0.0, 3.0]), "y": np.array([1.0, -2.0, 0.5])}
         with pytest.raises(SolverError, match="not enough observations"):
-            fe_ols(panel, PanelSpec("y", ("x1", "x2"), group="g"))
+            fe_ols(panel, "y", ("x1", "x2"), group="g")
 
     @pytest.mark.parametrize("rows", [1, 2, 3])
     def test_fewer_rows_than_columns_is_rank_deficient(self, rows):
@@ -561,7 +560,7 @@ class TestFixedEffectsOLS:
         panel = {"g": np.zeros(rows), "y": rng.normal(size=rows),
                  **{f"x{j}": rng.normal(size=rows) for j in range(3)}}
         with pytest.raises(SolverError, match="rank deficient"):
-            fe_ols(panel, PanelSpec("y", ("x0", "x1", "x2"), group="g"))
+            fe_ols(panel, "y", ("x0", "x1", "x2"), group="g")
 
 
 class TestPanelConstruction:
