@@ -335,8 +335,7 @@ def _cmd_mk(args) -> int:
     if args.column not in columns:
         raise DomainError(
             f"{args.input}: no column {args.column!r} (have {sorted(columns)})")
-    series = np.asarray(columns[args.column], dtype=float)
-    result = mann_kendall(series)
+    result = mann_kendall(columns[args.column])
     args.input = str(Path(args.input).resolve())
     run = _Run(args)
     _write_json(run.path("mk.json"), {

@@ -184,8 +184,9 @@ class GainTable:
         scenario = profile.scenario
         noise, players, prizes = scenario.noise, scenario.players, scenario.prizes
         self.noise = noise
-        self.zero = prizes.is_zero or players == 1
-        if self.zero:
+        # zero prizes pay nothing and a lone player wins the top prize: a flat gain
+        self.sure = prizes.top if prizes.is_zero or players == 1 else None
+        if self.sure is not None:
             return
         paid = prizes.padded(players)
         ranks = np.nonzero(paid > 0)[0] + 1
@@ -234,14 +235,14 @@ class GainTable:
     def gain(self, mu) -> Array:
         """Expected prize at each target ``mu``."""
         mu = np.atleast_1d(np.asarray(mu, dtype=float))
-        if self.zero:
-            return np.zeros_like(mu)
+        if self.sure is not None:
+            return np.full_like(mu, self.sure)
         return self._integrate(mu, self.coef, self.z_weights)
 
     def slope(self, mu) -> Array:
         """Exact derivative in ``mu`` of :meth:`gain` at each target."""
         mu = np.atleast_1d(np.asarray(mu, dtype=float))
-        if self.zero:
+        if self.sure is not None:
             return np.zeros_like(mu)
         return self._integrate(mu, self.dcoef, self.slope_weights)
 

@@ -122,7 +122,10 @@ def mann_kendall(series) -> MannKendall:
     continuity shift: (S-1)/sd for S > 0, (S+1)/sd for S < 0, else 0.
     An all-tied series has zero variance and Z = 0 by convention.
     """
-    x = np.asarray(series, dtype=float).ravel()
+    try:
+        x = np.asarray(series, dtype=float).ravel()
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"Mann-Kendall series must be numeric ({exc})") from None
     n = x.size
     if n < 2:
         raise DomainError(f"Mann-Kendall needs at least 2 observations, got {n}")
@@ -347,6 +350,19 @@ def _householder_r(a: Array) -> Array:
     return r
 
 
+def _triu_inverse(r: Array) -> Array:
+    """Inverse of an invertible upper triangular ``r``, left unchanged, by
+    back substitution from the last row up in einsum, so no BLAS call."""
+    k = r.shape[0]
+    inv = np.zeros((k, k))
+    for i in range(k - 1, -1, -1):
+        # row i is (e_i - r[i, i+1:] @ inv[i+1:]) / r[i, i]
+        inv[i, i + 1:] = -np.einsum("j,jc->c", r[i, i + 1:], inv[i + 1:, i + 1:])
+        inv[i, i] = 1.0
+        inv[i] /= r[i, i]
+    return inv
+
+
 @dataclass(frozen=True)
 class _Within:
     """Panel columns demeaned within groups, ready for any number of fits.
@@ -373,7 +389,10 @@ class _Within:
         means = np.empty((len(names), labels.size))
         for j, name in enumerate(names):
             col = values[:, j]
-            col[:] = panel[name]
+            try:
+                col[:] = panel[name]
+            except (TypeError, ValueError):
+                raise DomainError(f"panel column {name!r} is not numeric") from None
             if not np.all(np.isfinite(col)):
                 raise DomainError(f"panel column {name!r} holds non-finite values")
             means[j] = np.bincount(inverse, weights=col, minlength=labels.size) / counts
@@ -383,22 +402,18 @@ class _Within:
     def fit(self, outcome: str, regressors: Sequence[str]) -> RegressionResult:
         """Least squares from one numpy Householder R of the demeaned [X | y].
 
-        No fit issues a multi-threaded BLAS call: the tall factor is
-        :func:`_householder_r`, and scipy only sees the (k x k) R11.
+        R11 has the column norms of the demeaned X, so the rank rule reads
+        its diagonal; the inverse of R11 gives beta and the standard errors.
         """
-        import scipy.linalg  # here, so importing contestlab does not load it
         cols = [self.names.index(c) for c in (*regressors, outcome)]
         nobs, k, n_groups = self.values.shape[0], len(regressors), self.labels.size
         r = _householder_r(self.values[:, cols])
         r11, z, rho = r[:k, :k], r[:k, k], r[k, k]
 
-        # a pivoted QR of R11 pivots as one of X would: same column norms
-        r_piv, pivots = scipy.linalg.qr(r11, mode="r", pivoting=True)
-        diag = np.abs(np.diag(r_piv))
-        tol = max(nobs, k) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
-        rank = int(np.sum(diag > tol))
-        if rank < k:
-            bad = sorted(regressors[p] for p in pivots[rank:])
+        norm = np.sqrt(np.max(np.einsum("ij,ij->j", r11, r11)))
+        tol = max(nobs, k) * np.finfo(float).eps * norm
+        bad = [name for name, d in zip(regressors, np.diag(r11)) if abs(d) <= tol]
+        if bad:
             raise SolverError(
                 f"design is rank deficient after demeaning; collinear columns: {bad}"
             )
@@ -409,17 +424,16 @@ class _Within:
                 f"not enough observations: {nobs} rows, {n_groups} groups, {k} regressors"
             )
 
-        beta = scipy.linalg.solve_triangular(r11, z)
+        r_inv = _triu_inverse(r11)
+        beta = np.einsum("ij,j->i", r_inv, z)
         rss = float(rho * rho)
         y_dm = self.values[:, cols[-1]]
         tss = float(np.einsum("i,i->", y_dm, y_dm))
         r_squared = 1.0 if tss == 0.0 else 1.0 - rss / tss
-        # diag of (X'X)^-1 = R^-1 R^-T is the squared row norms of R^-1;
-        # R11 passed the rank rule, so it is invertible
-        r_inv, _ = scipy.linalg.lapack.dtrtri(r11)
+        # diag of (X'X)^-1 = R^-1 R^-T is the squared row norms of R^-1
         se = np.sqrt(rss / df_resid * np.einsum("ij,ij->i", r_inv, r_inv))
         # group effects: group means of the outcome net of the slope part
-        effects = self.means[cols[-1]] - beta @ self.means[cols[:-1]]
+        effects = self.means[cols[-1]] - np.einsum("j,jg->g", beta, self.means[cols[:-1]])
 
         return RegressionResult(
             names=tuple(regressors),
@@ -442,14 +456,12 @@ def fe_ols(panel: Mapping[str, Array], outcome: str, regressors: Sequence[str], 
     Each column is demeaned with one bincount, and the fit takes one
     numpy Householder QR of the demeaned [X | y] for its R factor:
     beta = R11^-1 z, RSS = rho^2, and the standard errors come from the
-    row norms of R11^-1 (a LAPACK triangular inverse).  They are
-    homoskedastic with dof = N - G - k.  Only (k x k) blocks reach
-    scipy, so no fit issues a multi-threaded BLAS call and the host's
-    BLAS thread settings are left alone.  The rank rule is that of a
-    pivoted QR of X (taken on the small R11): a diagonal entry at or
-    below max(N, k) * eps * |R_00| means rank deficiency.  Raises SolverError
-    naming the collinear columns when the demeaned design is rank
-    deficient, and DomainError for missing or non-finite columns.
+    row norms of R11^-1 (back substitution).  They are homoskedastic with
+    dof = N - G - k.  No step calls BLAS, so a fit wakes no BLAS worker
+    threads.  Regressor j is spanned by those listed before it when
+    |R11[j, j]| <= max(N, k) * eps * (the largest column norm of the
+    demeaned X); SolverError names every such column, and DomainError
+    flags missing, non-numeric or non-finite columns.
     """
     if not regressors:
         raise DomainError("regression needs at least one regressor")

@@ -433,6 +433,21 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
 
+    @pytest.mark.parametrize("argv, message", [
+        (["mk", "--column", "band"], "Mann-Kendall series must be numeric"),
+        (["regress", "--outcome", "mu_star", "--dummies", "band", "--group", "hacks"],
+         "panel column 'band' is not numeric"),
+    ], ids=["mk", "regress"])
+    def test_text_column_is_one_error_line(self, tmp_path, capsys, argv, message):
+        hack = tmp_path / "h"
+        assert run_cli("hacking", "--scenario", "example3", "--grid", "21",
+                       "--out", hack) == EXIT_OK
+        capsys.readouterr()
+        assert run_cli(argv[0], "--input", hack / "hacking.csv", *argv[1:],
+                       "--out", tmp_path / "e") == EXIT_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+
 
 def test_console_script_entry_point(tmp_path):
     # one end-to-end check through the installed executable; the child

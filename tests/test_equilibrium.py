@@ -23,6 +23,7 @@ from contestlab import (
     baseline_grid,
     best_response_grid,
     example_scenario,
+    run_contest,
     solve_equilibrium,
 )
 from contestlab import equilibrium
@@ -205,6 +206,15 @@ class TestGainTable:
         unpaid = replace(profile, scenario=profile.scenario.with_prizes(PrizeVector(())))
         table = GainTable(unpaid, mu_max=10.0)
         np.testing.assert_array_equal(table.gain([0.5, 1.5]), [0.0, 0.0])
+
+    def test_one_player_gain_is_the_sure_prize(self, equilibria):
+        # a lone player takes the top prize whatever its score, as a
+        # simulated contest pays it
+        profile = equilibria("example1", players=1, prizes=(1.0,), grid_size=21)
+        table = GainTable(profile, mu_max=10.0)
+        np.testing.assert_array_equal(table.gain([0.5, 2.0]), [1.0, 1.0])
+        np.testing.assert_array_equal(table.slope([0.5, 2.0]), [0.0, 0.0])
+        np.testing.assert_array_equal(run_contest(profile, seed=3).prize, [1.0])
 
 
 # cells where the table is off the oracle by more than the cross-check's

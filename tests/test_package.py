@@ -1,8 +1,8 @@
 """Tests that the hand-kept export lists name only what exists, that
 the package holds no unused imports, nested functions, private names or
 private methods, that every name the benchmark's layer hooks wrap
-exists, that importing it loads no scipy module, and that the README's
-layout names every module."""
+exists, that neither importing it nor a regression fit loads a scipy
+module, and that the README's layout names every module."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ import os
 import runpy
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -145,13 +146,26 @@ def test_benchmark_hook_targets_resolve(monkeypatch):
 
 def test_import_loads_no_scipy():
     # a fresh interpreter: this test process has imported scipy itself.
-    # scipy.linalg loads on the first regression fit, not on import.
+    # numpy is the one runtime dependency, fits included
     src = Path(importlib.import_module("contestlab").__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(src), env.get("PYTHONPATH")) if p)
-    code = ("import sys, contestlab, contestlab.cli, contestlab.simulate; "
-            "print(*(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import contestlab, contestlab.cli
+        from contestlab import fe_ols, panel_regressions
+        rng = np.random.default_rng(28)
+        cid = np.repeat(np.arange(40), 12)
+        panel = {"contest_id": cid, "type": rng.uniform(0.5, 1.5, cid.size),
+                 "prize_value": np.array([2.0, 10.0])[cid % 2],
+                 "prize_skew": cid // 2 % 2, "mu": rng.normal(size=cid.size),
+                 "mk_Z": rng.normal(size=cid.size)}
+        fe_ols(panel, "mu", ["type"])
+        panel_regressions(panel, np.array([0.7, 0.9, 1.1, 1.3]))
+        print(*(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+    """)
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr

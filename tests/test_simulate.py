@@ -38,6 +38,7 @@ from contestlab.simulate import (
     _mk_batch,
     _streams,
     _trajectory_matrix,
+    _triu_inverse,
 )
 
 
@@ -390,6 +391,17 @@ class TestFixedEffectsOLS:
         with pytest.raises(SolverError, match="dup|x1"):
             fe_ols(panel, "y", ("x1", "x2", "dup"), group="g")
 
+    @pytest.mark.parametrize("combo", ["sum", "copy"])
+    def test_rank_rule_names_the_later_column(self, rng, combo):
+        # the diagonal of the fit's R factor is read in the order given, so
+        # the column that the earlier ones span is named, as R's lm reports
+        # NA for it
+        panel, _ = self.toy_panel(rng)
+        # the scaled copy has the largest norm, so a pivoted QR would keep it
+        panel["x3"] = panel["x1"] + panel["x2"] if combo == "sum" else 2.0 * panel["x1"]
+        with pytest.raises(SolverError, match=r"collinear columns: \['x3'\]$"):
+            fe_ols(panel, "y", ("x1", "x2", "x3"), group="g")
+
     def test_group_constant_regressor_is_degenerate(self, rng):
         # a column fixed within every group is absorbed by the effects
         panel, _ = self.toy_panel(rng)
@@ -508,44 +520,21 @@ class TestFixedEffectsOLS:
         np.testing.assert_allclose(signs[:, None] * r[:ref.shape[0]], ref,
                                    rtol=0, atol=1e-13 * np.abs(ref).max())
 
-    def test_fits_give_scipy_only_small_operands(self, rng, monkeypatch):
-        # the tall factor is numpy's: BLAS sees at most (k+1)-row operands
-        # and no matrix right-hand side, so it never starts worker threads
+    @pytest.mark.parametrize("k", [1, 2, 5, 9, 13])
+    def test_triu_inverse_matches_solve_triangular(self, k):
         import scipy.linalg
-        calls = []
-
-        def watch(module, name):
-            real = getattr(module, name)
-
-            def wrapped(*args, **kwargs):
-                calls.append((name, [np.shape(v) for v in (*args, *kwargs.values())
-                                     if isinstance(v, np.ndarray)]))
-                return real(*args, **kwargs)
-            monkeypatch.setattr(module, name, wrapped)
-
-        watch(scipy.linalg, "qr")
-        watch(scipy.linalg, "solve_triangular")
-        watch(scipy.linalg.lapack, "dtrtri")
-        n_contests, players = 60, 50
-        cid = np.repeat(np.arange(n_contests), players)
-        panel = {
-            "contest_id": cid,
-            "type": rng.uniform(0.5, 1.5, cid.size),
-            "prize_value": np.array([2.0, 10.0, 40.0])[cid % 3],
-            "prize_skew": (cid % 2).astype(np.int64),
-            "mu": rng.normal(size=cid.size),
-            "mk_Z": rng.normal(size=cid.size),
-            "x": rng.normal(size=cid.size),
-        }
-        fe_ols(panel, "mu", ("x", "type"))
-        fe_calls = len(calls)
-        panel_regressions(panel, np.array([0.7, 0.9, 1.1, 1.3]))
-        assert fe_calls > 0 and len(calls) > fe_calls
-        for i, (name, shapes) in enumerate(calls):
-            max_rows = 3 if i < fe_calls else 13    # k + 1 of the widest fit
-            assert all(s[0] <= max_rows for s in shapes if s), (name, shapes)
-            if name == "solve_triangular":
-                assert len(shapes[1]) == 1, shapes
+        rng = np.random.default_rng(2800 + k)
+        for _ in range(5):
+            # a view into a wider R, as R11 is: the inverse only reads it
+            r = np.triu(rng.normal(scale=0.3, size=(k, k + 1)))
+            r[np.arange(k), np.arange(k)] = rng.uniform(1.0, 3.0, k) * rng.choice([-1.0, 1.0], k)
+            r11 = r[:, :k]
+            before = r.copy()
+            inv = _triu_inverse(r11)
+            np.testing.assert_array_equal(r, before)
+            ref = scipy.linalg.solve_triangular(r11, np.eye(k))
+            np.testing.assert_array_equal(inv, np.triu(inv))
+            np.testing.assert_allclose(inv, ref, rtol=0, atol=1e-14 * np.abs(ref).max())
 
     def test_too_few_observations(self):
         panel = {"g": np.zeros(3), "x1": np.array([0.0, 1.0, 2.0]),
