@@ -7,7 +7,8 @@ the same command and must reproduce the CSV/JSON outputs byte for byte.
 Exit codes: 0 success, 1 input error, 2 usage error, 3 numerical
 non-convergence.  Every failure, including an equilibrium that did not
 converge, reaches :func:`dispatch` as an exception and prints one
-``error:`` line.
+``error:`` line.  ``--out`` is created with the first artifact, and
+:func:`dispatch` writes the manifest of every run that wrote one.
 """
 
 from __future__ import annotations
@@ -83,8 +84,9 @@ def _manifest_arguments(args) -> tuple[dict, list[str]]:
     """The parameters and replay argv of a run, from its parser's options.
 
     Every option but ``--out`` is recorded, in parser order; a flag only
-    when it is set.  Handlers first store the resolved scenario or input
-    path on ``args``, so a replay reads the same file.
+    when it is set.  :func:`dispatch` stores the resolved scenario, and
+    ``mk``/``regress`` the resolved input path, on ``args`` first, so a
+    replay reads the same file.
     """
     params = {}
     argv = [args.command]
@@ -101,27 +103,34 @@ def _manifest_arguments(args) -> tuple[dict, list[str]]:
 
 
 class _Run:
-    """Collects a command's outputs and writes the manifest at the end."""
+    """A command's output directory: its artifacts, then the manifest.
 
-    def __init__(self, args):
-        self.command = args.command
+    ``--out`` is created by the first :meth:`path` call, so a command that
+    fails before its first artifact leaves nothing on disk.
+    """
+
+    def __init__(self, args, started: float):
+        self.args = args
         self.out = Path(args.out)
-        self.out.mkdir(parents=True, exist_ok=True)
-        self.params, self.replay_argv = _manifest_arguments(args)
         self.outputs: list[str] = []
-        self.started = args.started
+        self.started = started
 
     def path(self, name: str) -> Path:
+        self.out.mkdir(parents=True, exist_ok=True)
         self.outputs.append(name)
         return self.out / name
 
     def finish(self) -> None:
+        """Write the manifest of the artifacts written, if there are any."""
+        if not self.outputs:
+            return
+        params, replay_argv = _manifest_arguments(self.args)
         manifest = {
             "tool": "contestlab",
             "version": __version__,
-            "command": self.command,
-            "parameters": self.params,
-            "replay_argv": self.replay_argv,
+            "command": self.args.command,
+            "parameters": params,
+            "replay_argv": replay_argv,
             "outputs": sorted(self.outputs),
             "duration_seconds": round(time.monotonic() - self.started, 6),
             "created_utc": datetime.now(timezone.utc).isoformat(),
@@ -169,12 +178,9 @@ def _solve(args, scenario):
 # Subcommand handlers
 
 
-def _cmd_validate(args) -> int:
-    scenario, args.scenario = _load_scenario_arg(args.scenario)
+def _cmd_validate(args, scenario, run) -> int:
     report = validate_assumptions(scenario)
-    run = _Run(args)
     _write_json(run.path("validation.json"), report.to_dict())
-    run.finish()
     print(report.summary())
     if not report.ok:
         print("validation failed", file=sys.stderr)
@@ -182,8 +188,7 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_cost(args) -> int:
-    scenario, args.scenario = _load_scenario_arg(args.scenario)
+def _cmd_cost(args, scenario, run) -> int:
     scenario.check_theta(args.theta)
     if args.mu_max <= 0:
         raise DomainError(f"--mu-max must be positive, got {args.mu_max}")
@@ -191,25 +196,21 @@ def _cmd_cost(args) -> int:
         raise DomainError(f"--points must be at least 1, got {args.points}")
     mus = np.linspace(0.0, args.mu_max, args.points)
     grid = allocate_grid(scenario, mus, np.full(mus.shape, args.theta))
-    run = _Run(args)
     write_csv(run.path("cost.csv"), {
         "mu": grid.mu, "theta": grid.theta, "a": grid.a, "b": grid.b,
         "case": _case_column(grid.case), "cost": grid.cost,
         "shadow_price": grid.shadow_price, "marginal_cost": grid.marginal_cost,
     })
-    run.finish()
     print(f"wrote cost curve for theta={args.theta} ({args.points} points)")
     return EXIT_OK
 
 
-def _cmd_baseline(args) -> int:
-    scenario, args.scenario = _load_scenario_arg(args.scenario)
+def _cmd_baseline(args, scenario, run) -> int:
     if args.grid < 1:
         raise DomainError(f"--grid must be at least 1, got {args.grid}")
     lo, hi = scenario.support
     thetas = np.linspace(lo, hi, args.grid) if hi > lo else np.array([lo])
     grid = baseline_grid(scenario, thetas)
-    run = _Run(args)
     write_csv(run.path("baseline.csv"), {
         "theta": grid.theta, "a": grid.a, "b": grid.b, "mu": grid.mu,
         "region": _case_column(grid.case), "payoff": grid.payoff,
@@ -219,16 +220,13 @@ def _cmd_baseline(args) -> int:
         "mech_upper": th.mech_upper, "create_lower": th.create_lower,
         "grid": args.grid, "scenario_id": scenario.scenario_id,
     })
-    run.finish()
     print(f"thresholds: mech_upper={th.mech_upper:.6g} create_lower={th.create_lower:.6g}")
     return EXIT_OK
 
 
-def _cmd_equilibrium(args) -> int:
-    scenario, args.scenario = _load_scenario_arg(args.scenario)
+def _cmd_equilibrium(args, scenario, run) -> int:
     profile = _solve(args, scenario)
     alloc = allocate_grid(scenario, profile.mu_star, profile.theta_grid)
-    run = _Run(args)
     write_csv(run.path("equilibrium.csv"), {
         "theta": profile.theta_grid, "mu_star": profile.mu_star,
         "a": alloc.a, "b": alloc.b, "case": _case_column(alloc.case),
@@ -239,19 +237,16 @@ def _cmd_equilibrium(args) -> int:
         "residual": profile.residual, "grid": args.grid, "tol": args.tol,
         "scenario_id": scenario.scenario_id,
     })
-    run.finish()
     profile.require_converged()   # after the artifacts, which record the failure
     print(f"converged in {profile.iterations} iterations "
           f"(residual {profile.residual:.3e})")
     return EXIT_OK
 
 
-def _cmd_hacking(args) -> int:
-    scenario, args.scenario = _load_scenario_arg(args.scenario)
+def _cmd_hacking(args, scenario, run) -> int:
     verdicts = hacking_verdicts(_solve(args, scenario))
     profile, alloc = verdicts.profile, verdicts.allocation
     base = profile.baseline
-    run = _Run(args)
     write_csv(run.path("hacking.csv"), {
         "theta": profile.theta_grid, "hacks": verdicts.hacks.astype(int),
         "band": verdicts.band, "a_star": alloc.a, "b_star": alloc.b,
@@ -265,20 +260,17 @@ def _cmd_hacking(args) -> int:
         "hacking_measure": verdicts.measure,
         "scenario_id": scenario.scenario_id,
     })
-    run.finish()
     print(f"theta_star={verdicts.theta_star:.6g} "
           f"measure={verdicts.measure:.6g}")
     return EXIT_OK
 
 
-def _cmd_sweep(args) -> int:
-    scenario, args.scenario = _load_scenario_arg(args.scenario)
+def _cmd_sweep(args, scenario, run) -> int:
     vectors = _parse_prize_list(args.prizes)
     result = skewness_sweep(scenario, vectors, grid_size=args.grid, tol=args.tol)
     verdicts = result.verdicts
     profiles = [v.profile for v in verdicts]
     allocs = [v.allocation for v in verdicts]
-    run = _Run(args)
     write_csv(run.path("sweep.csv"), {
         "prizes": np.repeat(np.arange(len(verdicts)),
                             [p.theta_grid.size for p in profiles]),
@@ -297,14 +289,12 @@ def _cmd_sweep(args) -> int:
         "dominance_violations": result.dominance_violations(),
         "measure_violations": result.measure_violations(),
     })
-    run.finish()
     measures = ", ".join(f"{m:.4f}" for m in result.hack_measures)
     print(f"swept {len(vectors)} prize vectors; hacking measures: {measures}")
     return EXIT_OK
 
 
-def _cmd_simulate(args) -> int:
-    scenario, args.scenario = _load_scenario_arg(args.scenario)
+def _cmd_simulate(args, scenario, run) -> int:
     if args.panel_cells:
         cells = panel_cells(scenario, players=scenario.players, grid_size=args.grid,
                             tol=args.tol)
@@ -321,40 +311,34 @@ def _cmd_simulate(args) -> int:
         drift_scale=args.drift_scale,
         noise_scale=args.noise_scale,
     )
-    run = _Run(args)
     panel.contests_to_csv(run.path("contests.csv"))
     panel.to_csv(run.path("panel.csv"))
-    run.finish()
     print(f"simulated {args.contests} contests x {scenario.players} players "
           f"(panel rows: {panel.n_rows})")
     return EXIT_OK
 
 
-def _cmd_mk(args) -> int:
+def _cmd_mk(args, scenario, run) -> int:
     columns = read_csv_columns(args.input)
     if args.column not in columns:
         raise DomainError(
             f"{args.input}: no column {args.column!r} (have {sorted(columns)})")
     result = mann_kendall(columns[args.column])
     args.input = str(Path(args.input).resolve())
-    run = _Run(args)
     _write_json(run.path("mk.json"), {
         "column": args.column, "n": result.n, "S": result.s,
         "var_S": result.var_s, "Z": result.z,
     })
-    run.finish()
     print(f"S={result.s} Z={result.z:.6g} (n={result.n})")
     return EXIT_OK
 
 
-def _cmd_regress(args) -> int:
+def _cmd_regress(args, scenario, run) -> int:
     columns = read_csv_columns(args.input)
     regressors = [s for s in f"{args.dummies},{args.interactions}".split(",") if s]
     result = fe_ols(columns, args.outcome, regressors, group=args.group)
     args.input = str(Path(args.input).resolve())
-    run = _Run(args)
     _write_json(run.path("regress.json"), result.to_dict())
-    run.finish()
     for name, coef, se in zip(result.names, result.coef, result.se):
         print(f"{name:16s} {coef: .6g} (se {se:.6g})")
     print(f"R2 {result.r_squared:.6g}, {result.nobs} rows, "
@@ -362,22 +346,20 @@ def _cmd_regress(args) -> int:
     return EXIT_OK
 
 
-def _cmd_examples(args) -> int:
+def _cmd_examples(args, scenario, run) -> int:
     checks = golden_suite()
     failed = [c for c in checks if not c.passed]
-    run = _Run(args)
     _write_json(run.path("examples.json"), [
         {"example": c.example, "check": c.name, "passed": c.passed,
          "detail": c.detail} for c in checks
     ])
-    run.finish()
     for c in checks:
         print(f"[{'PASS' if c.passed else 'FAIL'}] {c.example}: {c.name} ({c.detail})")
     print(f"{len(checks) - len(failed)}/{len(checks)} checks passed")
     return EXIT_OK if not failed else EXIT_INPUT
 
 
-def _cmd_replay(args) -> int:
+def _cmd_replay(args, scenario, run) -> int:
     manifest_path = Path(args.manifest)
     try:
         with open(manifest_path) as fh:
@@ -478,22 +460,34 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv) -> int:
-    """Parse and run one command, mapping failures to exit codes."""
+    """Parse and run one command, mapping failures to exit codes.
+
+    The scenario is loaded here and its resolved path or name stored on
+    ``args``.  The manifest is written when the handler returns, and when
+    it raises a ContestLabError after writing artifacts that record the
+    failure (an unconverged ``equilibrium``); a failed write leaves none.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:   # argparse already printed the message
         return int(exc.code or 0)
-    args.started = time.monotonic()
+    run = _Run(args, time.monotonic())
     try:
-        return args.func(args)
+        scenario = None
+        if hasattr(args, "scenario"):
+            scenario, args.scenario = _load_scenario_arg(args.scenario)
+        try:
+            code = args.func(args, scenario, run)
+        except ContestLabError:
+            run.finish()
+            raise
+        run.finish()
+        return code
     except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except ContestLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (ContestLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -109,13 +109,6 @@ class ProductionForm:
             return np.power(m / (self.alpha * theta), 1.0 / (self.alpha - 1.0))
         return np.log(theta / m)
 
-    def sup(self, theta: Array | float) -> Array:
-        """Least upper bound of nu(., theta)."""
-        theta = np.asarray(theta, dtype=float)
-        if self.kind == "saturating":
-            return theta.copy()
-        return np.where(theta > 0, np.inf, 0.0)
-
     def invert(self, target: Array | float, theta: Array | float) -> Array:
         """Creative effort reaching ``target`` alone; inf when unreachable."""
         return self._invert(_check_nonneg("fitness target", target),
@@ -131,8 +124,8 @@ class ProductionForm:
                 ratio = target / theta
                 raw = np.where(ratio < 1.0, -np.log1p(-np.minimum(ratio, 1.0 - 1e-300)), np.inf)
         out = np.where(target <= 0, 0.0, np.where(theta > 0, raw, np.inf))
-        if self.kind == "saturating":
-            out = np.where(target >= self.sup(theta) - SATURATION_MARGIN,
+        if self.kind == "saturating":   # nu(., theta) rises to theta, never reaching it
+            out = np.where(target >= theta - SATURATION_MARGIN,
                            np.where(target <= 0, 0.0, np.inf), out)
         return out
 
@@ -407,13 +400,6 @@ class NoiseFamily:
         z = np.maximum(z, -40.0)
         return np.exp(-z - np.exp(-z)) / scale
 
-    def ppf(self, q: Array | float, mu: Array | float) -> Array:
-        q = np.asarray(q, dtype=float)
-        if np.any((q <= 0) | (q >= 1)):
-            raise DomainError("noise quantile level must lie in (0, 1)")
-        loc, scale = self.loc_scale(mu)
-        return loc + scale * self.z_ppf(q)
-
     def _standard_draws(self, rng: np.random.Generator, shape) -> Array:
         """Draws of the base variate Z of ``loc_scale``, in stream order."""
         if self.kind == "normal":
@@ -671,10 +657,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return all(c.status != "fail" for c in self.checks)
-
-    @property
-    def failures(self) -> tuple[AssumptionCheck, ...]:
-        return tuple(c for c in self.checks if c.status == "fail")
 
     def summary(self) -> str:
         lines = [f"scenario {self.scenario_id}:"]

@@ -141,8 +141,8 @@ class RankOracle:
         def integrand(s: np.ndarray) -> np.ndarray:
             return _rank_pmf(self.cdf(s), players, ranks) * self.noise.pdf(s, mu)[:, None]
 
-        lo = float(self.noise.ppf(1e-12, mu))
-        hi = float(self.noise.ppf(1.0 - 1e-12, mu))
+        loc, scale = self.noise.loc_scale(mu)
+        lo, hi = (float(loc + scale * self.noise.z_ppf(q)) for q in (1e-12, 1.0 - 1e-12))
         return adaptive_simpson(integrand, lo, hi, tol=RANK_TOL)
 
     def contest_gain(self, mu: float) -> float:

@@ -276,10 +276,13 @@ class TestExitCodes:
         code = run_cli(command, "--scenario", path, "--out", tmp_path / "o")
         assert code == EXIT_INPUT
         out, err = capsys.readouterr()
-        if command == "validate":
+        if command == "validate":   # the failed report is an artifact
             assert f"[FAIL] bounded-optimum: {reason}" in out
+            assert sorted(p.name for p in (tmp_path / "o").iterdir()) == [
+                MANIFEST_NAME, "validation.json"]
         else:
             assert err == f"error: {reason}\n"
+            assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["validate", "equilibrium"])
     @pytest.mark.parametrize("dispersion", [0.0, -1.0, 2.0])
@@ -365,6 +368,17 @@ class TestExitCodes:
                        "--grid", "21", "--tol", "0", "--out", out)
         assert code == EXIT_NO_CONVERGENCE
         assert json.loads((out / "equilibrium.json").read_text())["iterations"] < 500
+        manifest = json.loads((out / MANIFEST_NAME).read_text())
+        assert manifest["outputs"] == ["equilibrium.csv", "equilibrium.json"]
+
+    def test_unconverged_hacking_leaves_no_directory(self, tmp_path, capsys):
+        # hacking verdicts need a converged profile, so nothing is written
+        out = tmp_path / "nc"
+        code = run_cli("hacking", "--scenario", "example1",
+                       "--grid", "21", "--tol", "0", "--out", out)
+        assert code == EXIT_NO_CONVERGENCE
+        assert capsys.readouterr().err.startswith("error: equilibrium did not converge")
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["equilibrium"], ["hacking"], ["sweep", "--prizes", "1,0;2,0"],
@@ -410,6 +424,20 @@ class TestExitCodes:
                        "--out", tmp_path / "nan")
         assert code == EXIT_NO_CONVERGENCE
         assert "not finite" in capsys.readouterr().err
+
+    def test_rank_deficient_regression_is_input_error(self, tmp_path, capsys):
+        # prize_value is constant within each contest, so the contest
+        # effects absorb it: the input is at fault, not a solver
+        sim = tmp_path / "sim"
+        assert run_cli("simulate", "--scenario", "example1", "--contests", "4",
+                       "--grid", "21", "--out", sim) == EXIT_OK
+        capsys.readouterr()
+        out = tmp_path / "r"
+        assert run_cli("regress", "--input", sim / "panel.csv", "--outcome", "mu",
+                       "--dummies", "type,prize_value", "--out", out) == EXIT_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "prize_value" in err[0]
+        assert not out.exists()
 
     def test_replay_of_missing_manifest_is_input_error(self, tmp_path):
         assert run_cli("replay", tmp_path / "nope.json",
