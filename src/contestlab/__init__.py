@@ -74,8 +74,6 @@ from .simulate import (
     PanelCell,
     RegressionResult,
     SyntheticPanel,
-    add_interactions,
-    add_type_bins,
     fe_ols,
     mann_kendall,
     panel_cells,
@@ -108,9 +106,8 @@ __all__ = [
     "hacking_verdicts", "skewness_sweep",
     # simulation and panels
     "ContestOutcome", "MannKendall", "PanelCell", "RegressionResult",
-    "SyntheticPanel", "add_interactions", "add_type_bins", "fe_ols",
-    "mann_kendall", "panel_cells", "panel_regressions", "run_contest",
-    "synthetic_panel", "type_bin_edges",
+    "SyntheticPanel", "fe_ols", "mann_kendall", "panel_cells",
+    "panel_regressions", "run_contest", "synthetic_panel", "type_bin_edges",
     # errors
     "ContestLabError", "DomainError", "SolverError", "UnconvergedProfileError",
 ]

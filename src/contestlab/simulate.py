@@ -40,8 +40,6 @@ __all__ = [
     "PanelCell",
     "RegressionResult",
     "SyntheticPanel",
-    "add_interactions",
-    "add_type_bins",
     "fe_ols",
     "mann_kendall",
     "panel_cells",
@@ -295,7 +293,10 @@ def _trajectory_matrix(
 
 @dataclass(frozen=True)
 class RegressionResult:
-    """Within-estimator fit: coefficients, homoskedastic errors, fit stats."""
+    """Within-estimator fit: coefficients, homoskedastic errors, fit stats.
+
+    The fields are what ``regress.json`` records.
+    """
 
     names: tuple[str, ...]
     coef: Array
@@ -304,8 +305,6 @@ class RegressionResult:
     nobs: int
     n_groups: int
     df_resid: int
-    group_labels: Array
-    group_effects: Array
 
     def __getitem__(self, name: str) -> float:
         return float(self.coef[self.names.index(name)])
@@ -367,13 +366,11 @@ def _triu_inverse(r: Array) -> Array:
 class _Within:
     """Panel columns demeaned within groups, ready for any number of fits.
 
-    ``values`` (rows x columns, Fortran order) holds the demeaned columns
-    and ``means`` (columns x groups) the group means they lost.
+    ``values`` (rows x columns, Fortran order) holds the demeaned columns.
     """
 
     names: tuple[str, ...]
-    labels: Array
-    means: Array
+    n_groups: int
     values: Array
 
     @classmethod
@@ -383,10 +380,13 @@ class _Within:
         if missing:
             raise DomainError(f"panel is missing columns {missing}")
         names = tuple(dict.fromkeys(names))
-        labels, inverse = np.unique(np.asarray(panel[group]), return_inverse=True)
+        groups = np.asarray(panel[group])
+        # a NaN label would pool its rows into one group; text labels are fine
+        if groups.dtype.kind in "fc" and not np.all(np.isfinite(groups)):
+            raise DomainError(f"group column {group!r} holds non-finite values")
+        labels, inverse = np.unique(groups, return_inverse=True)
         counts = np.bincount(inverse)
         values = np.empty((inverse.size, len(names)), order="F")
-        means = np.empty((len(names), labels.size))
         for j, name in enumerate(names):
             col = values[:, j]
             try:
@@ -395,9 +395,9 @@ class _Within:
                 raise DomainError(f"panel column {name!r} is not numeric") from None
             if not np.all(np.isfinite(col)):
                 raise DomainError(f"panel column {name!r} holds non-finite values")
-            means[j] = np.bincount(inverse, weights=col, minlength=labels.size) / counts
-            col -= means[j][inverse]
-        return cls(names, labels, means, values)
+            means = np.bincount(inverse, weights=col, minlength=labels.size) / counts
+            col -= means[inverse]
+        return cls(names, labels.size, values)
 
     def fit(self, outcome: str, regressors: Sequence[str]) -> RegressionResult:
         """Least squares from one numpy Householder R of the demeaned [X | y].
@@ -406,7 +406,7 @@ class _Within:
         its diagonal; the inverse of R11 gives beta and the standard errors.
         """
         cols = [self.names.index(c) for c in (*regressors, outcome)]
-        nobs, k, n_groups = self.values.shape[0], len(regressors), self.labels.size
+        nobs, k, n_groups = self.values.shape[0], len(regressors), self.n_groups
         r = _householder_r(self.values[:, cols])
         r11, z, rho = r[:k, :k], r[:k, k], r[k, k]
 
@@ -432,8 +432,6 @@ class _Within:
         r_squared = 1.0 if tss == 0.0 else 1.0 - rss / tss
         # diag of (X'X)^-1 = R^-1 R^-T is the squared row norms of R^-1
         se = np.sqrt(rss / df_resid * np.einsum("ij,ij->i", r_inv, r_inv))
-        # group effects: group means of the outcome net of the slope part
-        effects = self.means[cols[-1]] - np.einsum("j,jg->g", beta, self.means[cols[:-1]])
 
         return RegressionResult(
             names=tuple(regressors),
@@ -443,8 +441,6 @@ class _Within:
             nobs=int(nobs),
             n_groups=int(n_groups),
             df_resid=int(df_resid),
-            group_labels=self.labels,
-            group_effects=effects,
         )
 
 
@@ -482,37 +478,6 @@ def type_bin_edges(scenario: Scenario, bins: int = 5) -> Array:
     return np.asarray(scenario.types.ppf(qs), dtype=float)
 
 
-def add_type_bins(panel: Mapping[str, Array], edges: Array) -> dict[str, Array]:
-    """Add a 1-based ``type_bin`` column and dummies T2..Tn (bin 1 is base)."""
-    if "type" not in panel:
-        raise DomainError("panel has no 'type' column")
-    out = dict(panel)
-    edges = np.asarray(edges, dtype=float)
-    bins = np.digitize(np.asarray(panel["type"], dtype=float), edges) + 1
-    out["type_bin"] = bins.astype(np.int64)
-    for b in range(2, edges.size + 2):
-        out[f"T{b}"] = (bins == b).astype(float)
-    return out
-
-
-def add_interactions(
-    panel: Mapping[str, Array],
-    dummies: Sequence[str],
-    columns: Mapping[str, str],
-) -> dict[str, Array]:
-    """Add products dummy x column, named like T2xPV for alias PV."""
-    out = dict(panel)
-    for alias, col in columns.items():
-        if col not in panel:
-            raise DomainError(f"panel has no '{col}' column for interaction {alias}")
-        vals = np.asarray(panel[col], dtype=float)
-        for d in dummies:
-            if d not in panel:
-                raise DomainError(f"panel has no dummy column '{d}'")
-            out[f"{d}x{alias}"] = np.asarray(panel[d], dtype=float) * vals
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Synthetic panel pipeline
 
@@ -541,7 +506,6 @@ class SyntheticPanel:
     """
 
     columns: dict[str, Array]
-    scenario: Scenario
 
     @property
     def n_rows(self) -> int:
@@ -610,6 +574,9 @@ def synthetic_panel(
 ) -> SyntheticPanel:
     """Simulate a contest panel across ``players``-player cells.
 
+    ``scenario`` is not read (the cells carry their own); the benchmark's
+    panel workload still passes it.
+
     The cells usually come from :func:`panel_cells` (prize-value x skew
     designs) or are one cell holding an already-solved profile.
     Contest j runs under cell j mod n_cells with Philox stream j; each
@@ -673,7 +640,7 @@ def synthetic_panel(
     cols["score_final"][:] = trajectories[:, -1]
     cols["mk_S"][:], _, cols["mk_Z"][:] = _mk_batch(trajectories)
 
-    return SyntheticPanel(columns=cols, scenario=scenario)
+    return SyntheticPanel(columns=cols)
 
 
 def panel_regressions(
@@ -682,16 +649,35 @@ def panel_regressions(
 ) -> dict[str, RegressionResult]:
     """The four within regressions used to audit a synthetic panel.
 
-    Outcomes are the achieved fitness and the Mann-Kendall Z; each is
-    regressed on type-bin dummies alone and again with type x prize
-    value and type x skew interactions, always with contest fixed
-    effects.  The columns are demeaned once and shared by the four fits,
+    Outcomes are the achieved fitness (``fitness_*``) and the
+    Mann-Kendall Z (``mk_*``); each is regressed on the type-bin dummies
+    T2..Tk (``*_type``) and again with their products TbxPV with
+    ``prize_value`` and TbxPS with ``prize_skew`` (``*_interactions``),
+    always with contest fixed effects.  Type bin b holds the types in
+    [edges[b-2], edges[b-1]), so bin 1, below the first edge, is the
+    base.  The columns are demeaned once and shared by the four fits,
     each as :func:`fe_ols` would make it.
     """
     edges = np.asarray(edges, dtype=float)
-    data = add_type_bins(panel, edges)
+    if edges.ndim != 1 or edges.size == 0 or not np.all(np.diff(edges) > 0.0):
+        raise DomainError(f"type-bin edges must strictly increase, got {edges.tolist()}")
+    missing = [c for c in ("contest_id", "type", "prize_value", "prize_skew", "mu", "mk_Z")
+               if c not in panel]
+    if missing:
+        raise DomainError(f"panel is missing columns {missing}")
+    theta = np.asarray(panel["type"], dtype=float)
+    if not np.all(np.isfinite(theta)):
+        raise DomainError("panel column 'type' holds non-finite values")
+
+    bins = np.digitize(theta, edges) + 1
+    data = {name: panel[name] for name in ("contest_id", "mu", "mk_Z")}
     dummies = tuple(f"T{b}" for b in range(2, edges.size + 2))
-    data = add_interactions(data, dummies, {"PV": "prize_value", "PS": "prize_skew"})
+    for b, dummy in enumerate(dummies, start=2):
+        data[dummy] = (bins == b).astype(float)
+    for alias, column in (("PV", "prize_value"), ("PS", "prize_skew")):
+        values = np.asarray(panel[column], dtype=float)
+        for dummy in dummies:
+            data[f"{dummy}x{alias}"] = data[dummy] * values
     interactions = tuple(f"{d}x{alias}" for alias in ("PV", "PS") for d in dummies)
 
     within = _Within.of(data, "contest_id", (*dummies, *interactions, "mu", "mk_Z"))

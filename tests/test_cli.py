@@ -439,6 +439,19 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("error: ") and "prize_value" in err[0]
         assert not out.exists()
 
+    def test_nan_group_label_is_input_error(self, tmp_path, rng, capsys):
+        # rows with a NaN label would otherwise share one fixed effect
+        panel = tmp_path / "panel.csv"
+        g = np.repeat(np.arange(10), 5).astype(float)
+        g[[7, 31]] = np.nan
+        write_csv(panel, {"g": g, "x": rng.normal(size=g.size), "y": rng.normal(size=g.size)})
+        out = tmp_path / "r"
+        assert run_cli("regress", "--input", panel, "--outcome", "y", "--dummies", "x",
+                       "--group", "g", "--out", out) == EXIT_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "'g'" in err[0]
+        assert not out.exists()
+
     def test_replay_of_missing_manifest_is_input_error(self, tmp_path):
         assert run_cli("replay", tmp_path / "nope.json",
                        "--out", tmp_path / "r") == EXIT_INPUT

@@ -33,6 +33,13 @@ def test_star_import():
     assert set(contestlab.__all__) <= set(namespace)
 
 
+def test_simulate_exports_are_package_exports():
+    # the two lists are kept by hand: a name deleted from one must go from both
+    import contestlab
+    import contestlab.simulate
+    assert set(contestlab.simulate.__all__) <= set(contestlab.__all__)
+
+
 # imported but unused in cli.py and hacking.py: the benchmark's layer
 # hooks wrap these names as those modules' attributes, and a hook whose
 # target is gone nulls its whole layer

@@ -16,8 +16,6 @@ from contestlab import (
     PanelCell,
     StrategyProfile,
     UnconvergedProfileError,
-    add_interactions,
-    add_type_bins,
     example_scenario,
     fe_ols,
     mann_kendall,
@@ -356,19 +354,18 @@ class TestFixedEffectsOLS:
         x2 = rng.normal(size=g.size)
         effects = rng.normal(scale=3.0, size=n_groups)
         y = 2.0 * x1 - 3.0 * x2 + effects[g] + noise * rng.normal(size=g.size)
-        return {"g": g, "x1": x1, "x2": x2, "y": y}, effects
+        return {"g": g, "x1": x1, "x2": x2, "y": y}
 
     def test_exact_recovery(self, rng):
-        panel, effects = self.toy_panel(rng)
+        panel = self.toy_panel(rng)
         res = fe_ols(panel, "y", ("x1", "x2"), group="g")
         assert res["x1"] == pytest.approx(2.0, abs=1e-10)
         assert res["x2"] == pytest.approx(-3.0, abs=1e-10)
         assert res.r_squared == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(res.group_effects, effects, atol=1e-10)
         assert res.df_resid == panel["y"].size - 30 - 2
 
     def test_noisy_recovery_within_confidence(self, rng):
-        panel, _ = self.toy_panel(rng, n_groups=50, per_group=80, noise=1.0)
+        panel = self.toy_panel(rng, n_groups=50, per_group=80, noise=1.0)
         res = fe_ols(panel, "y", ("x1", "x2"), group="g")
         assert abs(res["x1"] - 2.0) < 4.0 * res.se_of("x1")
         assert abs(res["x2"] + 3.0) < 4.0 * res.se_of("x2")
@@ -377,7 +374,7 @@ class TestFixedEffectsOLS:
     def test_group_shift_invariance(self, rng):
         # adding any per-group constant to the outcome must not move the
         # slopes: that is the whole point of the within transform
-        panel, _ = self.toy_panel(rng, noise=0.7)
+        panel = self.toy_panel(rng, noise=0.7)
         res1 = fe_ols(panel, "y", ("x1", "x2"), group="g")
         shifted = dict(panel)
         shifted["y"] = panel["y"] + np.repeat(rng.normal(scale=10.0, size=30), 40)
@@ -385,7 +382,7 @@ class TestFixedEffectsOLS:
         np.testing.assert_allclose(res1.coef, res2.coef, atol=1e-10)
 
     def test_collinear_columns_named(self, rng):
-        panel, _ = self.toy_panel(rng)
+        panel = self.toy_panel(rng)
         panel["dup"] = 2.0 * panel["x1"]
         with pytest.raises(DomainError, match="dup|x1"):
             fe_ols(panel, "y", ("x1", "x2", "dup"), group="g")
@@ -395,7 +392,7 @@ class TestFixedEffectsOLS:
         # the diagonal of the fit's R factor is read in the order given, so
         # the column that the earlier ones span is named, as R's lm reports
         # NA for it
-        panel, _ = self.toy_panel(rng)
+        panel = self.toy_panel(rng)
         # the scaled copy has the largest norm, so a pivoted QR would keep it
         panel["x3"] = panel["x1"] + panel["x2"] if combo == "sum" else 2.0 * panel["x1"]
         with pytest.raises(DomainError, match=r"collinear columns: \['x3'\]$"):
@@ -403,18 +400,18 @@ class TestFixedEffectsOLS:
 
     def test_group_constant_regressor_is_degenerate(self, rng):
         # a column fixed within every group is absorbed by the effects
-        panel, _ = self.toy_panel(rng)
+        panel = self.toy_panel(rng)
         panel["const_in_g"] = panel["g"].astype(float) * 5.0
         with pytest.raises(DomainError, match="const_in_g"):
             fe_ols(panel, "y", ("x1", "const_in_g"), group="g")
 
     def test_missing_column_rejected(self, rng):
-        panel, _ = self.toy_panel(rng)
+        panel = self.toy_panel(rng)
         with pytest.raises(DomainError, match="missing"):
             fe_ols(panel, "y", ("x1", "nope"), group="g")
 
     def test_needs_regressors(self, rng):
-        panel, _ = self.toy_panel(rng)
+        panel = self.toy_panel(rng)
         with pytest.raises(DomainError):
             fe_ols(panel, "y", (), group="g")
 
@@ -426,18 +423,16 @@ class TestFixedEffectsOLS:
         def demean(v):
             v = np.asarray(v, dtype=float)
             means = np.array([v[inverse == g].mean() for g in range(labels.size)])
-            return v - means[inverse], means
+            return v - means[inverse]
 
-        y, y_means = demean(panel[outcome])
-        pairs = [demean(panel[c]) for c in regressors]
-        x = np.column_stack([p[0] for p in pairs])
-        x_means = np.column_stack([p[1] for p in pairs])
+        y = demean(panel[outcome])
+        x = np.column_stack([demean(panel[c]) for c in regressors])
         beta = np.linalg.lstsq(x, y, rcond=None)[0]
         resid = y - x @ beta
         df = y.size - labels.size - x.shape[1]
         cov = (resid @ resid) / df * np.linalg.inv(x.T @ x)
         r2 = 1.0 - (resid @ resid) / (y @ y)
-        return beta, np.sqrt(np.diag(cov)), r2, y_means - x_means @ beta
+        return beta, np.sqrt(np.diag(cov)), r2
 
     @pytest.mark.parametrize("k", [2, 3, 5, 8, 12])
     def test_matches_lstsq_oracle(self, k):
@@ -450,25 +445,38 @@ class TestFixedEffectsOLS:
         panel = {"g": g, "y": y, **{f"x{j}": x[:, j] for j in range(k)}}
         regressors = tuple(f"x{j}" for j in range(k))
         res = fe_ols(panel, "y", regressors, group="g")
-        beta, se, r2, effects = self.reference_fit(panel, "y", regressors, "g")
+        beta, se, r2 = self.reference_fit(panel, "y", regressors, "g")
         np.testing.assert_allclose(res.coef, beta, rtol=1e-10, atol=0)
         np.testing.assert_allclose(res.se, se, rtol=1e-10, atol=0)
         assert res.r_squared == pytest.approx(r2, rel=1e-10)
-        np.testing.assert_allclose(res.group_effects, effects, rtol=1e-10, atol=1e-12)
-        np.testing.assert_array_equal(res.group_labels, np.unique(g))
         assert res.df_resid == g.size - sizes.size - k
 
     def test_non_finite_column_rejected(self, rng):
-        panel, _ = self.toy_panel(rng)
+        panel = self.toy_panel(rng)
         panel["x2"] = panel["x2"].copy()
         panel["x2"][5] = np.nan
         with pytest.raises(DomainError, match="x2"):
             fe_ols(panel, "y", ("x1", "x2"), group="g")
 
-    def test_panel_regressions_equal_independent_fits(self, rng):
-        n_contests, players = 60, 12
+    @pytest.mark.parametrize("label", [np.nan, np.inf])
+    def test_non_finite_group_label_rejected(self, rng, label):
+        # a NaN label would pool its rows into one extra fixed effect
+        panel = self.toy_panel(rng, noise=0.5)
+        panel["g"] = panel["g"].astype(float)
+        panel["g"][[3, 77]] = label
+        with pytest.raises(DomainError, match="group column 'g' holds non-finite"):
+            fe_ols(panel, "y", ("x1", "x2"), group="g")
+
+    def test_text_group_labels_accepted(self, rng):
+        panel = self.toy_panel(rng, noise=0.5)
+        named = dict(panel, g=np.array([f"c{v}" for v in panel["g"]], dtype=object))
+        res = fe_ols(named, "y", ("x1", "x2"), group="g")
+        assert res.to_dict() == fe_ols(panel, "y", ("x1", "x2"), group="g").to_dict()
+
+    @staticmethod
+    def audit_panel(rng, n_contests=60, players=12):
         cid = np.repeat(np.arange(n_contests), players)
-        panel = {
+        return {
             "contest_id": cid,
             "type": rng.uniform(0.5, 1.5, cid.size),
             "prize_value": np.array([2.0, 10.0, 40.0])[cid % 3],
@@ -476,20 +484,63 @@ class TestFixedEffectsOLS:
             "mu": rng.normal(size=cid.size),
             "mk_Z": rng.normal(size=cid.size),
         }
+
+    def test_panel_regressions_equal_independent_fits(self, rng):
+        panel = self.audit_panel(rng)
+        panel["type"][:6] = [0.55, 0.75, 0.95, 1.15, 1.35, 1.45]
         edges = np.array([0.7, 0.9, 1.1, 1.3])
         regs = panel_regressions(panel, edges)
+
+        # the design built here, independently of panel_regressions
+        bins = np.digitize(panel["type"], edges) + 1
+        assert bins[:6].tolist() == [1, 2, 3, 4, 5, 5]
         dummies = ("T2", "T3", "T4", "T5")
-        data = add_interactions(add_type_bins(panel, edges), dummies,
-                                {"PV": "prize_value", "PS": "prize_skew"})
+        data = dict(panel)
+        for b, d in enumerate(dummies, start=2):
+            data[d] = (bins == b).astype(float)
+        # dummy rows are mutually exclusive; bin 1 is the reference
+        stacked = np.stack([data[d] for d in dummies])
+        assert np.all(stacked.sum(axis=0) <= 1)
+        assert np.all(stacked[:, bins == 1] == 0)
+        assert np.all(stacked.sum(axis=0)[bins > 1] == 1)
+        for alias, column in (("PV", "prize_value"), ("PS", "prize_skew")):
+            for d in dummies:
+                data[f"{d}x{alias}"] = data[d] * panel[column]
+        np.testing.assert_array_equal(data["T2xPV"][:2], [0.0, panel["prize_value"][1]])
         interactions = tuple(f"{d}x{a}" for a in ("PV", "PS") for d in dummies)
+        assert interactions[:4] == ("T2xPV", "T3xPV", "T4xPV", "T5xPV")
+
+        assert sorted(regs) == ["fitness_interactions", "fitness_type",
+                                "mk_interactions", "mk_type"]
         for label, outcome in (("fitness", "mu"), ("mk", "mk_Z")):
             for suffix, regressors in (("type", dummies),
                                        ("interactions", dummies + interactions)):
                 alone = fe_ols(data, outcome, regressors)
                 shared = regs[f"{label}_{suffix}"]
-                assert shared.names == alone.names
+                assert shared.names == alone.names == regressors
                 assert shared.to_dict() == alone.to_dict()
-                np.testing.assert_array_equal(shared.group_effects, alone.group_effects)
+
+    @pytest.mark.parametrize("column", ["type", "prize_value", "prize_skew"])
+    def test_panel_regressions_missing_column_named(self, rng, column):
+        panel = self.audit_panel(rng)
+        del panel[column]
+        with pytest.raises(DomainError, match=f"missing columns \\['{column}'\\]"):
+            panel_regressions(panel, [0.7, 0.9, 1.1, 1.3])
+
+    def test_panel_regressions_non_finite_type_rejected(self, rng):
+        # np.digitize would put a NaN type in the top bin
+        panel = self.audit_panel(rng)
+        panel["type"][4] = np.nan
+        with pytest.raises(DomainError, match="'type' holds non-finite"):
+            panel_regressions(panel, [0.7, 0.9, 1.1, 1.3])
+
+    @pytest.mark.parametrize("edges", [[1.3, 1.1, 0.9, 0.7], [0.7, 1.1, 0.9, 1.3],
+                                       [0.7, 0.9, 0.9, 1.3]],
+                             ids=["decreasing", "unsorted", "repeated"])
+    def test_panel_regressions_edges_must_increase(self, rng, edges):
+        # np.digitize accepts decreasing edges and would reverse the bins
+        with pytest.raises(DomainError, match="strictly increase"):
+            panel_regressions(self.audit_panel(rng), edges)
 
     @staticmethod
     def householder_cases():
@@ -558,23 +609,34 @@ class TestPanelConstruction:
         np.testing.assert_allclose(type_bin_edges(scn, bins=5),
                                    [0.7, 0.9, 1.1, 1.3], atol=1e-12)
 
-    def test_add_type_bins_and_dummies(self):
-        panel = {"type": np.array([0.55, 0.75, 0.95, 1.15, 1.35, 1.45])}
-        edges = np.array([0.7, 0.9, 1.1, 1.3])
-        data = add_type_bins(panel, edges)
-        assert data["type_bin"].tolist() == [1, 2, 3, 4, 5, 5]
-        for b in range(2, 6):
-            np.testing.assert_array_equal(
-                data[f"T{b}"], (data["type_bin"] == b).astype(float))
-        # dummy rows are mutually exclusive; bin 1 is the reference
-        stacked = np.stack([data[f"T{b}"] for b in range(2, 6)])
-        assert np.all(stacked.sum(axis=0) <= 1)
-        assert stacked[:, 0].sum() == 0
+    def test_add_type_bins_and_dummies(self, rng):
+        # a noise-free outcome set per type interval; the type fit recovers
+        # each level net of bin 1 only if the bins are 1..5 in type order,
+        # bin 1 is the base and the dummies are exclusive
+        panel = TestFixedEffectsOLS.audit_panel(rng)
+        theta = panel["type"]
+        theta[:6] = [0.55, 0.75, 0.95, 1.15, 1.35, 1.45]
+        level = np.select([theta < 0.7, theta < 0.9, theta < 1.1, theta < 1.3],
+                          [0.0, 1.0, 2.0, 4.0], 8.0)
+        panel["mu"] = level + np.sin(panel["contest_id"])
+        fit = panel_regressions(panel, [0.7, 0.9, 1.1, 1.3])["fitness_type"]
+        assert fit.names == ("T2", "T3", "T4", "T5")
+        np.testing.assert_allclose(fit.coef, [1.0, 2.0, 4.0, 8.0], rtol=0, atol=1e-10)
+        assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
 
-    def test_add_interactions_names_and_values(self):
-        panel = {"T2": np.array([0.0, 1.0]), "prize_value": np.array([3.0, 5.0])}
-        data = add_interactions(panel, ("T2",), {"PV": "prize_value"})
-        np.testing.assert_array_equal(data["T2xPV"], [0.0, 5.0])
+    def test_add_interactions_names_and_values(self, rng):
+        # the trend loads on bin 2 x prize value alone, so only T2xPV
+        # carries a coefficient
+        panel = TestFixedEffectsOLS.audit_panel(rng)
+        in_bin2 = (panel["type"] >= 0.7) & (panel["type"] < 0.9)
+        panel["mk_Z"] = 0.5 * in_bin2 * panel["prize_value"] + np.cos(panel["contest_id"])
+        fit = panel_regressions(panel, [0.7, 0.9, 1.1, 1.3])["mk_interactions"]
+        dummies = ("T2", "T3", "T4", "T5")
+        assert fit.names == (*dummies, *(f"{d}xPV" for d in dummies),
+                             *(f"{d}xPS" for d in dummies))
+        expected = np.zeros(len(fit.names))
+        expected[fit.names.index("T2xPV")] = 0.5
+        np.testing.assert_allclose(fit.coef, expected, rtol=0, atol=1e-10)
 
 
 class TestSyntheticPanel:
