@@ -14,6 +14,7 @@ from contestlab import (
     INTERIOR,
     MECH_ONLY,
     baseline_grid,
+    baseline_thresholds,
     example_scenario,
 )
 
@@ -31,7 +32,7 @@ def main() -> None:
         lo, hi = scenario.support
         grid = baseline_grid(scenario, np.linspace(lo, hi, args.width))
         strip = "".join(LETTER[c] for c in grid.case.tolist())
-        th = grid.thresholds
+        th = baseline_thresholds(scenario)
         print(f"{name}: support [{lo:g}, {hi:g}]  "
               f"mech_upper={th.mech_upper:.4g}  create_lower={th.create_lower:.4g}")
         print(f"  {strip}")

@@ -11,6 +11,7 @@ import argparse
 import numpy as np
 
 from contestlab import (
+    baseline_thresholds,
     example_scenario,
     hacking_verdicts,
     solve_equilibrium,
@@ -47,7 +48,7 @@ def main() -> None:
               f"{verdicts.band[k]}")
 
     print(f"\nhacking cutoff theta1* = {verdicts.theta_star:.4f} "
-          f"(baseline mech band ends at {base.thresholds.mech_upper:.4f})")
+          f"(baseline mech band ends at {baseline_thresholds(scenario).mech_upper:.4f})")
     print(f"hacking measure = {verdicts.measure:.4f}")
 
 

@@ -63,7 +63,6 @@ class BaselineGrid:
     mu: Array
     payoff: Array
     case: Array            # int8 codes of each type's region, see costmin.CASE_NAMES
-    thresholds: BaselineThresholds
 
 
 def _root_from_zero(gap, like: Array, what: str, tol: float) -> Array:
@@ -118,13 +117,15 @@ def baseline_grid(scenario: Scenario, thetas) -> BaselineGrid:
 
     Each type's target is the root of dC/dmu - 1 on [0, expand_upper]; a
     type whose marginal cost already reaches 1 at mu = 0 stays there.
-    Regions are the case codes of those allocations.  The grid keeps a
-    copy of ``thetas``, so the caller's array stays its own.
+    Regions are the case codes of those allocations; the grid keeps a copy
+    of ``thetas``.  A flat or unbounded optimum raises :class:`DomainError`.
     """
     thetas = np.array(thetas, dtype=float)
     for t in (thetas.min(), thetas.max()) if thetas.size else ():
         scenario.check_theta(float(t))
-    thr = baseline_thresholds(scenario)
+    reason = scenario.unbounded_reason()
+    if reason is not None:
+        raise DomainError(reason)
 
     def gap(mu: Array) -> Array:
         return allocate_grid(scenario, mu, thetas).marginal_cost - 1.0
@@ -134,4 +135,4 @@ def baseline_grid(scenario: Scenario, thetas) -> BaselineGrid:
     a, b = alloc.a, alloc.b
     mu = scenario.nu.value(a, thetas) + scenario.xi.value(b)
     payoff = mu - scenario.cost.value(a + b)
-    return BaselineGrid(thetas, a, b, mu, payoff, alloc.case, thr)
+    return BaselineGrid(thetas, a, b, mu, payoff, alloc.case)

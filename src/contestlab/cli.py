@@ -210,12 +210,11 @@ def _cmd_baseline(args, scenario, run) -> int:
         raise DomainError(f"--grid must be at least 1, got {args.grid}")
     lo, hi = scenario.support
     thetas = np.linspace(lo, hi, args.grid) if hi > lo else np.array([lo])
-    grid = baseline_grid(scenario, thetas)
+    grid, th = baseline_grid(scenario, thetas), baseline_thresholds(scenario)
     write_csv(run.path("baseline.csv"), {
         "theta": grid.theta, "a": grid.a, "b": grid.b, "mu": grid.mu,
-        "region": _case_column(grid.case), "payoff": grid.payoff,
+        "case": _case_column(grid.case), "payoff": grid.payoff,
     })
-    th = grid.thresholds
     _write_json(run.path("baseline.json"), {
         "mech_upper": th.mech_upper, "create_lower": th.create_lower,
         "grid": args.grid, "scenario_id": scenario.scenario_id,
@@ -246,7 +245,7 @@ def _cmd_equilibrium(args, scenario, run) -> int:
 def _cmd_hacking(args, scenario, run) -> int:
     verdicts = hacking_verdicts(_solve(args, scenario))
     profile, alloc = verdicts.profile, verdicts.allocation
-    base = profile.baseline
+    base, th = profile.baseline, baseline_thresholds(scenario)
     write_csv(run.path("hacking.csv"), {
         "theta": profile.theta_grid, "hacks": verdicts.hacks.astype(int),
         "band": verdicts.band, "a_star": alloc.a, "b_star": alloc.b,
@@ -255,8 +254,7 @@ def _cmd_hacking(args, scenario, run) -> int:
     })
     _write_json(run.path("hacking.json"), {
         "theta_star": verdicts.theta_star,
-        "mech_upper": base.thresholds.mech_upper,
-        "create_lower": base.thresholds.create_lower,
+        "mech_upper": th.mech_upper, "create_lower": th.create_lower,
         "hacking_measure": verdicts.measure,
         "scenario_id": scenario.scenario_id,
     })

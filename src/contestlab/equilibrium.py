@@ -130,7 +130,7 @@ def _opponent_nodes(profile: StrategyProfile) -> tuple[Array, Array]:
     th, w = gauss_legendre(_THETA_NODES, types.lo, types.hi)
     wf = w * types.pdf(th)
     wf = wf / wf.sum()  # keep the mixture an exact probability
-    return wf, np.interp(th, profile.theta_grid, profile.mu_star)
+    return wf, profile.mu_at(th)
 
 
 @cache
@@ -184,19 +184,19 @@ class GainTable:
         scenario = profile.scenario
         noise, players, prizes = scenario.noise, scenario.players, scenario.prizes
         self.noise = noise
-        # zero prizes pay nothing and a lone player wins the top prize: a flat gain
-        self.sure = prizes.top if prizes.is_zero or players == 1 else None
+        # the bottom prize is sure: only ranks paid more are tabulated, and
+        # with none (an equal ladder, zero prizes, one player) the gain is flat
+        paid = prizes.padded(players)
+        ranks = np.nonzero(paid > paid[-1])[0] + 1
+        self.sure = float(paid[-1]) if ranks.size == 0 else None
         if self.sure is not None:
             return
-        paid = prizes.padded(players)
-        ranks = np.nonzero(paid > 0)[0] + 1
         weights, opp_mus = _opponent_nodes(profile)
         lo0, sc0 = noise.loc_scale(np.array(0.0))
         lo1, sc1 = noise.loc_scale(np.array(mu_max))
         z_lo, z_hi = float(noise.z_ppf(1e-9)), float(noise.z_ppf(1.0 - 1e-9))
-        mus = np.concatenate([opp_mus, [0.0, mu_max]])
-        s_lo = min(float(lo0 + sc0 * z_lo),
-                   float(np.min(noise.loc_scale(mus)[0])))
+        # loc rises with mu and no target is negative, so zero's quantile is lowest
+        s_lo = float(lo0 + sc0 * z_lo)
         s_hi = float(lo1 + sc1 * z_hi)
         s_grid, h = np.linspace(s_lo, s_hi, _WEIGHT_GRID, retstep=True)
         # the opponents' score CDF G and density G'
@@ -206,7 +206,7 @@ class GainTable:
         g = np.minimum(g, 1.0)
         dens = np.einsum("ij,j->i", noise.pdf(s_grid[:, None], opp_mus[None, :]),
                          weights)
-        w = _rank_pmf(g, players, ranks) @ paid[ranks - 1]
+        w = paid[-1] + _rank_pmf(g, players, ranks) @ (paid[ranks - 1] - paid[-1])
         # dW/ds = (n-1) G'(s) sum_j binom(j; n-2, 1-G) (paid_{j+1} - paid_{j+2})
         drop = (paid[:-1] - paid[1:])[:ranks[-1]]
         beaten = _binom_pmf(np.arange(drop.size)[None, :], players - 2,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -436,10 +437,6 @@ class PrizeVector:
     def top(self) -> float:
         return self.values[0] if self.values else 0.0
 
-    @property
-    def is_zero(self) -> bool:
-        return self.total == 0.0
-
     def padded(self, n: int) -> np.ndarray:
         """Prizes as a length-n array, zero beyond the listed ranks."""
         if len(self.values) > n:
@@ -547,6 +544,21 @@ def _require(mapping: dict, key: str, where: str) -> Any:
     return mapping[key]
 
 
+def _section(config: dict, key: str, default: dict | None = None) -> dict:
+    """The JSON object under ``key``, required unless it has a ``default``."""
+    cfg = _require(config, key, "scenario") if default is None else config.get(key, default)
+    if not isinstance(cfg, dict):
+        raise DomainError(f"{key} must be a JSON object, got {cfg!r}")
+    return cfg
+
+
+def _number(value: Any, name: str) -> float:
+    """``value`` as a float; a bool or a non-number raises, naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _check_keys(mapping: dict, allowed: set[str], where: str) -> None:
     extra = set(mapping) - allowed
     if extra:
@@ -565,43 +577,41 @@ def scenario_from_dict(config: dict[str, Any]) -> Scenario:
     _check_keys(config, {"nu", "xi", "cost", "types", "noise", "players", "prizes"},
                 "scenario")
 
-    nu_cfg = dict(_require(config, "nu", "scenario"))
-    _check_keys(nu_cfg, {"kind", "alpha"}, "nu")
-    kind = _require(nu_cfg, "kind", "nu")
-    alpha = nu_cfg.get("alpha", 0.5 if kind == "power" else None)
-    nu = ProductionForm(kind, alpha)
+    forms = []
+    for key, form in (("nu", ProductionForm), ("xi", MechanizationForm)):
+        cfg = _section(config, key)
+        _check_keys(cfg, {"kind", "alpha"}, key)
+        kind = _require(cfg, "kind", key)
+        alpha = cfg.get("alpha", 0.5 if kind == "power" else None)
+        forms.append(form(kind, None if alpha is None else _number(alpha, f"{key}.alpha")))
+    nu, xi = forms
 
-    xi_cfg = dict(_require(config, "xi", "scenario"))
-    _check_keys(xi_cfg, {"kind", "alpha"}, "xi")
-    kind = _require(xi_cfg, "kind", "xi")
-    alpha = xi_cfg.get("alpha", 0.5 if kind == "power" else None)
-    xi = MechanizationForm(kind, alpha)
-
-    cost_cfg = dict(_require(config, "cost", "scenario"))
+    cost_cfg = _section(config, "cost")
     _check_keys(cost_cfg, {"kind", "kappa"}, "cost")
     kind = _require(cost_cfg, "kind", "cost")
-    cost = CostForm(kind, float(cost_cfg.get("kappa", 1.0 if kind == "linear" else 0.5)))
+    cost = CostForm(kind, _number(cost_cfg.get("kappa", 1.0 if kind == "linear" else 0.5),
+                                  "cost.kappa"))
 
-    types_cfg = dict(_require(config, "types", "scenario"))
+    types_cfg = _section(config, "types")
     _check_keys(types_cfg, {"kind", "support", "loc", "scale"}, "types")
     kind = _require(types_cfg, "kind", "types")
     support = _require(types_cfg, "support", "types")
     if (not isinstance(support, (list, tuple)) or len(support) != 2):
         raise DomainError("types.support must be a [lo, hi] pair")
-    lo, hi = float(support[0]), float(support[1])
+    lo, hi = (_number(v, f"types.support[{i}]") for i, v in enumerate(support))
     if kind == "truncated-normal":
-        loc = float(types_cfg.get("loc", 0.5 * (lo + hi)))
-        scale = float(types_cfg.get("scale", 0.25 * (hi - lo)))
+        loc = _number(types_cfg.get("loc", 0.5 * (lo + hi)), "types.loc")
+        scale = _number(types_cfg.get("scale", 0.25 * (hi - lo)), "types.scale")
         types = TypeDistribution(kind, lo, hi, loc, scale)
     else:
         if "loc" in types_cfg or "scale" in types_cfg:
             raise DomainError("types: loc/scale only apply to truncated-normal")
         types = TypeDistribution(kind, lo, hi)
 
-    noise_cfg = dict(config.get("noise", {"kind": "normal"}))
+    noise_cfg = _section(config, "noise", {"kind": "normal"})
     _check_keys(noise_cfg, {"kind", "dispersion"}, "noise")
     noise = NoiseFamily(_require(noise_cfg, "kind", "noise"),
-                        float(noise_cfg.get("dispersion", 1.0)))
+                        _number(noise_cfg.get("dispersion", 1.0), "noise.dispersion"))
 
     players = config.get("players", 2)
     if isinstance(players, bool) or not isinstance(players, int):
@@ -610,16 +620,17 @@ def scenario_from_dict(config: dict[str, Any]) -> Scenario:
     prizes_cfg = config.get("prizes", [1.0])
     if not isinstance(prizes_cfg, (list, tuple)):
         raise DomainError("prizes must be a list of numbers")
-    prizes = PrizeVector(tuple(float(v) for v in prizes_cfg))
+    prizes = PrizeVector(tuple(_number(v, f"prizes[{i}]") for i, v in enumerate(prizes_cfg)))
 
     return Scenario(nu, xi, cost, types, noise, players, prizes)
 
 
 def load_scenario(path: str | Path) -> Scenario:
     """Load and validate a scenario JSON file."""
-    raw = Path(path).read_text()
     try:
-        config = json.loads(raw)
+        config = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     except json.JSONDecodeError as exc:
         raise DomainError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"

@@ -309,9 +309,6 @@ class RegressionResult:
     def __getitem__(self, name: str) -> float:
         return float(self.coef[self.names.index(name)])
 
-    def se_of(self, name: str) -> float:
-        return float(self.se[self.names.index(name)])
-
     def to_dict(self) -> dict:
         return {
             "coefficients": {n: float(c) for n, c in zip(self.names, self.coef)},

@@ -18,6 +18,7 @@ from contestlab import (
     Scenario,
     TypeDistribution,
     allocate_grid,
+    baseline_thresholds,
     hacking_verdicts,
 )
 from contestlab.cli import MANIFEST_NAME, main as cli_main
@@ -157,7 +158,8 @@ def effort_region_violations(profile, tol: float = REGION_TOL) -> list[str]:
     ambiguous at finite resolution.
     """
     verdicts = hacking_verdicts(profile)
-    thetas, base, thr = profile.theta_grid, profile.baseline, profile.baseline.thresholds
+    thetas, base = profile.theta_grid, profile.baseline
+    thr = baseline_thresholds(profile.scenario)
     cell = float(thetas[1] - thetas[0]) if thetas.size > 1 else 0.0
     cutoffs = [c for c in (verdicts.theta_star, thr.mech_upper, thr.create_lower)
                if np.isfinite(c)]

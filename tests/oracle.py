@@ -148,7 +148,7 @@ class RankOracle:
     def contest_gain(self, mu: float) -> float:
         """Expected prize money for a player targeting ``mu``."""
         scenario = self.profile.scenario
-        if scenario.prizes.is_zero:
+        if scenario.prizes.total == 0.0:
             return 0.0
         p = self.rank_probabilities(mu)
         return float(p @ scenario.prizes.padded(scenario.players))

@@ -28,6 +28,7 @@ from oracle import RankOracle
 from contestlab import (
     PrizeVector,
     baseline_grid,
+    baseline_thresholds,
     example_scenario,
     golden_suite,
     hacking_verdicts,
@@ -147,7 +148,7 @@ def test_criterion_4(equilibria):
         violations = effort_region_violations(profile, tol=1e-5)
         assert not violations, f"{name}: " + "; ".join(violations[:10])
         verdicts = hacking_verdicts(profile)
-        assert verdicts.theta_star <= profile.baseline.thresholds.mech_upper + 1e-5
+        assert verdicts.theta_star <= baseline_thresholds(profile.scenario).mech_upper + 1e-5
     clock.check()
 
 

@@ -163,8 +163,7 @@ class TestGridInvariants:
         # forms; away from the cutoffs the two must agree
         lo, hi = scn.support
         thetas = np.linspace(lo, hi, 201)
-        grid = baseline_grid(scn, thetas)
-        thr = grid.thresholds
+        grid, thr = baseline_grid(scn, thetas), baseline_thresholds(scn)
         assert thr.mech_upper <= thr.create_lower
         cell = thetas[1] - thetas[0]
         for theta, region in zip(thetas, grid.case.tolist()):

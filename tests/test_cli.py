@@ -78,18 +78,18 @@ class TestArtifactsAndReplay:
                            "--out", out) == EXIT_OK
         cols = read_csv_columns(base / "baseline.csv")
         row = int(np.flatnonzero(cols["theta"] == 1.0)[0])
-        assert (cols["a"][row], cols["region"][row]) == (0.0, "mech-only")
+        assert (cols["a"][row], cols["case"][row]) == (0.0, "mech-only")
         bands = read_csv_columns(hack / "hacking.csv")
         assert bands["theta"][row] == 1.0
         assert bands["band"][row] == "pure-mechanizer"
 
     def test_artifact_headers(self, tmp_path):
         # every CSV artifact's columns, in order: band names a hacking
-        # band, region (baseline) and case a least-cost case
+        # band and case a least-cost case
         runs = [
             (("cost", "--theta", "1.0", "--points", "5"),
              {"cost.csv": "mu,theta,a,b,case,cost,shadow_price,marginal_cost"}),
-            (("baseline", "--grid", "5"), {"baseline.csv": "theta,a,b,mu,region,payoff"}),
+            (("baseline", "--grid", "5"), {"baseline.csv": "theta,a,b,mu,case,payoff"}),
             (("equilibrium", "--grid", "51"),
              {"equilibrium.csv": "theta,mu_star,a,b,case,mu_baseline"}),
             (("hacking", "--grid", "51"),
@@ -263,7 +263,8 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert f"{field} must be" in err[0] and "finite" in err[0]
 
-    @pytest.mark.parametrize("command", ["validate", "baseline", "equilibrium", "hacking"])
+    @pytest.mark.parametrize("command", ["validate", "baseline", "equilibrium", "hacking",
+                                         "sweep", "simulate"])
     @pytest.mark.parametrize("name, kappa", [("example4", 1.0), ("example3", 2.0),
                                              ("example3", 3.0)])
     def test_unbounded_scenario_is_input_error(self, tmp_path, capsys, command,
@@ -273,7 +274,8 @@ class TestExitCodes:
         path = tmp_path / "scn.json"
         path.write_text(json.dumps(config))
         reason = example_scenario(name, cost=config["cost"]).unbounded_reason()
-        code = run_cli(command, "--scenario", path, "--out", tmp_path / "o")
+        extra = ("--prizes", "1,0") if command == "sweep" else ()
+        code = run_cli(command, *extra, "--scenario", path, "--out", tmp_path / "o")
         assert code == EXIT_INPUT
         out, err = capsys.readouterr()
         if command == "validate":   # the failed report is an artifact
@@ -283,6 +285,37 @@ class TestExitCodes:
         else:
             assert err == f"error: {reason}\n"
             assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("section, key, value, field", [
+        (None, "nu", 5, "nu"),
+        (None, "noise", "normal", "noise"),
+        ("cost", "kappa", "x", "cost.kappa"),
+        ("cost", "kappa", True, "cost.kappa"),
+        ("types", "support", ["a", 1], "types.support[0]"),
+        (None, "prizes", ["a"], "prizes[0]"),
+        (None, "prizes", [True], "prizes[0]"),
+        ("noise", "dispersion", None, "noise.dispersion"),
+        ("noise", "dispersion", True, "noise.dispersion"),
+        ("xi", "alpha", "q", "xi.alpha"),
+        ("types", "kind", "unif\xe9", "UTF-8"),
+    ], ids=["nu-number", "noise-text", "kappa-text", "kappa-bool", "support-text",
+            "prize-text", "prize-bool", "dispersion-null", "dispersion-bool",
+            "alpha-text", "not-utf8"])
+    def test_malformed_scenario_value_is_one_error_line(self, tmp_path, capsys, section,
+                                                        key, value, field):
+        # example3's xi is a power form, so its alpha is read; the file is
+        # Latin-1, which is UTF-8 unless it holds a non-ASCII character
+        config = copy.deepcopy(EXAMPLE_CONFIGS["example3"])
+        (config[section] if section else config)[key] = value
+        path = tmp_path / "scn.json"
+        path.write_bytes(json.dumps(config, ensure_ascii=False).encode("latin-1"))
+        code = run_cli("validate", "--scenario", path, "--out", tmp_path / "o")
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert field in lines[0]
 
     @pytest.mark.parametrize("command", ["validate", "equilibrium"])
     @pytest.mark.parametrize("dispersion", [0.0, -1.0, 2.0])

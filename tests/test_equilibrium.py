@@ -216,6 +216,16 @@ class TestGainTable:
         np.testing.assert_array_equal(table.slope([0.5, 2.0]), [0.0, 0.0])
         np.testing.assert_array_equal(run_contest(profile, seed=3).prize, [1.0])
 
+    @pytest.mark.parametrize("noise_kind", NOISE_KINDS)
+    def test_equal_ladder_gain_is_the_sure_prize(self, equilibria, noise_kind):
+        # every rank of an equal ladder pays the same prize, so the gain is
+        # that prize whatever the score, with no rounding of rank weights
+        table = self._table(equilibria("example1"), noise_kind, players=4,
+                            prizes=(0.5,) * 4)
+        mu = [0.0, 0.5, 2.0, 8.0]
+        np.testing.assert_array_equal(table.gain(mu), [0.5] * 4)
+        np.testing.assert_array_equal(table.slope(mu), [0.0] * 4)
+
 
 # cells where the table is off the oracle by more than the cross-check's
 # bound, with the measured gap: under exponential noise the 1025-point

@@ -18,6 +18,7 @@ from contestlab import (
     UnconvergedProfileError,
     allocate_grid,
     baseline_grid,
+    baseline_thresholds,
     compare_prize_vectors,
     example_scenario,
     hacking_threshold,
@@ -95,13 +96,13 @@ class TestHackingThreshold:
     def test_linear_mechanization_pins_cutoff_to_baseline(self, equilibria):
         # a constant mechanistic margin makes theta1* = theta1_dag exactly
         profile = equilibria("example4")
-        thr = baseline_grid(profile.scenario, profile.theta_grid).thresholds
+        thr = baseline_thresholds(profile.scenario)
         assert hacking_threshold(profile) == pytest.approx(thr.mech_upper,
                                                            abs=1e-6)
 
     def test_concave_mechanization_pulls_cutoff_strictly_down(self, equilibria):
         profile = equilibria("example3", prizes=(2.0, 0.0))
-        thr = baseline_grid(profile.scenario, profile.theta_grid).thresholds
+        thr = baseline_thresholds(profile.scenario)
         star = hacking_threshold(profile)
         assert star < thr.mech_upper - 1e-4
         assert star > 0.0
@@ -137,12 +138,11 @@ class TestVerdicts:
         verdicts = hacking_verdicts(profile)
         assert verdicts.profile is profile
         np.testing.assert_array_equal(verdicts.profile.baseline.mu, profile.baseline.mu)
-        assert verdicts.profile.baseline.thresholds == profile.baseline.thresholds
 
     def test_some_hacking_below_cutoff_none_above(self, equilibria):
         profile = equilibria("example3", prizes=(2.0, 0.0))
         verdicts = hacking_verdicts(profile)
-        thr = verdicts.profile.baseline.thresholds.mech_upper
+        thr = baseline_thresholds(profile.scenario).mech_upper
         below = verdicts.hacks[profile.theta_grid < thr - 0.05]
         above = verdicts.hacks[profile.theta_grid > thr + 0.05]
         assert below.any()

@@ -284,11 +284,11 @@ class TestPrizeVector:
         pv = PrizeVector((5.0, 3.0, 0.0))
         np.testing.assert_array_equal(pv.padded(5), [5.0, 3.0, 0.0, 0.0, 0.0])
         np.testing.assert_array_equal(pv.gaps(5), [2.0, 3.0, 0.0, 0.0])
-        assert pv.total == 8.0 and pv.top == 5.0 and not pv.is_zero
+        assert pv.total == 8.0 and pv.top == 5.0
 
     def test_empty_vector_is_zero(self):
         pv = PrizeVector(())
-        assert pv.is_zero and pv.top == 0.0
+        assert pv.total == 0.0 and pv.top == 0.0
         np.testing.assert_array_equal(pv.padded(3), np.zeros(3))
 
     def test_ordering_enforced(self):
