@@ -33,7 +33,7 @@ def main() -> None:
         print(f"\n{args.scenario}, theta = {theta:g}")
         print(f"{'mu':>7} {'a':>8} {'b':>8} {'cost':>9} {'dC/dmu':>9}  case")
         for k in range(mus.size):
-            print(f"{grid.mu[k]:7.3f} {grid.a[k]:8.4f} {grid.b[k]:8.4f} "
+            print(f"{mus[k]:7.3f} {grid.a[k]:8.4f} {grid.b[k]:8.4f} "
                   f"{grid.cost[k]:9.5f} {grid.marginal_cost[k]:9.5f}  {names[k]}")
 
 

@@ -117,12 +117,14 @@ def baseline_grid(scenario: Scenario, thetas) -> BaselineGrid:
 
     Each type's target is the root of dC/dmu - 1 on [0, expand_upper]; a
     type whose marginal cost already reaches 1 at mu = 0 stays there.
-    Regions are the case codes of those allocations; the grid keeps a copy
-    of ``thetas``.  A flat or unbounded optimum raises :class:`DomainError`.
+    The root stops within 1e-10 of the optimum; where it pays less than
+    the zero target, which pays exactly 0, the zero target is within that
+    tolerance too and is taken instead.  Regions are the case codes of
+    those allocations; the grid keeps a copy of ``thetas``.  A flat or
+    unbounded optimum raises :class:`DomainError`.
     """
     thetas = np.array(thetas, dtype=float)
-    for t in (thetas.min(), thetas.max()) if thetas.size else ():
-        scenario.check_theta(float(t))
+    scenario.check_theta(thetas)
     reason = scenario.unbounded_reason()
     if reason is not None:
         raise DomainError(reason)
@@ -130,9 +132,15 @@ def baseline_grid(scenario: Scenario, thetas) -> BaselineGrid:
     def gap(mu: Array) -> Array:
         return allocate_grid(scenario, mu, thetas).marginal_cost - 1.0
 
+    def optimum(mu_star: Array) -> BaselineGrid:
+        alloc = allocate_grid(scenario, mu_star, thetas)
+        a, b = alloc.a, alloc.b
+        mu = scenario.nu.value(a, thetas) + scenario.xi.value(b)
+        payoff = mu - scenario.cost.value(a + b)
+        return BaselineGrid(thetas, a, b, mu, payoff, alloc.case)
+
     mu_star = _root_from_zero(gap, thetas, "no-contest optimum", 1e-10)
-    alloc = allocate_grid(scenario, mu_star, thetas)
-    a, b = alloc.a, alloc.b
-    mu = scenario.nu.value(a, thetas) + scenario.xi.value(b)
-    payoff = mu - scenario.cost.value(a + b)
-    return BaselineGrid(thetas, a, b, mu, payoff, alloc.case)
+    grid = optimum(mu_star)
+    if np.any(grid.payoff < 0.0):
+        grid = optimum(np.where(grid.payoff < 0.0, 0.0, mu_star))
+    return grid

@@ -84,9 +84,8 @@ def _manifest_arguments(args) -> tuple[dict, list[str]]:
     """The parameters and replay argv of a run, from its parser's options.
 
     Every option but ``--out`` is recorded, in parser order; a flag only
-    when it is set.  :func:`dispatch` stores the resolved scenario, and
-    ``mk``/``regress`` the resolved input path, on ``args`` first, so a
-    replay reads the same file.
+    when it is set.  :func:`dispatch` stores the resolved scenario and
+    ``--input`` path on ``args`` first, so a replay reads the same file.
     """
     params = {}
     argv = [args.command]
@@ -195,9 +194,10 @@ def _cmd_cost(args, scenario, run) -> int:
     if args.points < 1:
         raise DomainError(f"--points must be at least 1, got {args.points}")
     mus = np.linspace(0.0, args.mu_max, args.points)
-    grid = allocate_grid(scenario, mus, np.full(mus.shape, args.theta))
+    thetas = np.full(mus.shape, args.theta)
+    grid = allocate_grid(scenario, mus, thetas)
     write_csv(run.path("cost.csv"), {
-        "mu": grid.mu, "theta": grid.theta, "a": grid.a, "b": grid.b,
+        "mu": mus, "theta": thetas, "a": grid.a, "b": grid.b,
         "case": _case_column(grid.case), "cost": grid.cost,
         "shadow_price": grid.shadow_price, "marginal_cost": grid.marginal_cost,
     })
@@ -206,11 +206,8 @@ def _cmd_cost(args, scenario, run) -> int:
 
 
 def _cmd_baseline(args, scenario, run) -> int:
-    if args.grid < 1:
-        raise DomainError(f"--grid must be at least 1, got {args.grid}")
-    lo, hi = scenario.support
-    thetas = np.linspace(lo, hi, args.grid) if hi > lo else np.array([lo])
-    grid, th = baseline_grid(scenario, thetas), baseline_thresholds(scenario)
+    grid = baseline_grid(scenario, scenario.types.grid(args.grid))
+    th = baseline_thresholds(scenario)
     write_csv(run.path("baseline.csv"), {
         "theta": grid.theta, "a": grid.a, "b": grid.b, "mu": grid.mu,
         "case": _case_column(grid.case), "payoff": grid.payoff,
@@ -322,7 +319,6 @@ def _cmd_mk(args, scenario, run) -> int:
         raise DomainError(
             f"{args.input}: no column {args.column!r} (have {sorted(columns)})")
     result = mann_kendall(columns[args.column])
-    args.input = str(Path(args.input).resolve())
     _write_json(run.path("mk.json"), {
         "column": args.column, "n": result.n, "S": result.s,
         "var_S": result.var_s, "Z": result.z,
@@ -335,7 +331,6 @@ def _cmd_regress(args, scenario, run) -> int:
     columns = read_csv_columns(args.input)
     regressors = [s for s in f"{args.dummies},{args.interactions}".split(",") if s]
     result = fe_ols(columns, args.outcome, regressors, group=args.group)
-    args.input = str(Path(args.input).resolve())
     _write_json(run.path("regress.json"), result.to_dict())
     for name, coef, se in zip(result.names, result.coef, result.se):
         print(f"{name:16s} {coef: .6g} (se {se:.6g})")
@@ -460,10 +455,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def dispatch(argv) -> int:
     """Parse and run one command, mapping failures to exit codes.
 
-    The scenario is loaded here and its resolved path or name stored on
-    ``args``.  The manifest is written when the handler returns, and when
-    it raises a ContestLabError after writing artifacts that record the
-    failure (an unconverged ``equilibrium``); a failed write leaves none.
+    The scenario is loaded here, and its resolved path or name and the
+    resolved ``--input`` path are stored on ``args``.  The manifest is
+    written when the handler returns, and when it raises a
+    ContestLabError after writing artifacts that record the failure (an
+    unconverged ``equilibrium``); a failed write leaves none.
     """
     parser = _build_parser()
     try:
@@ -475,6 +471,8 @@ def dispatch(argv) -> int:
         scenario = None
         if hasattr(args, "scenario"):
             scenario, args.scenario = _load_scenario_arg(args.scenario)
+        if hasattr(args, "input"):
+            args.input = str(Path(args.input).resolve())
         try:
             code = args.func(args, scenario, run)
         except ContestLabError:
@@ -482,12 +480,9 @@ def dispatch(argv) -> int:
             raise
         run.finish()
         return code
-    except SolverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
     except (ContestLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_NO_CONVERGENCE if isinstance(exc, SolverError) else EXIT_INPUT
 
 
 def main(argv=None) -> int:

@@ -63,10 +63,11 @@ _LOG_MARGIN_TOL = 1e-13
 
 @dataclass(frozen=True)
 class AllocationGrid:
-    """Vectorised allocations on a broadcast (mu, theta) grid."""
+    """Vectorised allocations on a broadcast (mu, theta) grid.
 
-    mu: Array
-    theta: Array
+    It holds the solution only; the targets and types are the caller's.
+    """
+
     a: Array
     b: Array
     case: Array            # int8 codes, see CASE_NAMES
@@ -132,8 +133,6 @@ def allocate_grid(scenario: Scenario, mu, theta) -> AllocationGrid:
     case = np.where(mech, MECH_ONLY,
                     np.where(create, CREATE_ONLY, INTERIOR)).astype(np.int8)
     grid = AllocationGrid(
-        mu=mu_f.reshape(mu_b.shape),
-        theta=th_f.reshape(mu_b.shape),
         a=a.reshape(mu_b.shape),
         b=b.reshape(mu_b.shape),
         case=case.reshape(mu_b.shape),

@@ -154,15 +154,6 @@ def _binom_pmf(k: Array, n: int, p: Array) -> Array:
     return np.exp(_log_choose(n)[k] + hits + misses)
 
 
-def _rank_pmf(g: Array, players: int, ranks: Array) -> Array:
-    """P(exactly rank k) weights at opponent CDF values ``g``.
-
-    Rank k means k - 1 of the ``players - 1`` opponents score higher,
-    each independently with probability 1 - g: a binomial pmf.
-    """
-    return _binom_pmf(ranks[None, :] - 1, players - 1, (1.0 - g)[:, None])
-
-
 class GainTable:
     """Fast expected-prize evaluator against a fixed profile's opponents.
 
@@ -206,7 +197,10 @@ class GainTable:
         g = np.minimum(g, 1.0)
         dens = np.einsum("ij,j->i", noise.pdf(s_grid[:, None], opp_mus[None, :]),
                          weights)
-        w = paid[-1] + _rank_pmf(g, players, ranks) @ (paid[ranks - 1] - paid[-1])
+        # rank k means k - 1 of the players - 1 opponents score higher, each
+        # independently with probability 1 - G: a binomial pmf
+        rank_pmf = _binom_pmf(ranks[None, :] - 1, players - 1, (1.0 - g)[:, None])
+        w = paid[-1] + rank_pmf @ (paid[ranks - 1] - paid[-1])
         # dW/ds = (n-1) G'(s) sum_j binom(j; n-2, 1-G) (paid_{j+1} - paid_{j+2})
         drop = (paid[:-1] - paid[1:])[:ranks[-1]]
         beaten = _binom_pmf(np.arange(drop.size)[None, :], players - 2,
@@ -332,8 +326,7 @@ def best_response_grid(profile: StrategyProfile, thetas) -> Array:
     """
     scenario = profile.scenario
     thetas = np.asarray(thetas, dtype=float)
-    for t in (thetas.min(), thetas.max()) if thetas.size else ():
-        scenario.check_theta(float(t))
+    scenario.check_theta(thetas)
     mu_max = _mu_upper_bound(scenario, profile.baseline)
     mu_grid, cost_matrix = _coarse_grid(scenario, thetas, mu_max)
     return _best_response_grid(scenario, GainTable(profile, mu_max), thetas,
@@ -363,15 +356,9 @@ def solve_equilibrium(scenario: Scenario, *, grid_size: int = 201,
     its residual; ``converged`` (never raised here) says whether it is at
     most ``tol``.
     """
-    if grid_size < 2:
-        raise DomainError(f"grid_size must be at least 2, got {grid_size}")
+    thetas = scenario.types.grid(grid_size)
     if not (math.isfinite(tol) and tol >= 0.0):
         raise DomainError(f"tol must be finite and non-negative, got {tol}")
-    lo, hi = scenario.support
-    if scenario.types.degenerate:
-        thetas = np.array([lo])
-    else:
-        thetas = np.linspace(lo, hi, grid_size)
     base = baseline_grid(scenario, thetas)
     floor = isotonic_projection(base.mu)
     mu = floor

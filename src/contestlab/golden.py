@@ -20,8 +20,6 @@ from .equilibrium import solve_equilibrium
 from .hacking import hacking_threshold
 from .presets import example_scenario
 
-__all__ = ["GoldenCheck", "golden_suite", "ABS_TOL", "RATIO_TOL"]
-
 ABS_TOL = 1e-4
 RATIO_TOL = 1e-2
 

@@ -266,6 +266,15 @@ class TypeDistribution:
     def degenerate(self) -> bool:
         return self.hi == self.lo
 
+    def grid(self, n: int) -> Array:
+        """``n`` evenly spaced types on the support, or a point mass's one type.
+
+        Raises :class:`DomainError` when ``n < 2``, for a point mass too.
+        """
+        if n < 2:
+            raise DomainError(f"type grid needs at least 2 points, got {n}")
+        return np.array([self.lo]) if self.degenerate else np.linspace(self.lo, self.hi, n)
+
     def _tails(self) -> tuple[float, float, float]:
         """(sign, F(lo), F(hi)) of the truncated normal, F(x) = Phi(sign * z(x)).
 
@@ -464,7 +473,8 @@ class Scenario:
     prizes: PrizeVector = field(default_factory=lambda: PrizeVector((1.0,)))
 
     def __post_init__(self) -> None:
-        if not isinstance(self.players, int) or self.players < 1:
+        if (isinstance(self.players, bool) or not isinstance(self.players, int)
+                or self.players < 1):
             raise DomainError("players must be a positive integer")
         if len(self.prizes) > self.players:
             raise DomainError("more prizes than players")
@@ -494,11 +504,14 @@ class Scenario:
         return (f"no bounded no-contest optimum: linear cost kappa={kappa:g} "
                 f"does not exceed {margin}")
 
-    def check_theta(self, theta: float) -> float:
+    def check_theta(self, theta: Array | float) -> None:
+        """Raise :class:`DomainError` if a type in ``theta`` lies outside the
+        support; an empty array passes."""
+        theta = np.asarray(theta, dtype=float)
         lo, hi = self.support
-        if not lo <= theta <= hi:
-            raise DomainError(f"type {theta!r} outside support [{lo}, {hi}]")
-        return float(theta)
+        for t in (float(theta.min()), float(theta.max())) if theta.size else ():
+            if not lo <= t <= hi:
+                raise DomainError(f"type {t!r} outside support [{lo}, {hi}]")
 
     def to_dict(self) -> dict[str, Any]:
         d: dict[str, Any] = {
@@ -613,16 +626,12 @@ def scenario_from_dict(config: dict[str, Any]) -> Scenario:
     noise = NoiseFamily(_require(noise_cfg, "kind", "noise"),
                         _number(noise_cfg.get("dispersion", 1.0), "noise.dispersion"))
 
-    players = config.get("players", 2)
-    if isinstance(players, bool) or not isinstance(players, int):
-        raise DomainError("players must be an integer")
-
     prizes_cfg = config.get("prizes", [1.0])
     if not isinstance(prizes_cfg, (list, tuple)):
         raise DomainError("prizes must be a list of numbers")
     prizes = PrizeVector(tuple(_number(v, f"prizes[{i}]") for i, v in enumerate(prizes_cfg)))
 
-    return Scenario(nu, xi, cost, types, noise, players, prizes)
+    return Scenario(nu, xi, cost, types, noise, config.get("players", 2), prizes)
 
 
 def load_scenario(path: str | Path) -> Scenario:

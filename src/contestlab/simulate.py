@@ -34,21 +34,6 @@ from .equilibrium import StrategyProfile, solve_equilibrium
 from .errors import DomainError
 from .model import Array, PrizeVector, Scenario
 
-__all__ = [
-    "ContestOutcome",
-    "MannKendall",
-    "PanelCell",
-    "RegressionResult",
-    "SyntheticPanel",
-    "fe_ols",
-    "mann_kendall",
-    "panel_cells",
-    "panel_regressions",
-    "run_contest",
-    "synthetic_panel",
-    "type_bin_edges",
-]
-
 PANEL_COLUMNS = (
     "contest_id",
     "player_id",
@@ -378,9 +363,12 @@ class _Within:
             raise DomainError(f"panel is missing columns {missing}")
         names = tuple(dict.fromkeys(names))
         groups = np.asarray(panel[group])
-        # a NaN label would pool its rows into one group; text labels are fine
+        # a NaN or blank label would pool unrelated rows into one group;
+        # other text labels are fine
         if groups.dtype.kind in "fc" and not np.all(np.isfinite(groups)):
             raise DomainError(f"group column {group!r} holds non-finite values")
+        if groups.dtype.kind in "OU" and np.any(groups == ""):
+            raise DomainError(f"group column {group!r} holds blank labels")
         labels, inverse = np.unique(groups, return_inverse=True)
         counts = np.bincount(inverse)
         values = np.empty((inverse.size, len(names)), order="F")
@@ -454,8 +442,8 @@ def fe_ols(panel: Mapping[str, Array], outcome: str, regressors: Sequence[str], 
     threads.  Regressor j is spanned by those listed before it when
     |R11[j, j]| <= max(N, k) * eps * (the largest column norm of the
     demeaned X).  DomainError names every such column, and also flags
-    too few observations and missing, non-numeric or non-finite columns:
-    the input is at fault, not a solver.
+    too few observations, missing, non-numeric or non-finite columns and
+    non-finite or blank group labels: the input is at fault, not a solver.
     """
     if not regressors:
         raise DomainError("regression needs at least one regressor")

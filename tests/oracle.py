@@ -5,7 +5,7 @@ the opponents' noise over a 64-node Gauss rule on the type support and
 tabulates the prize weight on a score grid.  This oracle shares neither
 step.  Its opponents mix the noise over Gauss nodes on each linear cell
 of the schedule interpolant, where the integrand is smooth in the type,
-so the mixture is exact to rounding; and it integrates the binomial
+so the mixture is exact to rounding; and it integrates scipy's binomial
 rank weights against the player's own density by adaptive Simpson
 quadrature to a stated total error.
 """
@@ -15,9 +15,9 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
+from scipy.stats import binom
 
 from contestlab import DomainError, StrategyProfile
-from contestlab.equilibrium import _rank_pmf
 
 RANK_TOL = 1e-9         # total quadrature error of a rank distribution
 CELL_NODES = 3          # Gauss nodes on each cell of the schedule interpolant
@@ -139,7 +139,9 @@ class RankOracle:
         ranks = np.arange(1, players + 1)
 
         def integrand(s: np.ndarray) -> np.ndarray:
-            return _rank_pmf(self.cdf(s), players, ranks) * self.noise.pdf(s, mu)[:, None]
+            # rank k: k - 1 of the players - 1 opponents score higher
+            beaten_by = binom.pmf(ranks[None, :] - 1, players - 1, 1.0 - self.cdf(s)[:, None])
+            return beaten_by * self.noise.pdf(s, mu)[:, None]
 
         loc, scale = self.noise.loc_scale(mu)
         lo, hi = (float(loc + scale * self.noise.z_ppf(q)) for q in (1e-12, 1.0 - 1e-12))

@@ -12,6 +12,7 @@ from contestlab import (
     CREATE_ONLY,
     INTERIOR,
     MECH_ONLY,
+    DomainError,
     StrategyProfile,
     baseline_grid,
     baseline_thresholds,
@@ -76,13 +77,21 @@ class TestThresholds:
         assert thr.mech_upper == 0.0
         assert thr.create_lower == 0.0
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "baseline_grid stops each no-contest target at 1e-10 absolute: types "
-        "0.01-0.15, whose best effort a = (theta/2)^10 is below that, end "
-        "with payoffs down to -2.3e-11, and 0.01-0.09 with b > 0"))
+    @pytest.mark.parametrize("name, kappa, message", [
+        ("example1", 0.8, "linear cost kappa=0.8 does not exceed the linear mechanistic margin 1"),
+        ("example3", 2.0, "does not exceed the top type's constant creative margin 3"),
+    ], ids=["mechanistic", "creative"])
+    def test_unbounded_optimum_rejected(self, name, kappa, message):
+        scn = example_scenario(name, cost={"kind": "linear", "kappa": kappa})
+        with pytest.raises(DomainError) as info:
+            baseline_thresholds(scn)
+        assert message in str(info.value)
+
     def test_tiny_optimum_is_create_only_and_pays_at_least_zero(self):
         # the cutoffs above put every positive type on the creative
-        # channel, and doing nothing pays 0
+        # channel, and doing nothing pays 0; types 0.01-0.15, whose best
+        # effort a = (theta/2)^10 is below the root's 1e-10 tolerance,
+        # take the zero target
         base = baseline_grid(_power_creation_scenario(), np.linspace(0.0, 2.0, 201))
         assert np.all(base.payoff >= 0.0)
         assert np.all(base.case[base.theta > 0.0] == CREATE_ONLY)

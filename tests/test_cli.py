@@ -433,11 +433,12 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["equilibrium", "--grid", "0"], ["equilibrium", "--grid", "-3"],
         ["equilibrium", "--grid", "1"], ["sweep", "--prizes", "1,0;2,0", "--grid", "0"],
-        ["baseline", "--grid", "-3"], ["cost", "--theta", "1", "--points", "0"],
+        ["baseline", "--grid", "-3"], ["baseline", "--grid", "1"],
+        ["cost", "--theta", "1", "--points", "0"],
         ["cost", "--theta", "1", "--points", "-2"],
     ], ids=["equilibrium-grid-0", "equilibrium-grid-negative", "equilibrium-grid-1",
-            "sweep-grid-0", "baseline-grid-negative", "cost-points-0",
-            "cost-points-negative"])
+            "sweep-grid-0", "baseline-grid-negative", "baseline-grid-1",
+            "cost-points-0", "cost-points-negative"])
     def test_bad_count_is_input_error(self, tmp_path, capsys, argv):
         code = run_cli(*argv, "--scenario", "example1", "--out", tmp_path / "n")
         assert code == EXIT_INPUT
@@ -483,6 +484,19 @@ class TestExitCodes:
                        "--group", "g", "--out", out) == EXIT_INPUT
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "'g'" in err[0]
+        assert not out.exists()
+
+    def test_blank_group_label_is_input_error(self, tmp_path, rng, capsys):
+        # blank labels would otherwise pool their rows into one fixed effect
+        panel = tmp_path / "panel.csv"
+        g = np.repeat(np.arange(10), 5).astype(str).astype(object)
+        g[[7, 31]] = ""
+        write_csv(panel, {"g": g, "x": rng.normal(size=g.size), "y": rng.normal(size=g.size)})
+        out = tmp_path / "r"
+        assert run_cli("regress", "--input", panel, "--outcome", "y", "--dummies", "x",
+                       "--group", "g", "--out", out) == EXIT_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "blank labels" in err[0]
         assert not out.exists()
 
     def test_replay_of_missing_manifest_is_input_error(self, tmp_path):

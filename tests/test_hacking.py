@@ -218,6 +218,15 @@ class TestSkewnessSweep:
             {"dominant": 2, "dominated": 0, "excess": 0.7 - 0.5},
         ]
 
+    @pytest.mark.parametrize("vectors, message", [
+        ([], "need at least one prize vector"),
+        ([(1.0, 2.0, 0.0)], "non-increasing"),
+    ], ids=["none", "increasing"])
+    def test_bad_prize_vectors_rejected(self, vectors, message):
+        scn = example_scenario("example1", players=3, prizes=[1.0, 0.0, 0.0])
+        with pytest.raises(DomainError, match=message):
+            skewness_sweep(scn, vectors)
+
     def test_incomparable_vectors_rejected(self):
         scn = example_scenario("example1", players=3, prizes=[1.0, 0.0, 0.0])
         with pytest.raises(DomainError, match="incomparable"):

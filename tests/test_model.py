@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -181,6 +182,11 @@ class TestTypeDistribution:
         with pytest.raises(DomainError):
             dist.pdf(2.0)
 
+    def test_grid(self):
+        np.testing.assert_array_equal(TypeDistribution("uniform", 0.0, 3.0).grid(4),
+                                      [0.0, 1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(TypeDistribution("uniform", 2.0, 2.0).grid(5), [2.0])
+
     def test_pdf_integrates_to_one(self):
         dist = TypeDistribution("truncated-normal", 0.0, 3.0, loc=1.0, scale=0.8)
         grid = np.linspace(0.0, 3.0, 20_001)
@@ -332,9 +338,12 @@ class TestScenario:
 
     def test_check_theta(self):
         scn = example_scenario("example1")
-        assert scn.check_theta(1.5) == 1.5
-        with pytest.raises(DomainError):
-            scn.check_theta(3.5)
+        scn.check_theta(1.5)
+        scn.check_theta(np.array([0.0, 1.5, 3.0]))
+        scn.check_theta(np.array([]))
+        for theta in (3.5, np.array([0.0, 3.5, 1.0]), np.array([-0.5, 1.0]), np.nan):
+            with pytest.raises(DomainError, match=r"outside support \[0.0, 3.0\]"):
+                scn.check_theta(theta)
 
     def test_more_prizes_than_players_rejected(self):
         with pytest.raises(DomainError):
@@ -392,3 +401,56 @@ class TestValidation:
         d = report.to_dict()
         assert d["ok"] is True
         assert {c["status"] for c in d["checks"]} <= {"pass", "warn", "fail"}
+
+
+def _config(**changes) -> dict:
+    cfg = example_scenario("example1").to_dict()
+    cfg.update(changes)
+    return cfg
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: MechanizationForm("cubic"), "unknown mechanization kind"),
+    (lambda: MechanizationForm("linear", 0.5), "linear mechanization takes no alpha"),
+    (lambda: CostForm("cubic"), "unknown cost kind"),
+    (lambda: TypeDistribution("beta", 0.0, 1.0), "unknown type distribution"),
+    (lambda: TypeDistribution("truncated-normal", 1.0, 1.0, loc=1.0, scale=1.0),
+     "truncated-normal needs a proper interval"),
+    (lambda: TypeDistribution("uniform", 0.0, 1.0).ppf([0.5, 1.5]),
+     "quantile level outside [0, 1]"),
+    (lambda: TypeDistribution("uniform", 0.0, 1.0).grid(1), "at least 2 points, got 1"),
+    (lambda: TypeDistribution("uniform", 1.0, 1.0).grid(0), "at least 2 points, got 0"),
+    (lambda: NoiseFamily("cauchy"), "unknown noise kind"),
+    (lambda: dataclasses.replace(example_scenario("example1"), players=True),
+     "players must be a positive integer"),
+    (lambda: dataclasses.replace(example_scenario("example1"), players=0),
+     "players must be a positive integer"),
+    (lambda: scenario_from_dict([]), "scenario config must be a JSON object"),
+    (lambda: scenario_from_dict(_config(types={"kind": "uniform", "support": [0.0]})),
+     "types.support must be a [lo, hi] pair"),
+    (lambda: scenario_from_dict(_config(types={"kind": "uniform", "support": [0, 1],
+                                               "loc": 0.5})),
+     "loc/scale only apply to truncated-normal"),
+    (lambda: scenario_from_dict(_config(prizes=1.0)), "prizes must be a list of numbers"),
+    (lambda: scenario_from_dict(_config(players=True)), "players must be a positive integer"),
+    (lambda: scenario_from_dict(_config(players=2.0)), "players must be a positive integer"),
+    (lambda: scenario_from_dict(_config(players="3")), "players must be a positive integer"),
+], ids=["xi-kind", "xi-linear-alpha", "cost-kind", "types-kind", "tnorm-point",
+        "ppf-level", "grid-1", "point-mass-grid-0", "noise-kind", "players-bool",
+        "players-0", "config-not-object", "support-not-pair", "uniform-loc",
+        "prizes-not-list", "config-players-bool", "config-players-float",
+        "config-players-text"])
+def test_input_check_raises(build, message):
+    with pytest.raises(DomainError) as info:
+        build()
+    assert message in str(info.value)
+
+
+@pytest.mark.parametrize("name, overrides, error, message", [
+    ("example5", {}, KeyError, "unknown example 'example5'"),
+    ("example1", {"budget": 1.0}, DomainError, "unknown field(s) ['budget']"),
+], ids=["unknown-example", "unknown-override"])
+def test_example_scenario_rejects(name, overrides, error, message):
+    with pytest.raises(error) as info:
+        example_scenario(name, **overrides)
+    assert message in str(info.value)

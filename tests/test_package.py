@@ -1,4 +1,4 @@
-"""Tests that the hand-kept export lists name only what exists, that
+"""Tests that the hand-kept export list names only what exists, that
 the package holds no unused imports, nested functions, private names or
 private methods, that every name the benchmark's layer hooks wrap
 exists, that neither importing it nor a regression fit loads a scipy
@@ -18,8 +18,7 @@ from pathlib import Path
 import pytest
 
 
-@pytest.mark.parametrize("module", ["contestlab", "contestlab.simulate",
-                                    "contestlab.golden"])
+@pytest.mark.parametrize("module", ["contestlab"])
 def test_all_names_resolve(module):
     mod = importlib.import_module(module)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
@@ -31,13 +30,6 @@ def test_star_import():
     exec("from contestlab import *", namespace)
     import contestlab
     assert set(contestlab.__all__) <= set(namespace)
-
-
-def test_simulate_exports_are_package_exports():
-    # the two lists are kept by hand: a name deleted from one must go from both
-    import contestlab
-    import contestlab.simulate
-    assert set(contestlab.simulate.__all__) <= set(contestlab.__all__)
 
 
 # imported but unused in cli.py and hacking.py: the benchmark's layer

@@ -468,6 +468,14 @@ class TestFixedEffectsOLS:
         with pytest.raises(DomainError, match="group column 'g' holds non-finite"):
             fe_ols(panel, "y", ("x1", "x2"), group="g")
 
+    def test_blank_group_label_rejected(self, rng):
+        # a blank label, like a NaN one, would pool unrelated rows
+        panel = self.toy_panel(rng, noise=0.5)
+        named = dict(panel, g=np.array([f"c{v}" for v in panel["g"]], dtype=object))
+        named["g"][[3, 77]] = ""
+        with pytest.raises(DomainError, match="group column 'g' holds blank labels"):
+            fe_ols(named, "y", ("x1", "x2"), group="g")
+
     def test_text_group_labels_accepted(self, rng):
         panel = self.toy_panel(rng, noise=0.5)
         named = dict(panel, g=np.array([f"c{v}" for v in panel["g"]], dtype=object))
@@ -638,6 +646,27 @@ class TestPanelConstruction:
         expected = np.zeros(len(fit.names))
         expected[fit.names.index("T2xPV")] = 0.5
         np.testing.assert_allclose(fit.coef, expected, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda scn: type_bin_edges(scn, bins=1), "need at least 2 bins, got 1"),
+        (lambda scn: panel_cells(scn, skew_weights=(0.5, 0.3)),
+         "skew weights must sum to 1 over at most three ranks"),
+        (lambda scn: panel_cells(scn, skew_weights=(0.4, 0.3, 0.2, 0.1)),
+         "skew weights must sum to 1 over at most three ranks"),
+        (lambda scn: panel_cells(scn, prize_values=(1.0, 0.0)),
+         "prize budget must be positive, got 0.0"),
+        (lambda scn: synthetic_panel(scn, players=8, cells=(), n_contests=0),
+         "need at least one contest, got 0"),
+        (lambda scn: synthetic_panel(scn, players=8, cells=(), traj_length=1),
+         "trajectory length must be >= 2, got 1"),
+        (lambda scn: synthetic_panel(scn, players=8, cells=()), "no panel cells"),
+    ], ids=["one-bin", "skew-sum", "skew-four-ranks", "zero-budget", "no-contests",
+            "short-trajectory", "no-cells"])
+    def test_bad_design_rejected(self, build, message):
+        scn = example_scenario("example3", players=8)
+        with pytest.raises(DomainError) as info:
+            build(scn)
+        assert message in str(info.value)
 
 
 class TestSyntheticPanel:

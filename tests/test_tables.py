@@ -92,6 +92,14 @@ def test_empty_file_rejected(tmp_path):
         read_csv_columns(path)
 
 
+@pytest.mark.parametrize("header", ["a,,b", ",a", ""], ids=["inner", "first", "blank"])
+def test_unnamed_header_column_rejected(tmp_path, header):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"{header}\n1,2,3\n")
+    with pytest.raises(DomainError, match=r"bad\.csv: malformed CSV header"):
+        read_csv_columns(path)
+
+
 @pytest.mark.parametrize("bad_row", ["4", "4,4.0,9"], ids=["short", "long"])
 def test_ragged_rows_rejected(tmp_path, bad_row):
     path = tmp_path / "ragged.csv"
