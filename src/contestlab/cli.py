@@ -314,10 +314,10 @@ def _cmd_simulate(args, scenario, run) -> int:
 
 
 def _cmd_mk(args, scenario, run) -> int:
-    columns = read_csv_columns(args.input)
+    columns = read_csv_columns(args.input, [args.column])
     if args.column not in columns:
-        raise DomainError(
-            f"{args.input}: no column {args.column!r} (have {sorted(columns)})")
+        raise DomainError(f"{args.input}: no column {args.column!r} "
+                          f"(have {sorted(read_csv_columns(args.input))})")
     result = mann_kendall(columns[args.column])
     _write_json(run.path("mk.json"), {
         "column": args.column, "n": result.n, "S": result.s,
@@ -328,8 +328,8 @@ def _cmd_mk(args, scenario, run) -> int:
 
 
 def _cmd_regress(args, scenario, run) -> int:
-    columns = read_csv_columns(args.input)
     regressors = [s for s in f"{args.dummies},{args.interactions}".split(",") if s]
+    columns = read_csv_columns(args.input, {args.outcome, *regressors, args.group})
     result = fe_ols(columns, args.outcome, regressors, group=args.group)
     _write_json(run.path("regress.json"), result.to_dict())
     for name, coef, se in zip(result.names, result.coef, result.se):

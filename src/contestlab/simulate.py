@@ -61,6 +61,8 @@ CONTEST_COLUMNS = (
     "payoff",
 )
 
+_MK_BLOCK = 8192   # series per block of the Mann-Kendall S loop
+
 
 def _streams(seed: int, streams: Iterable[int]) -> Iterator[np.random.Generator]:
     """The Philox streams (seed, j) for each j in ``streams``, in order.
@@ -121,11 +123,15 @@ def mann_kendall(series) -> MannKendall:
 def _mk_batch(scores: Array) -> tuple[Array, Array, Array]:
     """Row-wise Mann-Kendall for a (rows, length) matrix of series."""
     rows, n = scores.shape
-    # sum over column offsets k, so temporaries stay (rows, n)
+    # sum over offsets k within blocks of series, each copied so that its
+    # series run down the columns: every sum then adds whole contiguous
+    # rows, and the copy and its temporaries stay a block's size
     s = np.zeros(rows)
-    for k in range(1, n):
-        diff = scores[:, k:] - scores[:, :-k]
-        s += np.sign(diff, out=diff).sum(axis=1)
+    for lo in range(0, rows, _MK_BLOCK):
+        by_step = np.ascontiguousarray(scores[lo:lo + _MK_BLOCK].T)
+        for k in range(1, n):
+            diff = by_step[k:] - by_step[:-k]
+            s[lo:lo + _MK_BLOCK] += np.sign(diff, out=diff).sum(axis=0)
 
     # tie correction from the run lengths of the sorted rows that have
     # ties; every row opens a run, so no run crosses into the next row

@@ -360,21 +360,51 @@ class TestExitCodes:
                        "--out", tmp_path / "m") == EXIT_OK
         assert capsys.readouterr().err == ""
 
-    def test_missing_column_is_input_error(self, tmp_path):
+    def test_missing_column_is_input_error(self, tmp_path, capsys):
         assert run_cli("mk", "--input", TREND_CSV,
                        "--column", "nope", "--out", tmp_path / "z") == EXIT_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].endswith("no column 'nope' (have ['score', 'step'])")
+
+    def test_missing_outcome_is_input_error(self, tmp_path, rng, capsys):
+        panel = tmp_path / "panel.csv"
+        g = np.repeat(np.arange(10), 5)
+        write_csv(panel, {"g": g, "x": rng.normal(size=g.size)})
+        out = tmp_path / "r"
+        assert run_cli("regress", "--input", panel, "--outcome", "y", "--dummies", "x",
+                       "--group", "g", "--out", out) == EXIT_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: panel is missing columns ['y']"]
+        assert not out.exists()
+
+    def test_regress_ignores_unread_text_column(self, tmp_path):
+        # the typed parse reads only the fit's columns, so a text column
+        # elsewhere in the file leaves regress.json as it was
+        sim = tmp_path / "sim"
+        assert run_cli("simulate", "--scenario", "example1", "--contests", "6",
+                       "--grid", "21", "--out", sim) == EXIT_OK
+        plain = sim / "panel.csv"
+        header, *rows = plain.read_text().splitlines()
+        text = tmp_path / "text.csv"
+        text.write_text("\n".join([f"{header},note", *(f"{row},n/a" for row in rows)]) + "\n")
+        for path, out in ((plain, tmp_path / "plain"), (text, tmp_path / "text")):
+            assert run_cli("regress", "--input", path, "--outcome", "mu",
+                           "--dummies", "type", "--out", out) == EXIT_OK
+        assert ((tmp_path / "plain" / "regress.json").read_bytes()
+                == (tmp_path / "text" / "regress.json").read_bytes())
 
     @pytest.mark.parametrize("command", ["mk", "regress"])
     @pytest.mark.parametrize("bad_row", ["3", "3,3.0,7"], ids=["short", "long"])
     def test_ragged_csv_row_is_input_error(self, tmp_path, capsys, command, bad_row):
         path = tmp_path / "ragged.csv"
         path.write_text(f"step,score\n1,1.0\n2,2.0\n{bad_row}\n4,4.0\n")
-        args = (["--column", "score"] if command == "mk"
-                else ["--outcome", "score", "--dummies", "step", "--group", "step"])
-        assert run_cli(command, "--input", path, *args,
-                       "--out", tmp_path / "r") == EXIT_INPUT
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "ragged.csv: line 4 " in err
+        # mk reads one column; under --column step the bad field lies outside it
+        for args in ([["--column", "score"], ["--column", "step"]] if command == "mk"
+                     else [["--outcome", "score", "--dummies", "step", "--group", "step"]]):
+            assert run_cli(command, "--input", path, *args,
+                           "--out", tmp_path / "r") == EXIT_INPUT
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "ragged.csv: line 4 " in err
 
     def test_unknown_command_is_usage_error(self, capsys):
         assert run_cli("frobnicate") == EXIT_USAGE

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import csv
+import itertools
 
 import numpy as np
 import pytest
 
+import contestlab._tables as tables
 from contestlab._tables import (
     _CHUNK_ROWS,
     _format_cell,
@@ -68,6 +70,47 @@ def test_bytes_match_the_rowwise_writer(tmp_path, rng):
     assert fast.read_bytes() == slow.read_bytes()
 
 
+def low_cardinality_columns(rng, n):
+    """Columns of few distinct values, one a little under n/8 and one over."""
+    special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 0.1])
+    under, over = n // 8 - 3, n // 8 + 3
+    return {
+        "special": rng.choice(special, n),
+        "f32": rng.choice(special, n).astype(np.float32),
+        "flag": rng.random(n) < 0.3,
+        "i64": rng.choice(np.array([-2**63, -1, 0, 7, 2**63 - 1]), n),
+        "u64": rng.choice(np.array([0, 2**63, 2**64 - 1], dtype=np.uint64), n),
+        "i8": rng.integers(-3, 3, n, dtype=np.int8),
+        "strided": rng.choice(special, 2 * n)[::2],
+        "under": rng.permutation(np.arange(n) % under) * 0.5 - 1.0,
+        "over": rng.permutation(np.arange(n) % over) * 0.5 - 1.0,
+    }
+
+
+def test_low_cardinality_bytes_match_the_rowwise_writer(tmp_path, rng):
+    n = 3 * _CHUNK_ROWS + 5
+    cols = low_cardinality_columns(rng, n)
+    assert np.unique(cols["under"]).size * 8 <= n < np.unique(cols["over"]).size * 8
+    fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+    write_csv(fast, cols)
+    rowwise_csv(slow, cols)
+    assert fast.read_bytes() == slow.read_bytes()
+
+
+def test_each_distinct_value_is_formatted_once(tmp_path, rng, monkeypatch):
+    n = 3 * _CHUNK_ROWS + 5
+    formatted = []
+    format_column = tables._format_column
+    monkeypatch.setattr(tables, "_format_column",
+                        lambda col: formatted.append(col.size) or format_column(col))
+    for name, col in low_cardinality_columns(rng, n).items():
+        formatted.clear()
+        write_csv(tmp_path / "t.csv", {name: col})
+        # distinct bit patterns: 0.0 and -0.0 are two values
+        want = n if name == "over" else np.unique(col.view(f"u{col.itemsize}")).size
+        assert sum(formatted) == want, name
+
+
 def test_column_order_is_respected(tmp_path):
     path = tmp_path / "t.csv"
     write_csv(path, {"b": np.array([1]), "a": np.array([2])}, order=("a", "b"))
@@ -106,6 +149,18 @@ def test_ragged_rows_rejected(tmp_path, bad_row):
     path.write_text(f"step,score\n1,1.0\n2,2.0\n{bad_row}\n5,5.0\n")
     with pytest.raises(DomainError, match=r"ragged\.csv: line 4 "):
         read_csv_columns(path)
+
+
+@pytest.mark.parametrize("names", [("step",), ("score",), ()], ids=["step", "score", "none"])
+@pytest.mark.parametrize("bad_row, fields", [("4,4.0", 2), ("4,4.0,9,9", 4), ('4,"4.0,9"', 2)],
+                         ids=["short", "long", "quoted-comma"])
+def test_ragged_row_rejected_when_its_bad_field_is_unread(tmp_path, bad_row, fields, names):
+    # the bad field is in column n, which no subset reads; a quoted comma
+    # gives the line the header's comma count but one field less
+    path = tmp_path / "ragged.csv"
+    path.write_text(f"step,score,n\n1,1.0,1\n2,2.0,2\n{bad_row}\n5,5.0,5\n")
+    with pytest.raises(DomainError, match=rf"ragged\.csv: line 4 has {fields} fields"):
+        read_csv_columns(path, names)
 
 
 def test_non_numeric_column_comes_back_as_objects(tmp_path):
@@ -167,6 +222,8 @@ ROWWISE = {
     "text-column": "name,x\nfoo,1\nbar,2\n",
     "text-later": "i,x\n1,2.5\n2,foo\n",
     "empty-field": "i,x\n1,\n2,3.5\n",
+    "uint64-beside-text": "u,name,x\n18446744073709551615,a,1.5\n1,b,2\n",
+    "quoted-comma": 'i,name,x\n1,"a,b",2.5\n2,c,3.5\n',
 }
 
 
@@ -199,6 +256,31 @@ def test_any_later_token_reads_as_the_rowwise_oracle(tmp_path, first):
         assert_same_columns(read_csv_columns(path), _read_rowwise(path))
 
 
+def assert_subsets_match_the_full_read(path):
+    full = read_csv_columns(path)
+    header = list(full) + ["absent"]
+    for size in range(len(header) + 1):
+        for names in itertools.combinations(header, size):
+            want = {name: col for name, col in full.items() if name in names}
+            assert_same_columns(read_csv_columns(path, names), want)
+
+
+@pytest.mark.parametrize("body", [*TYPED.values(), *ROWWISE.values()],
+                         ids=[*TYPED.keys(), *ROWWISE.keys()])
+def test_column_subset_matches_the_full_read(tmp_path, body):
+    path = tmp_path / "t.csv"
+    path.write_bytes(body.encode())
+    assert_subsets_match_the_full_read(path)
+
+
+@pytest.mark.parametrize("first", ["1", "1.5"], ids=["int-column", "float-column"])
+def test_column_subset_of_any_later_token_matches_the_full_read(tmp_path, first):
+    path = tmp_path / "t.csv"
+    for token in TOKENS:
+        path.write_text(f"a,b\n{first},1\n{token},2\n")
+        assert_subsets_match_the_full_read(path)
+
+
 def test_header_only_file_gives_empty_int_columns(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("i,x\n")
@@ -207,14 +289,27 @@ def test_header_only_file_gives_empty_int_columns(tmp_path):
         ("i", np.int64, 0), ("x", np.int64, 0)]
 
 
-@pytest.mark.parametrize("body", ["i,x\n1,2.0\n\n3,4.0\n", "i,x\n1,2.0\n3,4.0\n\n"],
-                         ids=["inner", "trailing"])
+BLANK_LINES = {"inner": "i,x\n1,2.0\n\n3,4.0\n", "trailing": "i,x\n1,2.0\n3,4.0\n\n"}
+
+
+@pytest.mark.parametrize("body", BLANK_LINES.values(), ids=BLANK_LINES.keys())
 def test_blank_line_rejected_with_its_line_number(tmp_path, body):
     path = tmp_path / "blank.csv"
     path.write_text(body)
     line = body.split("\n").index("") + 1
     with pytest.raises(DomainError, match=rf"blank\.csv: line {line} has 0 fields"):
         read_csv_columns(path)
+
+
+@pytest.mark.parametrize("names", [("i",), ()], ids=["one", "none"])
+@pytest.mark.parametrize("body", [*BLANK_LINES.values(), "i\n1\n\n3\n", "i\r\n1\r\n\r\n3\r\n"],
+                         ids=[*BLANK_LINES.keys(), "one-column", "one-column-crlf"])
+def test_blank_line_rejected_under_a_column_subset(tmp_path, body, names):
+    path = tmp_path / "blank.csv"
+    path.write_bytes(body.encode())
+    line = body.replace("\r", "").split("\n").index("") + 1
+    with pytest.raises(DomainError, match=rf"blank\.csv: line {line} has 0 fields"):
+        read_csv_columns(path, names)
 
 
 def test_written_tables_take_the_typed_path(tmp_path, rng):
@@ -242,9 +337,9 @@ def test_uint64_above_int64_reads_back(tmp_path):
     path = tmp_path / "u.csv"
     u = np.array([0, 2**63, 2**64 - 1], dtype=np.uint64)
     write_csv(path, {"u": u})
-    back = read_csv_columns(path)["u"]
-    assert back.dtype == np.uint64
-    np.testing.assert_array_equal(back, u)
+    for back in (read_csv_columns(path)["u"], read_csv_columns(path, ["u"])["u"]):
+        assert back.dtype == np.uint64
+        np.testing.assert_array_equal(back, u)
 
 
 def test_integers_of_both_signs_beyond_int64_read_as_floats(tmp_path):
