@@ -136,7 +136,7 @@ def baseline_grid(scenario: Scenario, thetas) -> BaselineGrid:
         alloc = allocate_grid(scenario, mu_star, thetas)
         a, b = alloc.a, alloc.b
         mu = scenario.nu.value(a, thetas) + scenario.xi.value(b)
-        payoff = mu - scenario.cost.value(a + b)
+        payoff = mu - alloc.cost
         return BaselineGrid(thetas, a, b, mu, payoff, alloc.case)
 
     mu_star = _root_from_zero(gap, thetas, "no-contest optimum", 1e-10)

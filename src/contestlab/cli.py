@@ -69,8 +69,6 @@ def _jsonable(obj):
         if math.isnan(x):
             return "nan"
         return x
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
     return obj
 
 

@@ -17,7 +17,7 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
@@ -196,7 +196,7 @@ class CostForm:
     """
 
     kind: str
-    kappa: float = 1.0
+    kappa: float
 
     def __post_init__(self) -> None:
         if self.kind not in _COST_KINDS:
@@ -539,12 +539,10 @@ class Scenario:
 
     def with_prizes(self, prizes) -> "Scenario":
         pv = prizes if isinstance(prizes, PrizeVector) else PrizeVector(tuple(prizes))
-        return Scenario(self.nu, self.xi, self.cost, self.types, self.noise,
-                        self.players, pv)
+        return replace(self, prizes=pv)
 
     def with_players(self, players: int) -> "Scenario":
-        return Scenario(self.nu, self.xi, self.cost, self.types, self.noise,
-                        players, self.prizes)
+        return replace(self, players=players)
 
 
 # ---------------------------------------------------------------------------

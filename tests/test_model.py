@@ -350,10 +350,36 @@ class TestScenario:
             example_scenario("example1", players=2, prizes=[1.0, 0.5, 0.0])
 
     def test_with_prizes_preserves_rest(self):
-        scn = example_scenario("example1")
+        scn = example_scenario("example1", players=3, cost={"kind": "linear", "kappa": 2.0},
+                               noise={"kind": "gumbel", "dispersion": 0.7})
         scn2 = scn.with_prizes((3.0, 1.0))
         assert scn2.prizes.values == (3.0, 1.0)
-        assert scn2.nu == scn.nu and scn2.types == scn.types
+        scn3 = scn.with_players(5)
+        assert scn3.players == 5 and scn3.prizes == scn.prizes
+        for other in (scn2, scn3):
+            assert other.nu == scn.nu and other.xi == scn.xi and other.cost == scn.cost
+            assert other.types == scn.types and other.noise == scn.noise
+        assert scn2.players == 3
+        # the copies still run Scenario's checks: example1 pays two prizes
+        with pytest.raises(DomainError, match="more prizes than players"):
+            scn.with_players(1)
+
+    def test_omitted_fields_take_the_documented_defaults(self):
+        # the defaults README's "Scenario files" section lists
+        minimal = {"nu": {"kind": "power"}, "xi": {"kind": "power"},
+                   "cost": {"kind": "quadratic"},
+                   "types": {"kind": "truncated-normal", "support": [1.0, 3.0]}}
+        scn = scenario_from_dict(minimal)
+        assert scn.nu == ProductionForm("power", 0.5)
+        assert scn.xi == MechanizationForm("power", 0.5)
+        assert scn.cost == CostForm("quadratic", 0.5)
+        assert scn.types == TypeDistribution("truncated-normal", 1.0, 3.0, loc=2.0, scale=0.5)
+        assert scn.noise == NoiseFamily("normal", 1.0)
+        assert scn.players == 2 and scn.prizes == PrizeVector((1.0,))
+        linear = scenario_from_dict({**minimal, "cost": {"kind": "linear"},
+                                     "noise": {"kind": "gumbel"}})
+        assert linear.cost == CostForm("linear", 1.0)
+        assert linear.noise == NoiseFamily("gumbel", 1.0)
 
 
 class TestValidation:
@@ -412,7 +438,7 @@ def _config(**changes) -> dict:
 @pytest.mark.parametrize("build, message", [
     (lambda: MechanizationForm("cubic"), "unknown mechanization kind"),
     (lambda: MechanizationForm("linear", 0.5), "linear mechanization takes no alpha"),
-    (lambda: CostForm("cubic"), "unknown cost kind"),
+    (lambda: CostForm("cubic", 1.0), "unknown cost kind"),
     (lambda: TypeDistribution("beta", 0.0, 1.0), "unknown type distribution"),
     (lambda: TypeDistribution("truncated-normal", 1.0, 1.0, loc=1.0, scale=1.0),
      "truncated-normal needs a proper interval"),

@@ -247,16 +247,46 @@ class TestNdtr:
         assert np.max(np.abs(ndtr(z) + ndtr(-z) - 1.0)) <= 2 * np.spacing(1.0)
 
 
+# the two interior levels where a numpy port of AS241 rounded its last
+# steps differently from the standard library, by up to 3 ulps
+PORT_MISSES = [0.9937813840712412, 0.9501922016735428]
+LEVELS = np.concatenate([np.linspace(0.0, 1.0, 20_001)[1:-1], np.logspace(-300, -1, 301),
+                         1.0 - np.logspace(-16, -1, 300), PORT_MISSES])
+
+
+def _quantile_50_digits(mpmath, level: float, start: float):
+    """Phi^-1(level) to 50 digits: Newton's method on ncdf(x) = level."""
+    with mpmath.workdps(50):
+        x = mpmath.mpf(start)
+        for _ in range(10):
+            step = (mpmath.ncdf(x) - level) / mpmath.npdf(x)
+            x -= step
+            # convergence is quadratic: the error left is near step**2
+            if abs(step) <= 1e-25 * abs(x):
+                return x
+    raise AssertionError(f"Newton did not settle at level {level!r}")
+
+
 class TestNdtri:
     def test_matches_statistics_bit_for_bit(self):
-        p = np.concatenate([np.linspace(0.0, 1.0, 20_001)[1:-1],
-                            np.logspace(-300, -1, 301), 1.0 - np.logspace(-16, -1, 300)])
         inv_cdf = statistics.NormalDist().inv_cdf
-        want = np.array([inv_cdf(v) for v in p.tolist()])
-        assert ndtri(p).tobytes() == want.tobytes()
+        want = np.array([inv_cdf(v) for v in LEVELS.tolist()])
+        assert ndtri(LEVELS).tobytes() == want.tobytes()
+
+    def test_matches_mpmath_within_four_eps(self):
+        # AS241's rational approximations are good to about 1e-16 relative,
+        # and its Horner steps and quotient add a few roundings of eps / 2
+        mpmath = pytest.importorskip("mpmath")
+        got = ndtri(LEVELS)
+        want = [_quantile_50_digits(mpmath, level, x) for level, x in
+                zip(LEVELS.tolist(), got.tolist())]
+        rel = [abs(mpmath.mpf(g) / w - 1) for g, w in zip(got.tolist(), want) if w != 0]
+        assert max(rel) <= 4 * np.finfo(float).eps
 
     def test_edges(self):
         got = ndtri(np.array([0.0, 1.0, -0.1, 1.1, -np.inf, np.nan]))
         assert got[0] == -np.inf and got[1] == np.inf
         assert np.all(np.isnan(got[2:]))
         assert ndtri(0.5) == 0.0 and isinstance(ndtri(0.5), float)
+        assert ndtri(np.full((3, 2), 0.25)).shape == (3, 2)
+        assert ndtri(np.array([])).shape == (0,)
