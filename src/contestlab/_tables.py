@@ -10,13 +10,15 @@ from __future__ import annotations
 import csv
 import io
 import re
+from collections import Counter
 from collections.abc import Collection, Mapping, Sequence
+from contextlib import ExitStack
 
 import numpy as np
 
 from .errors import DomainError
 
-_CHUNK_ROWS = 8192   # rows formatted per batch; bounds the memory of a write
+_CHUNK_ROWS = 2048   # rows formatted per batch; bounds the memory of a write
 _SPECIAL = re.compile(r'[,"\r\n]')   # characters csv.writer may quote a field for
 
 
@@ -87,20 +89,43 @@ def write_csv(path, columns: Mapping[str, np.ndarray], order: Sequence[str] | No
     whole columns are formatted and joined a chunk of rows at a time, and
     a long column of few distinct values formats each of them once.
     """
-    names = list(order) if order is not None else list(columns)
+    _write_tables(columns, [(path, list(order) if order is not None else list(columns))])
+
+
+def _write_tables(columns: Mapping[str, np.ndarray],
+                  tables: Sequence[tuple[object, Sequence[str]]]) -> None:
+    """Write several tables of one column mapping in one pass.
+
+    Each ``(path, order)`` table gets the bytes ``write_csv(path, columns,
+    order)`` gives it.  The tables are written side by side a chunk of
+    rows at a time, and a column that more than one table holds is
+    formatted once per chunk; only those cells are kept, and only for
+    their chunk.  Every column named must exist, and all of them must
+    have one length.
+    """
+    held = Counter(name for _, order in tables for name in order)
+    names = list(held)
     missing = [n for n in names if n not in columns]
     if missing:
         raise DomainError(f"missing columns for CSV export: {missing}")
-    arrays = [np.asarray(columns[n]) for n in names]
-    lengths = {a.shape[0] for a in arrays}
+    arrays = {n: np.asarray(columns[n]) for n in names}
+    lengths = {a.shape[0] for a in arrays.values()}
     if len(lengths) > 1:
         raise DomainError(f"ragged columns for CSV export: lengths {sorted(lengths)}")
-    formatters = [_column_cells(a) for a in arrays]
-    with open(path, "w", newline="") as fh:
-        fh.write(_lines([[_csv_cell(str(n))] for n in names], len(names)))
-        for start in range(0, arrays[0].shape[0] if arrays else 0, _CHUNK_ROWS):
+    formatters = {n: _column_cells(a) for n, a in arrays.items()}
+    shared = [n for n in names if held[n] > 1]
+    with ExitStack() as stack:
+        files = [(stack.enter_context(open(path, "w", newline="")), order)
+                 for path, order in tables]
+        for fh, order in files:
+            fh.write(_lines([[_csv_cell(str(n))] for n in order], len(order)))
+        for start in range(0, lengths.pop() if lengths else 0, _CHUNK_ROWS):
             chunk = slice(start, start + _CHUNK_ROWS)
-            fh.write(_lines([cells(chunk) for cells in formatters], len(arrays)))
+            cells = {n: list(formatters[n](chunk)) for n in shared}
+            for fh, order in files:
+                if order:   # a table of no columns has no rows
+                    fh.write(_lines([cells[n] if n in cells else formatters[n](chunk)
+                                     for n in order], len(order)))
 
 
 def read_csv_columns(path, names: Collection[str] | None = None) -> dict[str, np.ndarray]:

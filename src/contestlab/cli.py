@@ -304,8 +304,7 @@ def _cmd_simulate(args, scenario, run) -> int:
         drift_scale=args.drift_scale,
         noise_scale=args.noise_scale,
     )
-    panel.contests_to_csv(run.path("contests.csv"))
-    panel.to_csv(run.path("panel.csv"))
+    panel.tables_to_csv(run.path("contests.csv"), run.path("panel.csv"))
     print(f"simulated {args.contests} contests x {scenario.players} players "
           f"(panel rows: {panel.n_rows})")
     return EXIT_OK

@@ -17,7 +17,7 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
@@ -410,13 +410,16 @@ class NoiseFamily:
         z = np.maximum(z, -40.0)
         return np.exp(-z - np.exp(-z)) / scale
 
-    def _standard_draws(self, rng: np.random.Generator, shape) -> Array:
-        """Draws of the base variate Z of ``loc_scale``, in stream order."""
+    def _standard_draws(self, rng: np.random.Generator, out: Array) -> None:
+        """Fill ``out`` (C-contiguous float64) with draws of the base variate
+        Z of ``loc_scale``, in stream order: the values a fresh array of
+        ``out``'s shape would get from the same stream."""
         if self.kind == "normal":
-            return rng.standard_normal(shape)
-        if self.kind == "gumbel":
-            return rng.gumbel(0.0, 1.0, shape)
-        return rng.standard_exponential(shape)
+            rng.standard_normal(out=out)
+        elif self.kind == "gumbel":     # no out= for Gumbel draws
+            out[...] = rng.gumbel(0.0, 1.0, out.shape)
+        else:
+            rng.standard_exponential(out=out)
 
 
 @dataclass(frozen=True)
@@ -468,9 +471,9 @@ class Scenario:
     xi: MechanizationForm
     cost: CostForm
     types: TypeDistribution
-    noise: NoiseFamily = field(default_factory=lambda: NoiseFamily("normal", 1.0))
-    players: int = 2
-    prizes: PrizeVector = field(default_factory=lambda: PrizeVector((1.0,)))
+    noise: NoiseFamily
+    players: int
+    prizes: PrizeVector
 
     def __post_init__(self) -> None:
         if (isinstance(self.players, bool) or not isinstance(self.players, int)

@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ._tables import write_csv
+from ._tables import _write_tables, write_csv
 from .costmin import allocate_grid
 from .equilibrium import StrategyProfile, solve_equilibrium
 from .errors import DomainError
@@ -77,10 +77,11 @@ def _streams(seed: int, streams: Iterable[int]) -> Iterator[np.random.Generator]
     bitgen = np.random.Philox(key=[int(seed), 0])
     rng = np.random.Generator(bitgen)
     fresh = bitgen.state
+    key = fresh["state"]["key"]     # uint64 (seed, 0); the setter copies it
     for j in streams:
         if j < 0:
             raise DomainError("seed and stream index must be non-negative")
-        fresh["state"]["key"] = np.array([seed, j], dtype=np.uint64)
+        key[1] = j
         bitgen.state = fresh
         yield rng
 
@@ -223,8 +224,8 @@ def _contest_batch(
     u = np.empty((len(replications), count))
     z = np.empty_like(u)
     for i, rng in enumerate(_streams(seed, replications)):
-        u[i] = rng.random(count)
-        z[i] = scenario.noise._standard_draws(rng, count)
+        rng.random(out=u[i])
+        scenario.noise._standard_draws(rng, z[i])
     theta = scenario.types.ppf(u)
     mu = profile.mu_at(theta)
     grid = allocate_grid(scenario, mu, theta)
@@ -491,9 +492,10 @@ class SyntheticPanel:
 
     ``columns`` holds every per-player record of each contest once: the
     trajectory columns of ``PANEL_COLUMNS`` plus the contest outcome
-    columns (score, rank, prize, payoff) of ``CONTEST_COLUMNS``.
-    ``to_csv`` and ``contests_to_csv`` write the two tables, which
-    therefore describe the same contests row for row.
+    columns (score, rank, prize, payoff) of ``CONTEST_COLUMNS``.  The two
+    tables therefore describe the same contests row for row.
+    ``tables_to_csv`` writes both in one pass, formatting the columns
+    they share once; ``to_csv`` writes the panel table alone.
     """
 
     columns: dict[str, Array]
@@ -505,8 +507,9 @@ class SyntheticPanel:
     def to_csv(self, path) -> None:
         write_csv(path, self.columns, order=PANEL_COLUMNS)
 
-    def contests_to_csv(self, path) -> None:
-        write_csv(path, self.columns, order=CONTEST_COLUMNS)
+    def tables_to_csv(self, contests_path, panel_path) -> None:
+        _write_tables(self.columns, [(contests_path, CONTEST_COLUMNS),
+                                     (panel_path, PANEL_COLUMNS)])
 
 
 def panel_cells(

@@ -46,7 +46,9 @@ def sample_noise(noise: NoiseFamily, rng: np.random.Generator, mu) -> np.ndarray
     """One performance draw per entry of ``mu``: loc + scale * Z."""
     mu = np.asarray(mu, dtype=float)
     loc, scale = noise.loc_scale(mu)
-    return loc + scale * noise._standard_draws(rng, mu.shape)
+    z = np.empty(mu.shape)
+    noise._standard_draws(rng, z)
+    return loc + scale * z
 
 
 def random_scenario(rng: np.random.Generator) -> Scenario:

@@ -1,13 +1,15 @@
 """Tests that the hand-kept export list names only what exists, that
 the package holds no unused imports, nested functions, private names or
 private methods, that every name the benchmark's layer hooks wrap
-exists, that neither importing it nor a regression fit loads a scipy
-module, and that the README's layout names every module."""
+exists and each file hook takes the path first, that neither importing
+it nor a regression fit loads a scipy module, and that the README's
+layout names every module."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import os
 import runpy
 import subprocess
@@ -115,31 +117,48 @@ def test_no_unused_imports_or_nested_functions():
 HOOKS_MISSING_ALLOWED = {"contestlab.cli:run_contests"}
 
 
-def _resolves(target: str) -> bool:
-    """Whether ``module:attr`` (or ``module:Class.attr``) names something,
-    looked up as the benchmark's tracer looks it up."""
+def _lookup(target: str):
+    """What ``module:attr`` (or ``module:Class.attr``) names, looked up as
+    the benchmark's tracer looks it up; None if it names nothing."""
     module_name, _, path = target.partition(":")
     try:
         owner = importlib.import_module(module_name)
         for part in path.split("."):
             owner = getattr(owner, part)
     except (ImportError, AttributeError):
-        return False
-    return True
+        return None
+    return owner
+
+
+def _benchmark_hooks(monkeypatch) -> dict:
+    """``HOOKS`` of perfbench/layers.py: layer name -> (span, targets)."""
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    monkeypatch.delitem(sys.modules, "tracer", raising=False)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)   # leave perfbench/ as it is
+    return runpy.run_path(str(perfbench / "layers.py"))["HOOKS"]
 
 
 def test_benchmark_hook_targets_resolve(monkeypatch):
     # the tracer reads a whole layer as missing when one of its targets
     # is gone, so a renamed name in src/ would null that layer silently
-    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
-    monkeypatch.syspath_prepend(str(perfbench))
-    monkeypatch.delitem(sys.modules, "tracer", raising=False)
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)   # leave perfbench/ as it is
-    hooks = runpy.run_path(str(perfbench / "layers.py"))["HOOKS"]
+    hooks = _benchmark_hooks(monkeypatch)
     targets = {target for _, names in hooks.values() for target in names}
     assert len(targets) > 20
-    missing = {target for target in targets if not _resolves(target)}
+    missing = {target for target in targets if _lookup(target) is None}
     assert missing - HOOKS_MISSING_ALLOWED == set()
+
+
+@pytest.mark.parametrize("layer", ["tables.write", "tables.read"])
+def test_file_hook_targets_take_the_path_first(monkeypatch, layer):
+    # the benchmark's observer for these layers reads the size of the file
+    # named by the call's first argument, and its error fails the op
+    _, targets = _benchmark_hooks(monkeypatch)[layer]
+    assert targets
+    for target in targets:
+        first = next(iter(inspect.signature(_lookup(target)).parameters.values()))
+        assert first.name == "path", target
+        assert first.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD, target
 
 
 def test_import_loads_no_scipy():

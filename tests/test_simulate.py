@@ -240,6 +240,74 @@ class TestStreams:
             list(_streams(seed, streams))
 
 
+class TestPinnedDraws:
+    """Every draw of a batch and of a panel against a fresh Philox stream.
+
+    The expected values are drawn here with numpy's own calls, so a
+    change to the simulator's draw order or draw calls fails these tests
+    even where the batch and :func:`run_contest` still agree.
+    """
+
+    BASE = {
+        "normal": lambda rng, n: rng.standard_normal(n),
+        "gumbel": lambda rng, n: rng.gumbel(0.0, 1.0, n),
+        "exponential": lambda rng, n: rng.standard_exponential(n),
+    }
+
+    @staticmethod
+    def fresh(seed, stream):
+        return np.random.Generator(np.random.Philox(key=[seed, stream]))
+
+    @pytest.fixture(scope="class", params=[
+        {"kind": "normal", "dispersion": 3.0},
+        {"kind": "gumbel", "dispersion": 2.0},
+        {"kind": "exponential"},
+    ], ids=["normal", "gumbel", "exponential"])
+    def profile(self, request):
+        scn = example_scenario("example3", players=6, prizes=[1.0, 0.5],
+                               noise=request.param)
+        profile = solve_equilibrium(scn, grid_size=21)
+        assert profile.converged
+        return profile
+
+    def test_batch_rows(self, profile):
+        # row i: the type uniforms, then the base variates, of stream reps[i]
+        scn = profile.scenario
+        seed, reps = 31, [5, 0, 17, 2**40 + 3, 1]
+        batch = _contest_batch(profile, seed, reps)
+        for i, r in enumerate(reps):
+            fresh = self.fresh(seed, r)
+            u = fresh.random(scn.players)
+            z = self.BASE[scn.noise.kind](fresh, scn.players)
+            np.testing.assert_array_equal(batch["theta"][i], scn.types.ppf(u),
+                                          err_msg=f"contest {r}")
+            loc, scale = scn.noise.loc_scale(batch["mu"][i])
+            np.testing.assert_array_equal(batch["score"][i], loc + scale * z,
+                                          err_msg=f"contest {r}")
+
+    def test_panel_rows(self, profile):
+        # contest j draws its outcome from stream j and its trajectories,
+        # one row of standard normals per player, from stream n + j
+        scn = profile.scenario
+        seed, n, players, length = 8, 4, scn.players, 5
+        cell = PanelCell(prize_value=scn.prizes.total, prize_skew=1, profile=profile)
+        cols = synthetic_panel(scn, n_contests=n, players=players, cells=(cell,),
+                               seed=seed, traj_length=length, drift_scale=0.3,
+                               noise_scale=2.0, score_base=50.0, score_gain=5.0).columns
+        for j in range(n):
+            rows = slice(j * players, (j + 1) * players)
+            fresh = self.fresh(seed, j)
+            np.testing.assert_array_equal(cols["type"][rows],
+                                          scn.types.ppf(fresh.random(players)))
+            eps = self.fresh(seed, n + j).standard_normal((players, length))
+            traj = _trajectory_matrix(cols["a"][rows], cols["b"][rows], length, 0.3, 2.0,
+                                      50.0 + 5.0 * cols["score"][rows], eps)
+            s, _, z = _mk_batch(traj)
+            np.testing.assert_array_equal(cols["score_final"][rows], traj[:, -1])
+            np.testing.assert_array_equal(cols["mk_S"][rows], s)
+            np.testing.assert_array_equal(cols["mk_Z"][rows], z)
+
+
 class TestRunContest:
     def test_payoff_identity_exact(self, small_game):
         scn, profile = small_game

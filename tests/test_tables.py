@@ -111,6 +111,64 @@ def test_each_distinct_value_is_formatted_once(tmp_path, rng, monkeypatch):
         assert sum(formatted) == want, name
 
 
+def two_table_columns(rng, n):
+    """Mixed columns for two tables: shared and unshared, low and high cardinality."""
+    special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 0.1])
+    return {
+        "id": np.arange(n, dtype=np.int64),
+        "u64": rng.integers(0, 2**64 - 1, n, dtype=np.uint64, endpoint=True),
+        "flag": rng.random(n) < 0.4,
+        "special": rng.choice(special, n),
+        "x": rng.normal(size=n),
+        "text": np.array([f"a,{k % 5}" if k % 3 else f'q"{k}' for k in range(n)]),
+        "only_a": 10.0 ** rng.uniform(-300, 300, n),
+        "only_b": rng.integers(-3, 3, n, dtype=np.int8),
+    }
+
+
+def test_two_tables_match_one_table_writes(tmp_path, rng, monkeypatch):
+    n = 2 * _CHUNK_ROWS + 77    # three chunks, the last one short
+    cols = two_table_columns(rng, n)
+    order_a = ("id", "text", "x", "special", "only_a", "flag", "u64")
+    order_b = ("u64", "only_b", "x", "id", "special", "flag", "text")
+    formatted = []
+    format_column = tables._format_column
+    monkeypatch.setattr(tables, "_format_column",
+                        lambda col: formatted.append(col.size) or format_column(col))
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    tables._write_tables(cols, [(a, order_a), (b, order_b)])
+    together = sum(formatted)
+
+    for path, order in ((a, order_a), (b, order_b)):
+        alone, slow = tmp_path / "alone.csv", tmp_path / "slow.csv"
+        write_csv(alone, cols, order=order)
+        rowwise_csv(slow, {name: cols[name] for name in order})
+        assert path.read_bytes() == alone.read_bytes() == slow.read_bytes(), order
+    # a shared column is formatted once for both tables, as in a one-table
+    # write of every column
+    formatted.clear()
+    write_csv(tmp_path / "all.csv", cols)
+    assert together == sum(formatted)
+
+
+def test_two_tables_reject_what_one_table_rejects(tmp_path):
+    cols = {"a": np.array([1, 2]), "b": np.array([3, 4]), "c": np.array([5])}
+    first = (tmp_path / "x.csv", ("a",))
+    with pytest.raises(DomainError, match="missing"):
+        tables._write_tables(cols, [first, (tmp_path / "y.csv", ("b", "d"))])
+    with pytest.raises(DomainError, match="ragged"):
+        tables._write_tables(cols, [first, (tmp_path / "y.csv", ("b", "c"))])
+
+
+def test_a_table_of_no_columns_has_no_rows(tmp_path):
+    cols = {"a": np.arange(5)}
+    empty, full, alone = tmp_path / "e.csv", tmp_path / "f.csv", tmp_path / "alone.csv"
+    tables._write_tables(cols, [(empty, ()), (full, ("a",))])
+    write_csv(alone, cols, order=())
+    assert empty.read_bytes() == alone.read_bytes() == b"\n"
+    assert full.read_text().splitlines() == ["a", "0", "1", "2", "3", "4"]
+
+
 def test_column_order_is_respected(tmp_path):
     path = tmp_path / "t.csv"
     write_csv(path, {"b": np.array([1]), "a": np.array([2])}, order=("a", "b"))
