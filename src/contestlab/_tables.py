@@ -115,7 +115,7 @@ def _write_tables(columns: Mapping[str, np.ndarray],
     formatters = {n: _column_cells(a) for n, a in arrays.items()}
     shared = [n for n in names if held[n] > 1]
     with ExitStack() as stack:
-        files = [(stack.enter_context(open(path, "w", newline="")), order)
+        files = [(stack.enter_context(open(path, "w", newline="", encoding="utf-8")), order)
                  for path, order in tables]
         for fh, order in files:
             fh.write(_lines([[_csv_cell(str(n))] for n in order], len(order)))
@@ -148,11 +148,14 @@ def read_csv_columns(path, names: Collection[str] | None = None) -> dict[str, np
     and bytes to the full read's column.  Only those are converted, but
     every line is still checked, so a file gives the same error, and
     falls back to the row-wise reader, as under a full read.  A name
-    the header lacks is left out.
+    the header lacks is left out.  Text that is not UTF-8 is an input error.
     """
     names = None if names is None else frozenset(names)
-    typed = _read_typed(path, names)
-    return typed if typed is not None else _read_rowwise(path, names)
+    try:
+        typed = _read_typed(path, names)
+        return typed if typed is not None else _read_rowwise(path, names)
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#04x})") from exc
 
 
 def _picked(header: list[str], names: frozenset[str] | None) -> dict[str, int]:
@@ -163,7 +166,7 @@ def _picked(header: list[str], names: frozenset[str] | None) -> dict[str, int]:
 
 def _read_typed(path, names=None) -> dict[str, np.ndarray] | None:
     """The picked columns of a plain numeric CSV, or None if it is not one."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         header_line = fh.readline()
         start = fh.tell()
         first = fh.readline()
@@ -210,7 +213,7 @@ def _read_typed(path, names=None) -> dict[str, np.ndarray] | None:
 
 def _read_rowwise(path, names=None) -> dict[str, np.ndarray]:
     """Row-by-row reader: csv parsing, then int, float or text per picked column."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -228,7 +228,7 @@ def _cmd_equilibrium(args, scenario, run) -> int:
     })
     _write_json(run.path("equilibrium.json"), {
         "converged": profile.converged, "iterations": profile.iterations,
-        "residual": profile.residual, "grid": args.grid, "tol": args.tol,
+        "residual": profile.residual, "grid": args.grid, "tol": profile.tol,
         "scenario_id": scenario.scenario_id,
     })
     profile.require_converged()   # after the artifacts, which record the failure

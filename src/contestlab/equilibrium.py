@@ -47,7 +47,7 @@ from ._rootfind import bisect_vec, expand_upper
 from .baseline import BaselineGrid, baseline_grid
 from .costmin import allocate_grid
 from .errors import DomainError, SolverError, UnconvergedProfileError
-from .model import Scenario
+from .model import Scenario, TypeDistribution
 
 Array = np.ndarray
 
@@ -68,17 +68,17 @@ class StrategyProfile:
 
     The type grid is the one of ``baseline``, the no-contest optima the
     solver started from.  Off-grid types interpolate linearly; the
-    schedule is non-decreasing by construction.  ``converged`` reports
-    whether the solver met its tolerance, ``residual`` is the sup-norm
-    best-response gap of ``mu_star``.
+    schedule is non-decreasing by construction.  ``residual`` is the
+    sup-norm best-response gap of ``mu_star`` and ``tol`` the solve's
+    tolerance; ``converged`` is computed from the two.
     """
 
     scenario: Scenario
     baseline: BaselineGrid
     mu_star: Array
-    converged: bool
     iterations: int
     residual: float
+    tol: float
 
     def __post_init__(self) -> None:
         if np.shape(self.mu_star) != self.theta_grid.shape:
@@ -91,6 +91,10 @@ class StrategyProfile:
     @property
     def theta_grid(self) -> Array:
         return self.baseline.theta
+
+    @property
+    def converged(self) -> bool:
+        return self.residual <= self.tol
 
     def require_converged(self) -> None:
         """Raise :class:`UnconvergedProfileError` unless ``converged``."""
@@ -121,16 +125,16 @@ def gauss_legendre(n: int, lo: float, hi: float) -> tuple[Array, Array]:
     return lo + half * (x + 1.0), half * w
 
 
-def _opponent_nodes(profile: StrategyProfile) -> tuple[Array, Array]:
-    """Probability weights and fitness targets of the opponents' types: a
+def _opponent_nodes(types: TypeDistribution, theta_grid: Array,
+                    mu: Array) -> tuple[Array, Array]:
+    """Weights and targets of opponents playing ``mu`` on ``theta_grid``: a
     Gauss-Legendre rule over the type support, one node for a point mass."""
-    types = profile.scenario.types
     if types.degenerate:
-        return np.ones(1), np.atleast_1d(profile.mu_at(types.lo))
+        return np.ones(1), np.interp([types.lo], theta_grid, mu)
     th, w = gauss_legendre(_THETA_NODES, types.lo, types.hi)
     wf = w * types.pdf(th)
     wf = wf / wf.sum()  # keep the mixture an exact probability
-    return wf, profile.mu_at(th)
+    return wf, np.interp(th, theta_grid, mu)
 
 
 @cache
@@ -155,7 +159,7 @@ def _binom_pmf(k: Array, n: int, p: Array) -> Array:
 
 
 class GainTable:
-    """Fast expected-prize evaluator against a fixed profile's opponents.
+    """Fast expected-prize evaluator against opponents playing ``mu`` on ``theta_grid``.
 
     Tabulates the conditional prize weight W(s) = E[prize | own score s]
     and its exact derivative on a uniform score grid, and interpolates W
@@ -171,8 +175,7 @@ class GainTable:
     the identical payoff.
     """
 
-    def __init__(self, profile: StrategyProfile, mu_max: float):
-        scenario = profile.scenario
+    def __init__(self, scenario: Scenario, theta_grid: Array, mu: Array, mu_max: float):
         noise, players, prizes = scenario.noise, scenario.players, scenario.prizes
         self.noise = noise
         # the bottom prize is sure: only ranks paid more are tabulated, and
@@ -182,7 +185,7 @@ class GainTable:
         self.sure = float(paid[-1]) if ranks.size == 0 else None
         if self.sure is not None:
             return
-        weights, opp_mus = _opponent_nodes(profile)
+        weights, opp_mus = _opponent_nodes(scenario.types, theta_grid, mu)
         lo0, sc0 = noise.loc_scale(np.array(0.0))
         lo1, sc1 = noise.loc_scale(np.array(mu_max))
         z_lo, z_hi = float(noise.z_ppf(1e-9)), float(noise.z_ppf(1.0 - 1e-9))
@@ -329,8 +332,8 @@ def best_response_grid(profile: StrategyProfile, thetas) -> Array:
     scenario.check_theta(thetas)
     mu_max = _mu_upper_bound(scenario, profile.baseline)
     mu_grid, cost_matrix = _coarse_grid(scenario, thetas, mu_max)
-    return _best_response_grid(scenario, GainTable(profile, mu_max), thetas,
-                               mu_grid, cost_matrix)
+    table = GainTable(scenario, profile.theta_grid, profile.mu_star, mu_max)
+    return _best_response_grid(scenario, table, thetas, mu_grid, cost_matrix)
 
 
 def solve_equilibrium(scenario: Scenario, *, grid_size: int = 201,
@@ -353,8 +356,8 @@ def solve_equilibrium(scenario: Scenario, *, grid_size: int = 201,
     when ``_STALL_SWEEPS`` sweeps in a row fail to improve on the best
     residual, or after ``_MAX_ITER`` iterations.  The returned schedule is
     the iterate with the smallest measured residual and ``residual`` is
-    its residual; ``converged`` (never raised here) says whether it is at
-    most ``tol``.
+    its residual; the profile keeps ``tol``, and its ``converged`` (never
+    raised here) says whether the residual is at most ``tol``.
     """
     thetas = scenario.types.grid(grid_size)
     if not (math.isfinite(tol) and tol >= 0.0):
@@ -373,10 +376,8 @@ def solve_equilibrium(scenario: Scenario, *, grid_size: int = 201,
     iterations = 0
     while iterations < _MAX_ITER:
         iterations += 1
-        profile = StrategyProfile(scenario, base, mu.copy(), False, iterations,
-                                  math.inf)
-        br = _best_response_grid(scenario, GainTable(profile, mu_max), thetas,
-                                 mu_grid, cost_matrix)
+        br = _best_response_grid(scenario, GainTable(scenario, thetas, mu, mu_max),
+                                 thetas, mu_grid, cost_matrix)
         f = br - mu
         residual = float(np.max(np.abs(f)))
         if residual < best_residual:
@@ -398,5 +399,4 @@ def solve_equilibrium(scenario: Scenario, *, grid_size: int = 201,
             gamma = np.linalg.lstsq(d_f, f, rcond=None)[0]
             step = br - d_g @ gamma
         mu = isotonic_projection(np.maximum(step, floor))
-    return StrategyProfile(scenario, base, best_mu, best_residual <= tol,
-                           iterations, best_residual)
+    return StrategyProfile(scenario, base, best_mu, iterations, best_residual, tol)

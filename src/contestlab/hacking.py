@@ -127,11 +127,10 @@ def _type_mass(types: TypeDistribution, theta: Array, hacks: Array) -> float:
 
 def hacking_verdicts(profile: StrategyProfile) -> HackingProfile:
     """Classify every grid type of an equilibrium profile."""
-    profile.require_converged()
+    theta_star = hacking_threshold(profile)   # raises unless converged
     scenario, theta = profile.scenario, profile.theta_grid
     alloc = allocate_grid(scenario, profile.mu_star, theta)
     base = profile.baseline
-    theta_star = hacking_threshold(profile)
     hacks = (alloc.a <= base.a + EFFORT_TOL) & (alloc.b > base.b + EFFORT_TOL)
     return HackingProfile(profile, alloc, hacks, _bands(alloc.case, base.case),
                           theta_star, _type_mass(scenario.types, theta, hacks))
@@ -187,15 +186,15 @@ def skewness_sweep(scenario: Scenario, prize_vectors, *, grid_size: int = 201,
                    tol: float = 1e-5) -> SweepResult:
     """Solve the contest under each prize vector and compare outcomes.
 
-    All vectors must be pairwise comparable under the gap order; the
-    offending pair is named otherwise.  Violations of the expected
-    monotone comparative statics are recorded on the result, never
-    silently repaired.
+    Each vector must fit the player count, which its scenario checks
+    first, and all must be pairwise comparable under the gap order, or
+    the offending pair is named.  Violations of the expected monotone
+    comparative statics are recorded on the result, never silently repaired.
     """
-    pvs = [pv if isinstance(pv, PrizeVector) else PrizeVector(tuple(pv))
-           for pv in prize_vectors]
-    if not pvs:
+    scenarios = [scenario.with_prizes(pv) for pv in prize_vectors]
+    if not scenarios:
         raise DomainError("need at least one prize vector")
+    pvs = [s.prizes for s in scenarios]
     relations = []
     for i in range(len(pvs)):
         for j in range(i + 1, len(pvs)):
@@ -205,8 +204,6 @@ def skewness_sweep(scenario: Scenario, prize_vectors, *, grid_size: int = 201,
                     f"prize vectors {i} and {j} are incomparable: "
                     f"{pvs[i].values} vs {pvs[j].values}")
             relations.append((i, j, rel))
-    verdicts = tuple(
-        hacking_verdicts(solve_equilibrium(scenario.with_prizes(pv),
-                                           grid_size=grid_size, tol=tol))
-        for pv in pvs)
+    verdicts = tuple(hacking_verdicts(solve_equilibrium(s, grid_size=grid_size, tol=tol))
+                     for s in scenarios)
     return SweepResult(tuple(pvs), tuple(relations), verdicts)

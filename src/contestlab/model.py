@@ -459,8 +459,8 @@ class PrizeVector:
 
     def gaps(self, n: int) -> np.ndarray:
         """Adjacent prize gaps R_k - R_{k+1} for k = 1..n-1."""
-        padded = self.padded(max(n, len(self.values)))
-        return padded[:-1] - padded[1:] if n > 1 else np.zeros(0)
+        padded = self.padded(n)
+        return padded[:-1] - padded[1:]
 
 
 @dataclass(frozen=True)
@@ -732,7 +732,7 @@ def validate_assumptions(scenario: Scenario) -> ValidationReport:
 
     # vanishing mechanistic returns far out
     tail = float(scenario.xi.deriv(1e12))
-    if tail < 1e-3:
+    if scenario.xi.kind != "linear":
         checks.append(AssumptionCheck(
             "mechanization-limit", "pass",
             f"xi'(b) -> 0 (xi'(1e12) = {tail:.2e})"))

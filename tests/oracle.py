@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 from scipy.stats import binom
 
-from contestlab import DomainError, StrategyProfile
+from contestlab import DomainError, Scenario
 
 RANK_TOL = 1e-9         # total quadrature error of a rank distribution
 CELL_NODES = 3          # Gauss nodes on each cell of the schedule interpolant
@@ -88,7 +88,8 @@ def adaptive_simpson(func: Callable[[np.ndarray], np.ndarray], lo: float,
 
 
 class RankOracle:
-    """Rank distribution and expected prize against one profile's opponents.
+    """Rank distribution and expected prize against opponents who play
+    the schedule ``mu`` on ``theta_grid``, as ``GainTable`` takes them.
 
     The opponents' mixture is built once, on construction: ``weights``
     are the probabilities of the type nodes and ``mus`` their targets.
@@ -97,22 +98,23 @@ class RankOracle:
     type law gets one node.
     """
 
-    def __init__(self, profile: StrategyProfile):
-        self.profile = profile
-        self.noise = profile.scenario.noise
-        types = profile.scenario.types
+    def __init__(self, scenario: Scenario, theta_grid, mu):
+        self.scenario = scenario
+        self.noise = scenario.noise
+        types = scenario.types
+        theta_grid = np.asarray(theta_grid, dtype=float)
         if types.degenerate:
             self.weights = np.ones(1)
-            self.mus = np.atleast_1d(profile.mu_at(types.lo))
+            self.mus = np.interp([types.lo], theta_grid, mu)
             return
-        grid = np.clip(profile.theta_grid, types.lo, types.hi)
+        grid = np.clip(theta_grid, types.lo, types.hi)
         edges = np.unique(np.concatenate([[types.lo], grid, [types.hi]]))
         x, w = np.polynomial.legendre.leggauss(CELL_NODES)
         half = 0.5 * np.diff(edges)[:, None]
         theta = (edges[:-1, None] + half * (x + 1.0)).ravel()
         mass = (half * w).ravel() * types.pdf(theta)
         self.weights = mass / mass.sum()
-        self.mus = profile.mu_at(theta)
+        self.mus = np.interp(theta, theta_grid, mu)
 
     def cdf(self, s) -> np.ndarray:
         """One opponent's score CDF G at each score ``s``."""
@@ -133,7 +135,7 @@ class RankOracle:
         """
         if mu < 0:
             raise DomainError(f"fitness target must be non-negative, got {mu!r}")
-        players = self.profile.scenario.players
+        players = self.scenario.players
         if players == 1:
             return np.ones(1)
         ranks = np.arange(1, players + 1)
@@ -149,7 +151,7 @@ class RankOracle:
 
     def contest_gain(self, mu: float) -> float:
         """Expected prize money for a player targeting ``mu``."""
-        scenario = self.profile.scenario
+        scenario = self.scenario
         if scenario.prizes.total == 0.0:
             return 0.0
         p = self.rank_probabilities(mu)

@@ -119,7 +119,8 @@ def test_criterion_3(equilibria):
 
         lo, hi = profile.scenario.support
         theta0 = lo + 0.6 * (hi - lo)
-        probs = RankOracle(profile).rank_probabilities(float(profile.mu_at(theta0)))
+        oracle = RankOracle(profile.scenario, profile.theta_grid, profile.mu_star)
+        probs = oracle.rank_probabilities(float(profile.mu_at(theta0)))
         assert probs.sum() == pytest.approx(1.0, abs=1e-6), label
         assert np.all(probs >= -1e-12), label
 

@@ -144,7 +144,7 @@ class TestClosedFormPoints:
         th = np.linspace(0.5, 3.0, 5)
         grid = baseline_grid(scn, th)
         before = {f: getattr(grid, f).copy() for f in ("theta", "a", "b", "mu", "payoff")}
-        StrategyProfile(scn, grid, grid.mu.copy(), True, 0, 0.0)
+        StrategyProfile(scn, grid, grid.mu.copy(), 0, 0.0, 1e-5)
         assert th.flags.writeable
         th[0] = 99.0
         for field, values in before.items():

@@ -15,7 +15,7 @@ import pytest
 from helpers import assert_replay_identical, nan_at_fourth_point
 
 import contestlab
-from contestlab import EXAMPLE_CONFIGS, equilibrium, example_scenario, load_scenario
+from contestlab import EXAMPLE_CONFIGS, cli, equilibrium, example_scenario, load_scenario
 from contestlab._tables import read_csv_columns, write_csv
 from contestlab.cli import (
     EXIT_INPUT,
@@ -434,6 +434,35 @@ class TestExitCodes:
         manifest = json.loads((out / MANIFEST_NAME).read_text())
         assert manifest["outputs"] == ["equilibrium.csv", "equilibrium.json"]
 
+    @pytest.mark.parametrize("name, tol, max_iter", [
+        ("example1", 1e-5, None), ("example2", 1e-5, None), ("example3", 1e-5, None),
+        ("example4", 1e-5, None), ("example1", 1e-13, 3),
+    ], ids=["example1", "example2", "example3", "example4", "unconverged"])
+    def test_equilibrium_json_records_the_profile(self, tmp_path, monkeypatch, capsys,
+                                                  name, tol, max_iter):
+        # the profile keeps the tol it was solved to, and the artifact
+        # records the profile's own convergence, not the command line's
+        if max_iter is not None:
+            monkeypatch.setattr(equilibrium, "_MAX_ITER", max_iter)
+        solved = []
+
+        def solve(*args, **kwargs):
+            solved.append(equilibrium.solve_equilibrium(*args, **kwargs))
+            return solved[-1]
+
+        monkeypatch.setattr(cli, "solve_equilibrium", solve)
+        out = tmp_path / "eq"
+        code = run_cli("equilibrium", "--scenario", name, "--tol", repr(tol), "--out", out)
+        capsys.readouterr()
+        (profile,) = solved
+        assert profile.tol == tol
+        assert profile.converged == (profile.residual <= tol)
+        assert code == (EXIT_OK if profile.converged else EXIT_NO_CONVERGENCE)
+        assert profile.converged is (max_iter is None)
+        meta = json.loads((out / "equilibrium.json").read_text())
+        assert (meta["converged"], meta["tol"]) == (profile.converged, profile.tol)
+        assert meta["residual"] == profile.residual
+
     def test_unconverged_hacking_leaves_no_directory(self, tmp_path, capsys):
         # hacking verdicts need a converged profile, so nothing is written
         out = tmp_path / "nc"
@@ -536,12 +565,16 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, message", [
         (["sweep", "--scenario", "example1", "--prizes", "1,x"], "bad prize vector"),
         (["sweep", "--scenario", "example1", "--prizes", ";"], "no prize vectors given"),
+        (["sweep", "--scenario", "example1", "--prizes", "1,0,0,0;1,0,0", "--grid", "21"],
+         "more prizes than players"),
+        (["sweep", "--scenario", "example1", "--prizes", "1,0,0;1,0", "--grid", "21"],
+         "more prizes than players"),
         (["cost", "--scenario", "example1", "--theta", "1", "--mu-max", "0"],
          "--mu-max must be positive"),
         (["replay", "{not json"], "not valid JSON"),
         (["replay", '{"command": "cost"}'], "missing replay_argv"),
-    ], ids=["bad-prize", "no-prizes", "mu-max-0", "manifest-not-json",
-            "manifest-without-argv"])
+    ], ids=["bad-prize", "no-prizes", "prizes-4-and-3", "prizes-3-and-2", "mu-max-0",
+            "manifest-not-json", "manifest-without-argv"])
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, argv, message):
         if argv[0] == "replay":   # the second item is the manifest's text
             manifest = tmp_path / MANIFEST_NAME
@@ -550,6 +583,18 @@ class TestExitCodes:
         assert run_cli(*argv, "--out", tmp_path / "e") == EXIT_INPUT
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+
+    @pytest.mark.parametrize("args", [["mk", "--column", "y"],
+                                      ["regress", "--outcome", "y", "--dummies", "x",
+                                       "--group", "x"]], ids=["mk", "regress"])
+    def test_non_utf8_csv_is_one_error_line(self, tmp_path, capsys, args):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"x,y\n1,\xff\n")
+        assert run_cli(args[0], "--input", path, *args[1:],
+                       "--out", tmp_path / "e") == EXIT_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert f"{path}: not UTF-8 text (byte 0xff)" in err[0]
 
     @pytest.mark.parametrize("argv, message", [
         (["mk", "--column", "band"], "Mann-Kendall series must be numeric"),

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,10 +32,11 @@ from contestlab.equilibrium import _mu_upper_bound
 NOISE_KINDS = ("normal", "gumbel", "exponential")
 
 
-def point_mass_profile(mu_opp: float, players: int = 2,
-                       prizes=(1.0, 0.0), dispersion: float = 1.0,
-                       theta: float = 1.0) -> StrategyProfile:
-    """A profile whose opponents all target one known fitness level."""
+def point_mass_schedule(mu_opp: float, players: int = 2,
+                        prizes=(1.0, 0.0), dispersion: float = 1.0,
+                        theta: float = 1.0) -> tuple[Scenario, np.ndarray, np.ndarray]:
+    """A one-type scenario, its type grid and a schedule on it at which
+    every opponent targets one known fitness level."""
     scn = example_scenario(
         "example1",
         players=players,
@@ -44,8 +44,17 @@ def point_mass_profile(mu_opp: float, players: int = 2,
         types={"kind": "uniform", "support": [theta, theta]},
         noise={"kind": "normal", "dispersion": dispersion},
     )
-    return StrategyProfile(scn, baseline_grid(scn, [theta]),
-                           np.array([float(mu_opp)]), True, 0, 0.0)
+    return scn, np.array([theta]), np.array([float(mu_opp)])
+
+
+def oracle_of(profile: StrategyProfile) -> RankOracle:
+    """The oracle against a solved profile's opponents."""
+    return RankOracle(profile.scenario, profile.theta_grid, profile.mu_star)
+
+
+def table_of(profile: StrategyProfile, mu_max: float) -> GainTable:
+    """The gain table against a solved profile's opponents."""
+    return GainTable(profile.scenario, profile.theta_grid, profile.mu_star, mu_max)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 19, 199, 399])
@@ -65,7 +74,7 @@ def test_binom_pmf_matches_scipy(n, rng):
 
 class TestRankProbabilities:
     def test_sums_to_one(self, equilibria):
-        oracle = RankOracle(equilibria("example1", players=5, prizes=(1.0, 0.5, 0.0)))
+        oracle = oracle_of(equilibria("example1", players=5, prizes=(1.0, 0.5, 0.0)))
         for mu in (0.3, 1.0, 2.4, 5.0):
             p = oracle.rank_probabilities(mu)
             assert p.size == 5
@@ -75,7 +84,7 @@ class TestRankProbabilities:
     def test_two_player_closed_form(self):
         # with one opponent fixed at mu_o, the win chance is
         # Phi((mu - mu_o) / (sigma * sqrt(2)))
-        oracle = RankOracle(point_mass_profile(1.5, dispersion=0.8))
+        oracle = RankOracle(*point_mass_schedule(1.5, dispersion=0.8))
         for mu in (0.5, 1.5, 3.0):
             p = oracle.rank_probabilities(mu)
             want = special.ndtr((mu - 1.5) / (0.8 * math.sqrt(2.0)))
@@ -83,9 +92,9 @@ class TestRankProbabilities:
             assert p[1] == pytest.approx(1.0 - want, abs=1e-8)
 
     def test_three_player_quadrature_oracle(self):
-        profile = point_mass_profile(1.0, players=3, prizes=(1.0, 0.0, 0.0))
+        schedule = point_mass_schedule(1.0, players=3, prizes=(1.0, 0.0, 0.0))
         mu = 1.7
-        p = RankOracle(profile).rank_probabilities(mu)
+        p = RankOracle(*schedule).rank_probabilities(mu)
 
         def win(s):
             return stats.norm.pdf(s, mu) * stats.norm.cdf(s, 1.0) ** 2
@@ -94,7 +103,7 @@ class TestRankProbabilities:
         assert p[0] == pytest.approx(want, abs=1e-7)
 
     def test_rank_cdf_fosd_in_mu(self, equilibria):
-        oracle = RankOracle(equilibria("example1", players=5, prizes=(1.0, 0.5, 0.0)))
+        oracle = oracle_of(equilibria("example1", players=5, prizes=(1.0, 0.5, 0.0)))
         lo = np.cumsum(oracle.rank_probabilities(1.0))
         hi = np.cumsum(oracle.rank_probabilities(2.0))
         assert np.all(hi >= lo - 1e-6)
@@ -103,7 +112,7 @@ class TestRankProbabilities:
         # the acceptance suite reruns this at 1e6 draws
         profile = equilibria("example1", players=5, prizes=(1.0, 0.5, 0.0))
         mu_probe = 2.0
-        p = RankOracle(profile).rank_probabilities(mu_probe)
+        p = oracle_of(profile).rank_probabilities(mu_probe)
         n = 200_000
         theta = sample_types(profile.scenario.types, rng, 4 * n).reshape(n, 4)
         opp = rng.normal(profile.mu_at(theta), 1.0)
@@ -114,11 +123,11 @@ class TestRankProbabilities:
         assert np.all(np.abs(freq - p) <= 3.0 * se + 1e-12)
 
     def test_single_player_trivial(self):
-        oracle = RankOracle(point_mass_profile(1.0, players=1, prizes=(1.0,)))
+        oracle = RankOracle(*point_mass_schedule(1.0, players=1, prizes=(1.0,)))
         np.testing.assert_array_equal(oracle.rank_probabilities(0.7), [1.0])
 
     def test_negative_target_rejected(self, equilibria):
-        oracle = RankOracle(equilibria("example1"))
+        oracle = oracle_of(equilibria("example1"))
         with pytest.raises(DomainError):
             oracle.rank_probabilities(-0.5)
 
@@ -126,15 +135,14 @@ class TestRankProbabilities:
 class TestGainTable:
     def test_matches_adaptive_quadrature(self, equilibria):
         profile = equilibria("example1", players=5, prizes=(1.0, 0.5, 0.0))
-        table = GainTable(profile, mu_max=12.0)
-        oracle = RankOracle(profile)
+        table = table_of(profile, mu_max=12.0)
+        oracle = oracle_of(profile)
         for mu in (0.2, 1.1, 2.7, 4.4):
             direct = oracle.contest_gain(mu)
             assert table.gain(mu)[0] == pytest.approx(direct, abs=2e-5)
 
     def test_gain_increasing_in_mu(self, equilibria):
-        profile = equilibria("example1")
-        table = GainTable(profile, mu_max=12.0)
+        table = table_of(equilibria("example1"), mu_max=12.0)
         gains = table.gain(np.linspace(0.0, 8.0, 50))
         assert np.all(np.diff(gains) >= -1e-10)
 
@@ -147,9 +155,7 @@ class TestGainTable:
             "example1", players=players or scn.players,
             prizes=list(prizes or scn.prizes.values),
             noise={"kind": noise_kind, "dispersion": 1.0})
-        replay = StrategyProfile(noisy, profile.baseline, profile.mu_star.copy(),
-                                 True, 0, 0.0)
-        return GainTable(replay, mu_max=12.0)
+        return GainTable(noisy, profile.theta_grid, profile.mu_star, mu_max=12.0)
 
     @pytest.mark.parametrize("noise_kind", NOISE_KINDS)
     @pytest.mark.parametrize("players, prizes", [(2, (1.0, 0.0)), (5, (1.0, 0.5, 0.0))])
@@ -203,15 +209,15 @@ class TestGainTable:
 
     def test_zero_prizes_zero_gain(self, equilibria):
         profile = equilibria("example1")
-        unpaid = replace(profile, scenario=profile.scenario.with_prizes(PrizeVector(())))
-        table = GainTable(unpaid, mu_max=10.0)
+        unpaid = profile.scenario.with_prizes(PrizeVector(()))
+        table = GainTable(unpaid, profile.theta_grid, profile.mu_star, mu_max=10.0)
         np.testing.assert_array_equal(table.gain([0.5, 1.5]), [0.0, 0.0])
 
     def test_one_player_gain_is_the_sure_prize(self, equilibria):
         # a lone player takes the top prize whatever its score, as a
         # simulated contest pays it
         profile = equilibria("example1", players=1, prizes=(1.0,), grid_size=21)
-        table = GainTable(profile, mu_max=10.0)
+        table = table_of(profile, mu_max=10.0)
         np.testing.assert_array_equal(table.gain([0.5, 2.0]), [1.0, 1.0])
         np.testing.assert_array_equal(table.slope([0.5, 2.0]), [0.0, 0.0])
         np.testing.assert_array_equal(run_contest(profile, seed=3).prize, [1.0])
@@ -257,8 +263,8 @@ def test_gain_table_matches_independent_oracle(name, noise_kind, players, prizes
         noise["dispersion"] = 1.0
     scn = example_scenario(name, players=players, prizes=list(prizes), noise=noise)
     profile = solve_equilibrium(scn, grid_size=51)
-    table = GainTable(profile, _mu_upper_bound(scn, profile.baseline))
-    oracle = RankOracle(profile)
+    table = table_of(profile, _mu_upper_bound(scn, profile.baseline))
+    oracle = oracle_of(profile)
     lo, hi = scn.support
     for mu in profile.mu_at(lo + np.array([0.1, 0.5, 0.9]) * (hi - lo)):
         assert table.gain(mu)[0] == pytest.approx(oracle.contest_gain(mu), abs=1e-4)
@@ -268,13 +274,14 @@ class TestOpponentMixture:
     def test_weights_are_a_distribution(self, equilibria):
         # the table's nodes and the oracle's
         profile = equilibria("example1")
-        for weights in (equilibrium._opponent_nodes(profile)[0],
-                        RankOracle(profile).weights):
+        nodes = equilibrium._opponent_nodes(profile.scenario.types, profile.theta_grid,
+                                            profile.mu_star)
+        for weights in (nodes[0], oracle_of(profile).weights):
             assert weights.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(weights > 0)
 
     def test_cdf_monotone_and_normalised(self, equilibria):
-        oracle = RankOracle(equilibria("example1"))
+        oracle = oracle_of(equilibria("example1"))
         s = np.linspace(-6.0, 16.0, 300)
         cdf = oracle.cdf(s)
         assert np.all(np.diff(cdf) >= -1e-12)
@@ -283,7 +290,7 @@ class TestOpponentMixture:
     def test_cdf_independent_of_batch(self, equilibria):
         # G at a point must not depend on the batch it is evaluated in:
         # adaptive quadrature calls it on batches of every size
-        oracle = RankOracle(equilibria("example1"))
+        oracle = oracle_of(equilibria("example1"))
         s = np.linspace(-6.0, 16.0, 301)
         batch = oracle.cdf(s)
         np.testing.assert_array_equal(batch, [oracle.cdf(x) for x in s])
@@ -304,9 +311,8 @@ def test_target_bracket_holds_every_best_response(noise_kind, name, players,
     scn = example_scenario(name, players=players, prizes=prizes, noise=noise)
     thetas = np.linspace(*scn.support, 21)
     base = baseline_grid(scn, thetas)
-    profile = StrategyProfile(scn, base, base.mu.copy(), False, 0, math.inf)
     mu_max = _mu_upper_bound(scn, base)
-    table = GainTable(profile, 2.0 * mu_max)
+    table = GainTable(scn, thetas, base.mu, 2.0 * mu_max)
     mus = np.linspace(0.0, 2.0 * mu_max, 4001)
     payoff = (table.gain(mus)[:, None] + mus[:, None]
               - allocate_grid(scn, mus[:, None], thetas[None, :]).cost)
@@ -351,7 +357,7 @@ class TestSolveEquilibrium:
         profile = equilibria(name)
         scn, thetas = profile.scenario, profile.theta_grid
         mu_max = _mu_upper_bound(scn, profile.baseline)
-        table = GainTable(profile, mu_max)
+        table = table_of(profile, mu_max)
 
         def best_response(top):
             mu_grid, cost_matrix = equilibrium._coarse_grid(scn, thetas, top)
@@ -368,7 +374,7 @@ class TestSolveEquilibrium:
         profile = equilibria(name)
         scn, thetas = profile.scenario, profile.theta_grid
         mu_max = _mu_upper_bound(scn, baseline_grid(scn, thetas))
-        table = GainTable(profile, mu_max)
+        table = table_of(profile, mu_max)
 
         def payoff(mu, th):
             gain = table.gain(mu.ravel()).reshape(mu.shape)
@@ -391,7 +397,7 @@ class TestSolveEquilibrium:
         # the exact best response solves dC/dmu = 1 + its derivative
         profile = equilibria("example1")
         scn, thetas = profile.scenario, profile.theta_grid
-        weights, mus = equilibrium._opponent_nodes(profile)
+        weights, mus = equilibrium._opponent_nodes(scn.types, thetas, profile.mu_star)
 
         def foc(mu, th):
             slope = weights @ stats.norm.pdf(mu, mus, math.sqrt(2.0))
@@ -536,4 +542,4 @@ class TestSolveEquilibrium:
         scn = example_scenario("example1")
         base = baseline_grid(scn, np.linspace(*scn.support, 5))
         with pytest.raises(DomainError, match="type grid"):
-            StrategyProfile(scn, base, np.ones(4), True, 0, 0.0)
+            StrategyProfile(scn, base, np.ones(4), 0, 0.0, 1e-5)

@@ -292,6 +292,15 @@ class TestPrizeVector:
         np.testing.assert_array_equal(pv.gaps(5), [2.0, 3.0, 0.0, 0.0])
         assert pv.total == 8.0 and pv.top == 5.0
 
+    def test_more_prizes_than_ranks_rejected(self):
+        # gaps pads as padded does, so a vector longer than the ranks is
+        # an error there too, not a longer gap vector
+        pv = PrizeVector((1.0, 0.5, 0.0))
+        for n in (1, 2):
+            for method in (pv.padded, pv.gaps):
+                with pytest.raises(DomainError, match="3 prizes for"):
+                    method(n)
+
     def test_empty_vector_is_zero(self):
         pv = PrizeVector(())
         assert pv.total == 0.0 and pv.top == 0.0
@@ -391,6 +400,22 @@ class TestValidation:
     def test_linear_mechanization_warns_but_passes(self):
         report = validate_assumptions(example_scenario("example1"))
         assert any(c.status == "warn" for c in report.checks)
+
+    @pytest.mark.parametrize("xi, status", [
+        ({"kind": "power", "alpha": 0.5}, "pass"), ({"kind": "power", "alpha": 0.8}, "pass"),
+        ({"kind": "power", "alpha": 0.95}, "pass"), ({"kind": "power", "alpha": 0.99}, "pass"),
+        ({"kind": "linear"}, "warn")], ids=["0.5", "0.8", "0.95", "0.99", "linear"])
+    def test_mechanization_limit_reads_the_kind(self, xi, status):
+        # every power xi' vanishes, however slowly: at alpha 0.99,
+        # xi'(1e12) is still 0.75; only linear xi keeps its margin
+        report = validate_assumptions(example_scenario("example1", xi=xi))
+        (check,) = [c for c in report.checks if c.check_id == "mechanization-limit"]
+        assert check.status == status
+        tail = float(MechanizationForm(**xi).deriv(1e12))
+        if status == "pass":
+            assert check.detail == f"xi'(b) -> 0 (xi'(1e12) = {tail:.2e})"
+        else:
+            assert check.detail.startswith(f"xi' does not vanish: xi'(1e12) = {tail:.4g}")
 
     @pytest.mark.parametrize("theta", [0.3, 0.0])
     def test_point_mass_passes(self, theta):

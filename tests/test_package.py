@@ -1,9 +1,10 @@
 """Tests that the hand-kept export list names only what exists, that
 the package holds no unused imports, nested functions, private names or
-private methods, that every name the benchmark's layer hooks wrap
-exists and each file hook takes the path first, that neither importing
-it nor a regression fit loads a scipy module, and that the README's
-layout names every module."""
+private methods, that only the solver constructs a ``StrategyProfile``,
+that every name the benchmark's layer hooks wrap exists and each file
+hook takes the path first, that neither importing it nor a regression
+fit loads a scipy module, and that the README's layout names every
+module."""
 
 from __future__ import annotations
 
@@ -110,6 +111,38 @@ def test_no_unused_imports_or_nested_functions():
     found = {(name, unused) for name, tree in trees.items()
              for unused in _unused_names(tree, package_loads)}
     assert found - UNUSED_ALLOWED == set()
+
+
+def _callers(tree: ast.Module, name: str) -> list[str]:
+    """The innermost function around each call of ``name`` (a bare name or
+    an attribute) in a module, ``<module>`` for a call outside any."""
+    found = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called == name:
+                    found.append(owner)
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_only_the_solver_makes_profiles():
+    # a profile's convergence is computed from its residual and tol, and
+    # only a solve measures a residual, so the solver's return is the one
+    # place in the package that constructs a profile
+    package = Path(importlib.import_module("contestlab").__file__).parent
+    makers = [(path.name, owner) for path in sorted(package.glob("*.py"))
+              for owner in _callers(ast.parse(path.read_text(), str(path)),
+                                    "StrategyProfile")]
+    assert makers == [("equilibrium.py", "solve_equilibrium")]
 
 
 # hook targets of perfbench/layers.py that name nothing: `cli.py` no

@@ -407,7 +407,7 @@ class TestRunContest:
         dens = profile.scenario.types.pdf(nodes) * weights
         dens /= dens.sum()
         ref = np.zeros(5)
-        oracle = RankOracle(profile)
+        oracle = RankOracle(profile.scenario, profile.theta_grid, profile.mu_star)
         for w, th in zip(dens, nodes):
             ref += w * oracle.rank_probabilities(float(profile.mu_at(th)))
         se = np.sqrt(ref * (1.0 - ref) / inside.sum())
