@@ -176,6 +176,15 @@ class GainTable:
     """
 
     def __init__(self, scenario: Scenario, theta_grid: Array, mu: Array, mu_max: float):
+        # the schedule is interpolated, which needs one target per type
+        # and strictly increasing types
+        theta_grid, mu = np.asarray(theta_grid, dtype=float), np.asarray(mu, dtype=float)
+        if theta_grid.ndim != 1 or mu.shape != theta_grid.shape:
+            raise DomainError(f"mu has shape {mu.shape}, the type grid {theta_grid.shape}")
+        if not np.all(np.diff(theta_grid) > 0):
+            raise DomainError("the type grid must strictly increase")
+        if not np.all(np.isfinite(mu)):
+            raise DomainError("mu must be finite")
         noise, players, prizes = scenario.noise, scenario.players, scenario.prizes
         self.noise = noise
         # the bottom prize is sure: only ranks paid more are tabulated, and

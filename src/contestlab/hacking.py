@@ -186,12 +186,19 @@ def skewness_sweep(scenario: Scenario, prize_vectors, *, grid_size: int = 201,
                    tol: float = 1e-5) -> SweepResult:
     """Solve the contest under each prize vector and compare outcomes.
 
-    Each vector must fit the player count, which its scenario checks
-    first, and all must be pairwise comparable under the gap order, or
+    Each vector must fit the player count, or the first that does not is
+    named, and all must be pairwise comparable under the gap order, or
     the offending pair is named.  Violations of the expected monotone
     comparative statics are recorded on the result, never silently repaired.
     """
-    scenarios = [scenario.with_prizes(pv) for pv in prize_vectors]
+    scenarios = []
+    for i, prizes in enumerate(prize_vectors):
+        pv = prizes if isinstance(prizes, PrizeVector) else PrizeVector(tuple(prizes))
+        if len(pv) > scenario.players:
+            shown = ", ".join(f"{v:g}" for v in pv.values)
+            raise DomainError(f"prize vector {i} ({shown}) has {len(pv)} prizes "
+                              f"for {scenario.players} players")
+        scenarios.append(scenario.with_prizes(pv))
     if not scenarios:
         raise DomainError("need at least one prize vector")
     pvs = [s.prizes for s in scenarios]

@@ -566,15 +566,17 @@ class TestExitCodes:
         (["sweep", "--scenario", "example1", "--prizes", "1,x"], "bad prize vector"),
         (["sweep", "--scenario", "example1", "--prizes", ";"], "no prize vectors given"),
         (["sweep", "--scenario", "example1", "--prizes", "1,0,0,0;1,0,0", "--grid", "21"],
-         "more prizes than players"),
+         "prize vector 0 (1, 0, 0, 0) has 4 prizes for 2 players"),
         (["sweep", "--scenario", "example1", "--prizes", "1,0,0;1,0", "--grid", "21"],
-         "more prizes than players"),
+         "prize vector 0 (1, 0, 0) has 3 prizes for 2 players"),
+        (["sweep", "--scenario", "example1", "--prizes", "1,0;0.5,0.25,0", "--grid", "21"],
+         "prize vector 1 (0.5, 0.25, 0) has 3 prizes for 2 players"),
         (["cost", "--scenario", "example1", "--theta", "1", "--mu-max", "0"],
          "--mu-max must be positive"),
         (["replay", "{not json"], "not valid JSON"),
         (["replay", '{"command": "cost"}'], "missing replay_argv"),
-    ], ids=["bad-prize", "no-prizes", "prizes-4-and-3", "prizes-3-and-2", "mu-max-0",
-            "manifest-not-json", "manifest-without-argv"])
+    ], ids=["bad-prize", "no-prizes", "prizes-4-and-3", "prizes-3-and-2", "second-too-long",
+            "mu-max-0", "manifest-not-json", "manifest-without-argv"])
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, argv, message):
         if argv[0] == "replay":   # the second item is the manifest's text
             manifest = tmp_path / MANIFEST_NAME

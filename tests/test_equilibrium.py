@@ -207,6 +207,26 @@ class TestGainTable:
             with pytest.raises(DomainError, match="non-negative mean"):
                 evaluate([0.5, -0.5])
 
+    def test_schedule_of_another_length_rejected(self):
+        scn = example_scenario("example1")
+        with pytest.raises(DomainError, match=r"mu has shape \(4,\), the type grid \(5,\)"):
+            GainTable(scn, np.linspace(0.0, 3.0, 5), np.ones(4), 5.0)
+
+    def test_decreasing_type_grid_rejected(self):
+        # np.interp assumes increasing abscissae: reversed, the same
+        # schedule gave 0.0169 in place of 0.2978 at mu = 1
+        scn = example_scenario("example1")
+        grid, mu = np.linspace(0.0, 3.0, 5), np.arange(5.0)
+        assert GainTable(scn, grid, mu, 5.0).gain([1.0])[0] == pytest.approx(0.2978, abs=1e-4)
+        with pytest.raises(DomainError, match="type grid must strictly increase"):
+            GainTable(scn, grid[::-1], mu[::-1], 5.0)
+
+    def test_non_finite_schedule_rejected(self):
+        scn = example_scenario("example1")
+        mu = np.array([0.0, 1.0, np.nan, 3.0, 4.0])
+        with pytest.raises(DomainError, match="mu must be finite"):
+            GainTable(scn, np.linspace(0.0, 3.0, 5), mu, 5.0)
+
     def test_zero_prizes_zero_gain(self, equilibria):
         profile = equilibria("example1")
         unpaid = profile.scenario.with_prizes(PrizeVector(()))

@@ -63,11 +63,60 @@ def test_bytes_match_the_rowwise_writer(tmp_path, rng):
         "odd_text": np.array(["", " lead", "a\nb", "tail ", "c\r\nd", "", "x"] * (n // 7)
                              + ["y"] * (n % 7), dtype=object),
         "strided": rng.normal(size=2 * n)[::2],
+        # distinct values in the numpy formatter's range, a third of them
+        # short decimals, across both chunk boundaries
+        "fast_range": np.where(np.arange(n) % 3 == 0, np.round(rng.normal(size=n), 3),
+                               10.0 ** rng.uniform(-4, 14, n) * rng.choice([-1.0, 1.0], n)),
     }
     fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
     write_csv(fast, cols)
     rowwise_csv(slow, cols)
     assert fast.read_bytes() == slow.read_bytes()
+
+
+def float_families(rng) -> dict[str, np.ndarray]:
+    """Seeded float64 families for the formatter oracle, about 1.36e6 values."""
+    n = 150_000
+    sign = rng.choice([-1.0, 1.0], n)
+    powers = np.concatenate([2.0 ** np.arange(-1074, 1024), 10.0 ** np.arange(-323, 309)])
+    edges = np.array([1e-4, 1e14, 1e16])
+    edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+    # D16 of x in [0.9007, 1) * 10**E lies above 2**53: half of them odd
+    above_2_53 = rng.uniform(0.9007, 1.0, (17, n // 17)) * 10.0 ** np.arange(-3, 14)[:, None]
+    return {
+        # every finite exponent, the sign and each mantissa bit random
+        "bit-patterns": (rng.integers(0, 2**64, n, dtype=np.uint64) & ~np.uint64(2047 << 52)
+                         | rng.integers(0, 2047, n, dtype=np.uint64) << np.uint64(52)
+                         ).view(np.float64),
+        "log-uniform": sign * 10.0 ** rng.uniform(-4, 14, n),
+        # k / 2**m hold the decimals exactly halfway between two candidates
+        "dyadic": sign * rng.integers(1, 2**40, n) / 2.0 ** rng.integers(0, 60, n),
+        "short-dyadic": sign * rng.integers(1, 2**12, n) / 2.0 ** rng.integers(0, 12, n),
+        "integers": sign * rng.integers(0, 2**53, n).astype(float)
+                    // 10.0 ** rng.integers(0, 16, n),
+        "decimals": sign * rng.integers(1, 10**6, n) / 10.0 ** rng.integers(0, 10, n),
+        "powers": np.concatenate([powers, -powers, np.nextafter(powers, 0.0),
+                                  np.nextafter(powers, np.inf)]),
+        "edges": np.concatenate([edges, -edges, sign * 10.0 ** rng.uniform(-4.01, -3.99, n),
+                                 sign * 10.0 ** rng.uniform(13.99, 16.01, n)]),
+        "above-2**53": above_2_53.ravel(),
+        "specials": np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                              2.2250738585072009e-308, 2.2250738585072014e-308, 1.5, 0.1]),
+    }
+
+
+def test_float_formatter_matches_repr(monkeypatch):
+    # the formatter is the repr oracle's equal on about 1.36e6 values.  In
+    # its range only a value halfway between two shortest candidates,
+    # which takes few fraction bits, needs repr: 0.1-0.2% of these
+    fallbacks = []
+    monkeypatch.setattr(tables, "repr", lambda v: fallbacks.append(v) or repr(v), raising=False)
+    for name, x in float_families(np.random.default_rng(37)).items():
+        fallbacks.clear()
+        want = [repr(v).encode() for v in x.tolist()]
+        assert tables._float_cells(x) == want, name
+        if name in ("log-uniform", "above-2**53"):
+            assert len(fallbacks) < 0.003 * x.size, name
 
 
 def low_cardinality_columns(rng, n):
